@@ -2,7 +2,11 @@
 
 One command per process, driving the run described by a config file (see
 ``llap.config`` for the format).  Exit codes: 0 success, 2 config problem,
-3 certificate failure, 4 non-convergence, 5 failed property checks.
+3 certificate failure, 4 non-convergence, 5 failed property checks (the
+``verify`` suite, the transform self-tests, or the kernel-level limit checks
+of ``sequence``), 6 internal consistency check failed (a bound the theory
+makes unconditional was violated, or a spectral intermediate went
+non-finite); every failure prints a one-line message, never a traceback.
 
 All output files are written atomically (temp file + rename) with LF line
 endings and 17 significant digits, so identical configs and seeds produce
@@ -21,12 +25,18 @@ from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import ConfigError, RunConfig, load_config
 from .grid import make_grid, norms
 from .sequence import MemberCertificateError, run_sequence, verify_lemmaA2
-from .solver import ContractionCertificate, certify as compute_certificate, picard_solve
+from .solver import (
+    ConsistencyError,
+    ContractionCertificate,
+    certify as compute_certificate,
+    picard_solve,
+)
 
 EXIT_CONFIG = 2
 EXIT_CERTIFICATE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_CHECK_FAILED = 5
+EXIT_INCONSISTENT = 6
 
 
 def _fmt(x) -> str:
@@ -37,12 +47,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fail(code: int, what: str, e: Exception):
+    click.echo(f"{what}: {e}", err=True)
+    sys.exit(code)
+
+
 def _load(config_path: str) -> RunConfig:
     try:
         return load_config(config_path)
     except (ConfigError, ValueError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, "config error", e)
 
 
 def _build_run(cfg: RunConfig):
@@ -52,8 +66,7 @@ def _build_run(cfg: RunConfig):
         kernel = cfg.kernel(grid, spec)
         nonlin = cfg.nonlinearity(grid)
     except (ConfigError, ValueError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, "config error", e)
     return grid, spec, kernel, nonlin
 
 
@@ -133,15 +146,16 @@ def solve(config: str, out_dir: str):
             err=True,
         )
         sys.exit(EXIT_CERTIFICATE)
-    report = picard_solve(
-        kernel,
-        nonlin,
-        spec,
-        v0=cfg.starting_field(grid),
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        certificate=cert,
-    )
+    try:
+        v0 = cfg.starting_field(grid)
+    except ConfigError as e:
+        _fail(EXIT_CONFIG, "config error", e)
+    try:
+        report = picard_solve(
+            kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert
+        )
+    except ConsistencyError as e:
+        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
     rows = []
     for k in range(report.iterations):
         ratio = report.contraction_ratios[k - 1] if k >= 1 else ""
@@ -181,8 +195,7 @@ def sequence(config: str, out_dir: str):
         schedule = cfg.schedule()
         seq = cfg_make_sequence(cfg, kernel, schedule, spec)
     except (ConfigError, ValueError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, "config error", e)
     try:
         study = run_sequence(
             seq, nonlin, spec, eps=cfg.eps_user, tol=cfg.tol, max_iter=cfg.max_iter
@@ -190,6 +203,8 @@ def sequence(config: str, out_dir: str):
     except MemberCertificateError as e:
         click.echo(f"certificate failure at member {e.member}: {e}", err=True)
         sys.exit(EXIT_CERTIFICATE)
+    except ConsistencyError as e:
+        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
     table = verify_lemmaA2(seq, spec, lip=nonlin.lip, eps=cfg.eps_user)
     out = _outdir(out_dir)
     _write_csv(
@@ -227,6 +242,8 @@ def sequence(config: str, out_dir: str):
         f"limit checks {'PASS' if table.passed else 'FAIL'}"
     )
     click.echo(f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}")
+    if not table.passed:
+        sys.exit(EXIT_CHECK_FAILED)
 
 
 def cfg_make_sequence(cfg: RunConfig, kernel, schedule, spec):
@@ -255,8 +272,7 @@ def verify(config: str, out_dir: str):
     try:
         results = run_property_suite(cfg)
     except (ConfigError, ValueError, OSError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, "config error", e)
     ok = _report_checks(results, _outdir(out_dir), "verify_report.csv")
     if not ok:
         sys.exit(EXIT_CHECK_FAILED)
@@ -273,8 +289,7 @@ def ft_selftest_cmd(config: str | None, out_dir: str):
             grid = cfg.grid()
             seed = cfg.seed
         except (ConfigError, ValueError) as e:
-            click.echo(f"config error: {e}", err=True)
-            sys.exit(EXIT_CONFIG)
+            _fail(EXIT_CONFIG, "config error", e)
     else:
         grid = make_grid(1, 20.0, 1024)
         seed = 0

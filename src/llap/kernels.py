@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv, spherical_jn
 
 from .grid import (
     GridSpec,
@@ -302,6 +301,10 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> list[RealField]
             RealField(env * np.cos(radius * x), grid),
             RealField(env * np.sin(radius * x), grid),
         ]
+    # Imported here: scipy.special dominates the package's import time, and
+    # the one-dimensional atoms need no Bessel function.
+    from scipy.special import jv, spherical_jn
+
     if grid.d == 2:
         X, Y = grid.coord_meshes()
         theta = np.arctan2(Y, X)

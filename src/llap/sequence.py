@@ -36,6 +36,7 @@ from .kernels import (
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
     CertificateError,
+    ConsistencyError,
     ContractionCertificate,
     SolveReport,
     picard_solve,
@@ -224,7 +225,7 @@ def run_sequence(
 
     for row in rows:
         if not row.bound_ok:
-            raise RuntimeError(
+            raise ConsistencyError(
                 f"member {row.m} violates the convergence bound: "
                 f"sol_dist {row.sol_dist:.3e} > bound {row.bound_rhs:.3e}"
             )
@@ -232,7 +233,7 @@ def run_sequence(
         # Diagnostic, not a theorem claim: distances may wobble once they
         # hit the solver tolerance floor.
         if cur.sol_dist > 1.5 * prev.sol_dist + floor:
-            raise RuntimeError(
+            raise ConsistencyError(
                 f"solution distances increase from member {prev.m} to {cur.m}: "
                 f"{prev.sol_dist:.3e} -> {cur.sol_dist:.3e}"
             )

@@ -11,6 +11,10 @@ the inverse-symbol gain of the kernel; the certificate computed here must
 pass before any solve is attempted, mirroring the hypothesis of the
 underlying fixed-point argument.  Solves with a failing certificate are
 refused, not attempted.
+
+The map, the equation residual and the triviality indicator share one
+operator per (kernel, spec) that works on the half spectrum of real FFTs;
+an iteration of picard_solve costs one rfftn and one irfftn.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    GridSpec,
     RealField,
-    SpectralField,
     SymbolSpec,
     TWO_PI,
     forward_ft,
-    inverse_ft_real,
-    norms,
     reciprocal_grid,
     symbol_grid,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "SolveReport",
     "ResidualReport",
     "CertificateError",
+    "ConsistencyError",
     "certify",
     "picard_multiplier",
     "apply_picard_map",
@@ -54,6 +57,15 @@ ORTH_RTOL = 1e-6
 
 class CertificateError(RuntimeError):
     """Raised when a solve is requested under a failing certificate."""
+
+
+class ConsistencyError(RuntimeError):
+    """Raised when a bound the theory makes unconditional is violated.
+
+    This covers the a-priori contraction bound, the sequence bounds and
+    non-finite spectral intermediates under a passing certificate; each
+    points at an inconsistent computation, never at bad input data.
+    """
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,17 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of picard_solve.
+
+    update_norms[k] = ||u_{k+1} - u_k||_2 for the iterates u_0 = v0, u_1, ...;
+    apriori_bounds[k] = q^k / (1 - q) * ||u_1 - u_0||_2 and tail_sums[k] =
+    sum_{j >= k} ||u_{j+1} - u_j||_2, both with one entry per iterate.  By the
+    triangle inequality tail_sums[k] >= ||u_k - final||_2, and the solve checks
+    tail_sums[k] <= apriori_bounds[k] + 10 tol.  Only the final iterate is kept,
+    so memory does not grow with the number of iterations; each iteration
+    costs two real FFTs.  residual and masked_rhs_energy describe final.
+    """
+
     iterations: int
     update_norms: tuple[float, ...]
     contraction_ratios: tuple[float, ...]
@@ -108,7 +131,7 @@ class SolveReport:
     certificate: ContractionCertificate
     converged: bool
     apriori_bounds: tuple[float, ...]
-    distances_to_final: tuple[float, ...]
+    tail_sums: tuple[float, ...]
     predicted_iterations: int | None
 
 
@@ -155,22 +178,99 @@ def certify(
     )
 
 
+@dataclass(frozen=True)
+class _PicardOperator:
+    """The Picard map of one (kernel, spec) pair on the half spectrum.
+
+    Real fields have conjugate-symmetric transforms, so every array here
+    keeps only the last-axis modes 0..n/2 of numpy's rfftn layout.  weights
+    counts each stored mode with its conjugate twin (1 on last-axis modes 0
+    and n/2, 2 elsewhere), so a weighted half sum equals the full sum.
+
+    Spectra handed in and out are raw rfftn outputs.  The transform's
+    prefactors cancel in the step (irfftn(multiplier * rfftn(w)) equals
+    inverse_ft of multiplier * forward_ft(w) in exact arithmetic), and its
+    unit-modulus phase (-1)^k cancels in every modulus, so only the norms
+    carry the scale.
+    """
+
+    grid: GridSpec
+    multiplier: np.ndarray  # (2 pi)^(d/2) G^ / (ln|p| - shift), zero off the active modes
+    rhs: np.ndarray  # (2 pi)^(d/2) G^, with the phase of forward_ft
+    symbol: np.ndarray  # ln|p| - shift on the active modes, zero elsewhere
+    active: np.ndarray  # unmasked, non-DC modes
+    weights: np.ndarray
+    scale: float  # (pi/L)^d times the squared forward_ft prefactor
+
+    @property
+    def axes(self) -> tuple[int, ...]:
+        return tuple(range(self.grid.d))
+
+    def transform(self, f: RealField) -> np.ndarray:
+        return np.fft.rfftn(f.values, axes=self.axes)
+
+    def step(self, what: np.ndarray) -> tuple[np.ndarray, RealField]:
+        """u^ = multiplier * w^ and the real field u it describes."""
+        uhat = self.multiplier * what
+        if not np.all(np.isfinite(uhat)):
+            raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
+        values = np.fft.irfftn(uhat, s=self.grid.shape, axes=self.axes)
+        return uhat, RealField(values, self.grid)
+
+    def residual(self, uhat: np.ndarray, what: np.ndarray) -> ResidualReport:
+        """Equation residual of u^ against the right side built from w^ = (F(u))^."""
+        diff = self.symbol * uhat
+        diff -= self.rhs * what
+        sq = np.abs(diff)
+        sq *= sq
+        sq *= self.weights
+        return ResidualReport(
+            value=math.sqrt(self.scale * float(np.sum(sq, where=self.active))),
+            masked_rhs_energy=math.sqrt(self.scale * float(np.sum(sq, where=~self.active))),
+        )
+
+
+def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
+    grid = G.grid
+    half = (Ellipsis, slice(0, grid.n // 2 + 1))
+    rhs = TWO_PI ** (grid.d / 2.0) * forward_ft(G.samples).coeffs[half]
+    recip, _ = reciprocal_grid(grid, spec)
+    t = symbol_grid(grid, spec.shift)[half]
+    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
+    weights = np.full(t.shape, 2.0)
+    weights[..., 0] = 1.0
+    weights[..., -1] = 1.0
+    pref = grid.h**grid.d / TWO_PI ** (grid.d / 2.0)
+    return _PicardOperator(
+        grid=grid,
+        multiplier=rhs * recip[half],
+        rhs=rhs,
+        symbol=np.where(active, t, 0.0),
+        active=active,
+        weights=weights,
+        scale=grid.mode_spacing**grid.d * pref * pref,
+    )
+
+
+def _hermitian_extension(half: np.ndarray, n: int) -> np.ndarray:
+    """Full FFT-ordered array whose last-axis modes 0..n/2 are half."""
+    twin = half[..., n // 2 - 1 : 0 : -1]
+    for axis in range(half.ndim - 1):
+        twin = np.roll(np.flip(twin, axis), 1, axis)
+    return np.concatenate([half, twin.conj()], axis=-1)
+
+
 def picard_multiplier(G: Kernel, spec: SymbolSpec) -> np.ndarray:
     """Spectral multiplier (2 pi)^(d/2) G^(p) / (ln|p| - shift), masked."""
-    recip, _ = reciprocal_grid(G.grid, spec)
-    return TWO_PI ** (G.grid.d / 2.0) * forward_ft(G.samples).coeffs * recip
+    return _hermitian_extension(_picard_operator(G, spec).multiplier, G.grid.n)
 
 
 def apply_picard_map(v: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec) -> RealField:
     """One Picard step: solve the linear problem with right side G * F(v, .)."""
     if v.grid != G.grid:
         raise ValueError("field and kernel live on different grids")
-    w = eval_F(N, v)
-    what = forward_ft(w)
-    uhat = picard_multiplier(G, spec) * what.coeffs
-    if not np.all(np.isfinite(uhat)):
-        raise ValueError("non-finite spectral intermediate; certificate is unsound")
-    return inverse_ft_real(SpectralField(uhat, v.grid))
+    op = _picard_operator(G, spec)
+    return op.step(op.transform(eval_F(N, v)))[1]
 
 
 def equation_residual(u: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec) -> ResidualReport:
@@ -183,17 +283,8 @@ def equation_residual(u: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec
     """
     if u.grid != G.grid:
         raise ValueError("field and kernel live on different grids")
-    grid = u.grid
-    t = symbol_grid(grid, spec.shift)
-    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-    uhat = forward_ft(u).coeffs
-    what = forward_ft(eval_F(N, u)).coeffs
-    rhs = TWO_PI ** (grid.d / 2.0) * forward_ft(G.samples).coeffs * what
-    diff = t[active] * uhat[active] - rhs[active]
-    w = grid.mode_spacing**grid.d
-    value = math.sqrt(w * float(np.sum(np.abs(diff) ** 2)))
-    masked_energy = math.sqrt(w * float(np.sum(np.abs(rhs[~active]) ** 2)))
-    return ResidualReport(value=value, masked_rhs_energy=masked_energy)
+    op = _picard_operator(G, spec)
+    return op.residual(op.transform(u), op.transform(eval_F(N, u)))
 
 
 def triviality_indicator(G: Kernel, N: Nonlinearity, spec: SymbolSpec, tau: float) -> float:
@@ -205,14 +296,15 @@ def triviality_indicator(G: Kernel, N: Nonlinearity, spec: SymbolSpec, tau: floa
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    grid = G.grid
-    t = symbol_grid(grid, spec.shift)
-    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-    ghat = np.abs(forward_ft(G.samples).coeffs)
-    w0 = eval_F(N, RealField.zeros(grid))
-    w0hat = np.abs(forward_ft(w0).coeffs)
-    both = (ghat > tau * ghat.max()) & (w0hat > tau * w0hat.max()) & active
-    return float(np.count_nonzero(both)) / float(np.count_nonzero(active))
+    op = _picard_operator(G, spec)
+    ghat = np.abs(op.rhs)
+    w0hat = np.abs(op.transform(eval_F(N, RealField.zeros(G.grid))))
+    both = (ghat > tau * ghat.max()) & (w0hat > tau * w0hat.max()) & op.active
+    return float(np.sum(op.weights, where=both)) / float(np.sum(op.weights, where=op.active))
+
+
+def _l2(values: np.ndarray, grid: GridSpec) -> float:
+    return math.sqrt(grid.h**grid.d * float(np.sum(values * values)))
 
 
 def _geometric_prediction(first_update: float, ratios: np.ndarray, stop: float) -> int | None:
@@ -243,6 +335,8 @@ def picard_solve(
     tol, whichever happens first.  Requires a passing certificate (computed
     here when not supplied); refuses to iterate otherwise.  Exceeding
     max_iter returns a report flagged non-converged rather than raising.
+    A tail sum of update norms above its a-priori bound raises
+    ConsistencyError.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -256,61 +350,57 @@ def picard_solve(
             f"divergence indicator = {cert.divergence_indicator:.3e}); solve refused"
         )
     grid = G.grid
-    multiplier = picard_multiplier(G, spec)
     v = v0 if v0 is not None else RealField.zeros(grid)
     if v.grid != grid:
         raise ValueError("starting field lives on a different grid")
+    op = _picard_operator(G, spec)
 
-    iterates = [v]
+    # Each iteration costs one irfftn (the step) and one rfftn (F of the new
+    # iterate); the residual reuses that u^ and w^, and w^ feeds the next step.
+    what = op.transform(eval_F(N, v))
     updates: list[float] = []
     converged = False
     stop_threshold = tol
     for _ in range(max_iter):
-        what = forward_ft(eval_F(N, v)).coeffs
-        uhat = multiplier * what
-        if not np.all(np.isfinite(uhat)):
-            raise ValueError("non-finite spectral intermediate; certificate is unsound")
-        u = inverse_ft_real(SpectralField(uhat, grid))
-        upd = norms(RealField(u.values - v.values, grid)).l2
+        uhat, u = op.step(what)
+        upd = _l2(u.values - v.values, grid)
         updates.append(upd)
-        iterates.append(u)
         v = u
-        stop_threshold = tol * max(1.0, norms(v).l2)
-        res = equation_residual(v, G, N, spec)
+        what = op.transform(eval_F(N, v))
+        res = op.residual(uhat, what)
+        stop_threshold = tol * max(1.0, _l2(v.values, grid))
         if upd <= stop_threshold or res.value <= tol:
             converged = True
             break
 
-    final = iterates[-1]
-    res = equation_residual(final, G, N, spec)
     ratios = tuple(
         updates[i + 1] / updates[i] for i in range(len(updates) - 1) if updates[i] > 0.0
     )
     first = updates[0]
-    bounds = tuple(
-        cert.q**k / (1.0 - cert.q) * first for k in range(len(iterates))
-    )
-    dists = tuple(
-        norms(RealField(it.values - final.values, grid)).l2 for it in iterates
-    )
-    for k, (dist, bound) in enumerate(zip(dists, bounds)):
-        # The contraction makes this bound unconditional; a violation means
-        # the iteration state is inconsistent, not that the data are bad.
-        if dist > bound + 10.0 * tol:
-            raise RuntimeError(
+    bounds = tuple(cert.q**k / (1.0 - cert.q) * first for k in range(len(updates) + 1))
+    tails = [0.0]
+    for upd in reversed(updates):
+        tails.append(tails[-1] + upd)
+    tail_sums = tuple(reversed(tails))
+    for k, (tail, bound) in enumerate(zip(tail_sums, bounds)):
+        # The contraction makes this bound unconditional, and the tail sum
+        # dominates the distance to the final iterate; a violation means the
+        # iteration state is inconsistent, not that the data are bad.
+        if tail > bound + 10.0 * tol:
+            raise ConsistencyError(
                 f"a-priori contraction bound violated at iterate {k}: "
-                f"{dist:.3e} > {bound:.3e}"
+                f"tail sum {tail:.3e} > {bound:.3e}"
             )
     return SolveReport(
         iterations=len(updates),
         update_norms=tuple(updates),
         contraction_ratios=ratios,
-        final=final,
+        final=v,
         residual=res.value,
         masked_rhs_energy=res.masked_rhs_energy,
         certificate=cert,
         converged=converged,
         apriori_bounds=bounds,
-        distances_to_final=dists,
+        tail_sums=tail_sums,
         predicted_iterations=_geometric_prediction(first, np.array(ratios), stop_threshold),
     )

@@ -1,16 +1,24 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import llap.cli
 from llap import load_field
 from llap.cli import (
     EXIT_CERTIFICATE,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INCONSISTENT,
     EXIT_NO_CONVERGENCE,
     main,
 )
+from llap.solver import ConsistencyError
 from test_config import REFERENCE
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RAW_GAUSSIAN = REFERENCE.replace(
     "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0",
@@ -87,6 +95,26 @@ class TestSolveCommand:
         assert result.exit_code == EXIT_NO_CONVERGENCE
         assert "NOT converged" in result.output
 
+    def test_unknown_starting_field_is_config_error(self, runner, tmp_path):
+        cfg = _write(tmp_path, REFERENCE.replace("seed = 0", "seed = 0\nv0 = bogus"))
+        result = runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_CONFIG
+        assert "unknown starting field" in result.output
+
+    def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        def violated(*args, **kwargs):
+            raise ConsistencyError("a-priori contraction bound violated at iterate 3")
+
+        monkeypatch.setattr(llap.cli, "picard_solve", violated)
+        cfg = _write(tmp_path, REFERENCE)
+        result = runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_INCONSISTENT
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip().splitlines()[-1] == (
+            "internal consistency check failed: "
+            "a-priori contraction bound violated at iterate 3"
+        )
+
     def test_deterministic_tables(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE)
         runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "a")])
@@ -113,6 +141,32 @@ class TestSequenceCommand:
         assert len(lemma) == 7
         summary = (out / "sequence_summary.txt").read_text()
         assert "lemma_passed = true" in summary
+
+    def test_failed_limit_checks_exit_code(self, runner, tmp_path, monkeypatch):
+        real = llap.cli.verify_lemmaA2
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), gains_converge=False)
+
+        monkeypatch.setattr(llap.cli, "verify_lemmaA2", failing)
+        cfg = _write(tmp_path, REFERENCE)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(out)])
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert "limit checks FAIL" in result.output
+        assert "lemma_passed = false" in (out / "sequence_summary.txt").read_text()
+        assert (out / "lemma_checks.csv").exists()
+
+    def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        def violated(*args, **kwargs):
+            raise ConsistencyError("member 2 violates the convergence bound")
+
+        monkeypatch.setattr(llap.cli, "run_sequence", violated)
+        cfg = _write(tmp_path, REFERENCE)
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_INCONSISTENT
+        assert isinstance(result.exception, SystemExit)
+        assert "internal consistency check failed: member 2" in result.output
 
     def test_member_failure_exit_code(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE.replace("l = 0.1", "l = 1.0"))
@@ -161,6 +215,27 @@ class TestFtSelftest:
 
 class TestExitCodeContract:
     def test_codes_are_distinct(self):
-        codes = {EXIT_CONFIG, EXIT_CERTIFICATE, EXIT_NO_CONVERGENCE, EXIT_CHECK_FAILED}
-        assert len(codes) == 4
+        codes = {
+            EXIT_CONFIG,
+            EXIT_CERTIFICATE,
+            EXIT_NO_CONVERGENCE,
+            EXIT_CHECK_FAILED,
+            EXIT_INCONSISTENT,
+        }
+        assert len(codes) == 5
         assert 0 not in codes
+
+
+def test_reference_run_is_deterministic(runner, tmp_path):
+    # Two runs of every command on the shipped reference config give
+    # byte-identical out-dirs, the binary field dump included.
+    cfg = str(CONFIGS / "reference.cfg")
+    for out in ("a", "b"):
+        for command in ("certify", "solve", "sequence", "verify"):
+            result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+    assert Path("field.llap") in files
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
