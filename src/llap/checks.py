@@ -36,14 +36,14 @@ from .grid import (
 )
 from .kernels import (
     ADMISSIBLE_RTOL,
+    _kernel_diagnostics,
     gain_eval,
     gain_from_eval,
-    hat_on_sphere,
     verify_derivative_bound,
     verify_hat_bound,
 )
 from .nonlinearity import estimate_lipschitz, eval_F, verify_growth
-from .solver import apply_picard_map, triviality_indicator
+from .solver import _picard_operator, triviality_indicator
 
 __all__ = ["CheckResult", "run_property_suite", "ft_selftest"]
 
@@ -111,12 +111,11 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
 
 
 def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
-    residual = hat_on_sphere(K, spec.shift).residual
     eta0 = min(spec.eta, 0.1)
-    gains = []
-    for eta in (eta0, eta0 / 2.0, eta0 / 4.0):
-        ev = gain_eval(K, SymbolSpec(spec.shift, eta))
-        gains.append(gain_from_eval(ev)[0])
+    etas = (eta0, eta0 / 2.0, eta0 / 4.0)
+    diagnostics = [_kernel_diagnostics(K, SymbolSpec(spec.shift, eta)) for eta in etas]
+    residual = diagnostics[0][1]
+    gains = [gain_from_eval(ev)[0] for ev, _ in diagnostics]
     if residual <= ADMISSIBLE_RTOL * max(1.0, K.l1):
         if max(gains) <= 1e-30:
             return CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
@@ -127,7 +126,7 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
             spread,
             f"admissible kernel: gain varies {spread:.2%} across eta halvings",
         )
-    products = [g * eta for g, eta in zip(gains, (eta0, eta0 / 2.0, eta0 / 4.0))]
+    products = [g * eta for g, eta in zip(gains, etas)]
     ok = all(0.8 * residual <= p <= 1.25 * residual for p in products)
     worst = max(abs(p / residual - 1.0) for p in products)
     return CheckResult(
@@ -186,11 +185,12 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
     worst_ratio = 0.0
     worst_norm_excess = -math.inf
     scale = 1.0 / max(N.lip, 1e-3)
+    op = _picard_operator(K, spec)
     for _ in range(20):
         v = RealField(rng.normal(0.0, scale, grid.shape), grid)
         w = RealField(rng.normal(0.0, scale, grid.shape), grid)
-        tv = apply_picard_map(v, K, N, spec)
-        tw = apply_picard_map(w, K, N, spec)
+        tv = op.apply(N, v)
+        tw = op.apply(N, w)
         gap = norms(RealField(tv.values - tw.values, grid)).l2
         ref = norms(RealField(v.values - w.values, grid)).l2
         worst_ratio = max(worst_ratio, gap / ref)
@@ -214,7 +214,7 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
     )
 
     frac = triviality_indicator(K, N, spec, cfg.tau)
-    first_step = apply_picard_map(RealField.zeros(grid), K, N, spec)
+    first_step = op.apply(N, RealField.zeros(grid))
     step_nontrivial = norms(first_step).l2 > 1e-12
     results.append(
         CheckResult(

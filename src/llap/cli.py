@@ -24,6 +24,7 @@ from . import fieldio
 from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import ConfigError, RunConfig, load_config
 from .grid import make_grid, norms
+from .kernels import make_sequence
 from .sequence import MemberCertificateError, run_sequence, verify_lemmaA2
 from .solver import (
     ConsistencyError,
@@ -193,7 +194,7 @@ def sequence(config: str, out_dir: str):
     grid, spec, kernel, nonlin = _build_run(cfg)
     try:
         schedule = cfg.schedule()
-        seq = cfg_make_sequence(cfg, kernel, schedule, spec)
+        seq = make_sequence(kernel, schedule, spec, taper_width=cfg.taper_width)
     except (ConfigError, ValueError) as e:
         _fail(EXIT_CONFIG, "config error", e)
     try:
@@ -244,12 +245,6 @@ def sequence(config: str, out_dir: str):
     click.echo(f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}")
     if not table.passed:
         sys.exit(EXIT_CHECK_FAILED)
-
-
-def cfg_make_sequence(cfg: RunConfig, kernel, schedule, spec):
-    from .kernels import make_sequence
-
-    return make_sequence(kernel, schedule, spec, taper_width=cfg.taper_width)
 
 
 def _report_checks(results: list[CheckResult], out: Path, name: str) -> bool:

@@ -8,14 +8,15 @@ so a config that parses is a config the modules will accept.
 Sections and keys:
 
     [grid]          d, L, n
-    [symbol]        a, eta (default: two mode spacings), eps_user (default 0.1)
+    [symbol]        a, eta (default: two mode spacings), eps_user (in (0, 1),
+                    default 0.1)
     [kernel]        family (gaussian|bump|difference|file), width, amplitude,
                     radius, width1, width2, path, project, taper_width
     [nonlinearity]  family (saturating_sine|rational|clipped_linear), l, k,
                     amplitude, knee, h_family (zero|constant|gauss_bump|file),
                     h_value, h_amplitude, h_width, h_center, h_path
-    [solver]        tol, max_iter, v0 (zero|random), v0_scale, seed,
-                    dump_field, tau
+    [solver]        tol (> 0), max_iter (>= 1), v0 (zero|random), v0_scale,
+                    seed, dump_field, tau
     [sequence]      kind (truncate|mollify), members, r_start, r_stop,
                     cutoff_width, moll_scale
 """
@@ -96,6 +97,13 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
         "cutoff_width": float,
         "moll_scale": float,
     },
+}
+
+# (section, key) -> (accepts the parsed value, what the value must satisfy)
+_RANGES = {
+    ("symbol", "eps_user"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("solver", "tol"): (lambda v: v > 0.0, "must be positive"),
+    ("solver", "max_iter"): (lambda v: v >= 1, "must be at least 1"),
 }
 
 _REQUIRED = {
@@ -283,9 +291,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]", lineno)
         try:
-            sections[current][key] = schema[key](value)
+            parsed = schema[key](value)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {e}", lineno) from None
+        rule = _RANGES.get((current, key))
+        if rule is not None and not rule[0](parsed):
+            raise ConfigError(f"{key} {rule[1]}, got {value}", lineno)
+        sections[current][key] = parsed
     for section, keys in _REQUIRED.items():
         if section not in sections:
             raise ConfigError(f"missing required section [{section}]")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, RealField, make_grid
+from .grid import RealField, make_grid
 
 MAGIC = b"LLAP"
 VERSION = 1
@@ -113,7 +113,3 @@ def load_sidecar(path: str | Path) -> tuple[str, dict[str, float]]:
     if family is None:
         raise ValueError(f"{path}: sidecar is missing the family tag")
     return family, params
-
-
-def grid_matches(f: RealField, grid: GridSpec) -> bool:
-    return f.grid == grid

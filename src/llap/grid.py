@@ -379,10 +379,17 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
 
     points has shape (m, d); returns the m complex values
 
-        (2 pi)^(-d/2) h^d sum_j f(x_j) exp(-i p.x_j).
+        (2 pi)^(-d/2) h^d sum_j f(x_j) exp(-i p.x_j),
 
-    The kernel separates over axes, so each point costs one tensor
-    contraction of the samples instead of an (m x n^d) phase matrix.
+    an exact quadrature, not an interpolation.  The phase separates over
+    axes, so the sum is a chunked separable contraction: for a chunk of
+    points, the axis-0 phases E_0 = exp(-i p_0 x) (chunk x n) multiply the
+    samples viewed as an (n, n^(d-1)) matrix, as two real matrix products
+    (cosine and sine), and every further axis is contracted row by row
+    with its own phases.  A chunk holds at most min(n/2, n^(d-1)) points,
+    so neither the complex intermediate (chunk x n^(d-1)) nor a phase
+    matrix exceeds the bytes of one real n^d field; in one dimension that
+    means one point at a time.
     """
     g = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -390,12 +397,19 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have shape (m, {g.d}), got {pts.shape}")
     x = g.axis_coords()
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
+    samples = f.values.reshape(g.n, -1)
     out = np.empty(pts.shape[0], dtype=complex)
-    for i, p in enumerate(pts):
-        acc = f.values.astype(complex)
-        for axis in range(g.d - 1, -1, -1):
-            acc = np.tensordot(acc, np.exp(-1j * p[axis] * x), axes=([axis], [0]))
-        out[i] = pref * acc
+    chunk = min(g.n // 2, g.n ** (g.d - 1))
+    for start in range(0, pts.shape[0], chunk):
+        p = pts[start : start + chunk]
+        c = p.shape[0]
+        theta = np.multiply.outer(p[:, 0], x)
+        both = np.concatenate([np.cos(theta), np.sin(theta)]) @ samples
+        acc = both[:c] - 1j * both[c:]
+        for axis in range(1, g.d):
+            phase = np.exp(-1j * np.multiply.outer(p[:, axis], x))
+            acc = np.einsum("cj,cjk->ck", phase, acc.reshape(c, g.n, -1))
+        out[start : start + c] = pref * acc[:, 0]
     return out
 
 

@@ -305,11 +305,18 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> list[RealField]
     # the one-dimensional atoms need no Bessel function.
     from scipy.special import jv, spherical_jn
 
+    # The Bessel functions dominate the cost, and the grid's symmetries
+    # repeat every radius many times: evaluate them once per distinct radius.
+    distinct, where = np.unique(radius * r, return_inverse=True)
+
+    def profile(bessel, order: int) -> np.ndarray:
+        return bessel(order, distinct)[where].reshape(grid.shape)
+
     if grid.d == 2:
         X, Y = grid.coord_meshes()
         theta = np.arctan2(Y, X)
         return [
-            RealField(env * jv(k, radius * r) * np.cos(k * theta), grid)
+            RealField(env * profile(jv, k) * np.cos(k * theta), grid)
             for k in (0, 4, 8, 12)
         ]
     X, Y, Z = grid.coord_meshes()
@@ -323,9 +330,79 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> list[RealField]
         (10, (X**2 * Y**2 * Z**2 * (X**4 + Y**4 + Z**4)) / rr**10),
     ]
     return [
-        RealField(env * spherical_jn(ell, radius * r) * c, grid)
+        RealField(env * profile(spherical_jn, ell) * c, grid)
         for ell, c in invariants
     ]
+
+
+@dataclass(frozen=True)
+class _Projector:
+    """project_orthogonal for one (grid, spec, taper_width, nsamples), prebuilt.
+
+    Holds the atoms, their transforms at the sphere points stacked as the
+    real system [Re A; Im A], and that system's pseudo-inverse, so that
+    projecting a kernel costs one NUDFT of the kernel, one small matrix
+    product and the re-measured residual check.
+    """
+
+    spec: SymbolSpec
+    taper_width: float
+    nsamples: int
+    points: np.ndarray
+    atoms: np.ndarray  # (atoms, *grid.shape)
+    pinv: np.ndarray  # pseudo-inverse of the (2 * points, atoms) sphere system
+
+    def __call__(self, G: Kernel) -> Kernel:
+        target = nudft(G.samples, self.points)
+        if float(np.max(np.abs(target))) == 0.0:
+            return G
+        coeffs = self.pinv @ np.concatenate([target.real, target.imag])
+        vals = G.samples.values - np.tensordot(coeffs, self.atoms, axes=1)
+        projected = _build(
+            RealField(vals, G.grid),
+            f"projected:{G.family}",
+            {**G.params, "taper_width": self.taper_width, "shift": self.spec.shift},
+        )
+        achieved = hat_on_sphere(projected, self.spec.shift, self.nsamples).residual
+        limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
+        if achieved > limit:
+            raise ValueError(
+                f"projection left residual {achieved:.3e} above target {limit:.3e}; "
+                "the grid is too coarse to represent the annular correction"
+            )
+        return projected
+
+
+def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float, nsamples: int) -> _Projector:
+    if taper_width < spec.eta:
+        raise ValueError(
+            f"taper_width {taper_width:.6g} is narrower than the masked annulus eta {spec.eta:.6g}"
+        )
+    radius = spec.sphere_radius
+    _check_resolved(grid, radius)
+    nominal = taper_width * radius / 2.0
+    sigma = max(nominal, _ENVELOPE_FLOOR[grid.d] / grid.L)
+    pr = grid.mode_radius_mesh()
+    affected = int(np.count_nonzero(np.abs(pr - radius) <= nominal))
+    if affected < 2:
+        raise ValueError(
+            f"taper too narrow for the grid: only {affected} modes within "
+            f"{nominal:.6g} of the sphere radius {radius:.6g}"
+        )
+    pts = sphere_points(grid.d, radius, nsamples)
+    atoms = _atom_fields(grid, radius, sigma)
+    A = np.stack([nudft(a, pts) for a in atoms], axis=1)
+    system = np.vstack([A.real, A.imag])
+    # The singular-value cutoff np.linalg.lstsq applies with rcond=None.
+    rcond = np.finfo(float).eps * max(system.shape)
+    return _Projector(
+        spec=spec,
+        taper_width=taper_width,
+        nsamples=nsamples,
+        points=pts,
+        atoms=np.stack([a.values for a in atoms]),
+        pinv=np.linalg.pinv(system, rcond=rcond),
+    )
 
 
 def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples: int = 128) -> Kernel:
@@ -341,47 +418,7 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples
     1e-10 * ||G||_1; coarse grids in d = 3 can pin the floor above that,
     in which case the projection refuses and a finer grid is needed.
     """
-    if taper_width < spec.eta:
-        raise ValueError(
-            f"taper_width {taper_width:.6g} is narrower than the masked annulus eta {spec.eta:.6g}"
-        )
-    grid = G.grid
-    radius = spec.sphere_radius
-    _check_resolved(grid, radius)
-    nominal = taper_width * radius / 2.0
-    sigma = max(nominal, _ENVELOPE_FLOOR[grid.d] / grid.L)
-    pr = grid.mode_radius_mesh()
-    affected = int(np.count_nonzero(np.abs(pr - radius) <= nominal))
-    if affected < 2:
-        raise ValueError(
-            f"taper too narrow for the grid: only {affected} modes within "
-            f"{nominal:.6g} of the sphere radius {radius:.6g}"
-        )
-
-    pts = sphere_points(grid.d, radius, nsamples)
-    target = nudft(G.samples, pts)
-    if float(np.max(np.abs(target))) == 0.0:
-        return G
-    atoms = _atom_fields(grid, radius, sigma)
-    A = np.stack([nudft(a, pts) for a in atoms], axis=1)
-    system = np.vstack([A.real, A.imag])
-    rhs = np.concatenate([target.real, target.imag])
-    coeffs, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-
-    vals = G.samples.values - sum(c * a.values for c, a in zip(coeffs, atoms))
-    projected = _build(
-        RealField(vals, grid),
-        f"projected:{G.family}",
-        {**G.params, "taper_width": taper_width, "shift": spec.shift},
-    )
-    achieved = hat_on_sphere(projected, spec.shift, nsamples).residual
-    limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
-    if achieved > limit:
-        raise ValueError(
-            f"projection left residual {achieved:.3e} above target {limit:.3e}; "
-            "the grid is too coarse to represent the annular correction"
-        )
-    return projected
+    return _projector(G.grid, spec, taper_width, nsamples)(G)
 
 
 # ---------------------------------------------------------------------------
@@ -405,26 +442,36 @@ class GainEval:
     ring_denom: np.ndarray
 
 
-def gain_eval(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> GainEval:
+def _kernel_diagnostics(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> tuple[GainEval, float]:
+    """The kernel's gain evaluation and its orthogonality residual, in one pass.
+
+    One forward_ft gives G^ on the grid modes, and one NUDFT call covers
+    the singular sphere and the four rings; the sphere part is what
+    hat_on_sphere samples, so the residual equals its maximum.
+    """
+    if nsamples < 2:
+        raise ValueError("need at least two sphere samples")
     grid = G.grid
     radius = spec.sphere_radius
     _check_resolved(grid, radius * math.exp(2.0 * spec.eta))
     t = symbol_grid(grid, spec.shift)
     active = np.isfinite(t) & (np.abs(t) >= spec.eta)
     ghat = forward_ft(G.samples).coeffs
-    ring_vals = []
-    ring_den = []
-    for mult in RING_MULTIPLES:
-        rho = radius * math.exp(mult * spec.eta)
-        pts = sphere_points(grid.d, rho, nsamples)
-        ring_vals.append(nudft(G.samples, pts))
-        ring_den.append(np.full(len(pts), abs(mult) * spec.eta))
-    return GainEval(
+    radii = [radius] + [radius * math.exp(mult * spec.eta) for mult in RING_MULTIPLES]
+    pts = np.concatenate([sphere_points(grid.d, rho, nsamples) for rho in radii])
+    vals = nudft(G.samples, pts)
+    per_ring = len(pts) // len(radii)
+    ev = GainEval(
         grid_hat=ghat[active],
         grid_denom=np.abs(t[active]),
-        ring_hat=np.concatenate(ring_vals),
-        ring_denom=np.concatenate(ring_den),
+        ring_hat=vals[per_ring:],
+        ring_denom=np.repeat([abs(mult) * spec.eta for mult in RING_MULTIPLES], per_ring),
     )
+    return ev, float(np.max(np.abs(vals[:per_ring])))
+
+
+def gain_eval(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> GainEval:
+    return _kernel_diagnostics(G, spec, nsamples)[0]
 
 
 def _max_ratio(hat: np.ndarray, denom: np.ndarray) -> float:
@@ -457,9 +504,8 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> Gai
     orthogonality residual divided by eta is reported, which is the size the
     excluded contribution would have.
     """
-    ev = gain_eval(G, spec, nsamples)
+    ev, residual = _kernel_diagnostics(G, spec, nsamples)
     gain, grid_gain, ring_gain = gain_from_eval(ev)
-    residual = hat_on_sphere(G, spec.shift, nsamples).residual
     return GainEstimate(
         gain=gain,
         grid_gain=grid_gain,
@@ -581,6 +627,8 @@ def make_sequence(
     The limit kernel must already satisfy the solvability conditions
     (orthogonality residual at most 1e-8 relative); every member is passed
     through project_orthogonal so the per-member conditions hold as well.
+    The projector, atoms and sphere system included, is built once and
+    applied to every member.
     """
     residual = hat_on_sphere(G, spec.shift, nsamples).residual
     if residual > ADMISSIBLE_RTOL * max(1.0, G.l1):
@@ -589,6 +637,7 @@ def make_sequence(
             f"exceeds {ADMISSIBLE_RTOL:.1e} * max(1, ||G||_1)"
         )
     grid = G.grid
+    project = _projector(grid, spec, taper_width, nsamples)
     members = []
     distances = []
     r = grid.radius_mesh()
@@ -602,7 +651,7 @@ def make_sequence(
             raw = periodic_convolution(G.samples, moll)
         member = kernel_from_field(raw, family=f"{schedule.kind}:{G.family}", params={"m": m})
         if member.l1 > 0:
-            member = project_orthogonal(member, spec, taper_width, nsamples)
+            member = project(member)
         diff = RealField(member.samples.values - G.samples.values, grid)
         dn = norms(diff)
         members.append(member)

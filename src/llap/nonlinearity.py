@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, RealField, norms
+from .grid import GridSpec, RealField
 
 __all__ = [
     "Nonlinearity",
@@ -164,11 +164,3 @@ def estimate_lipschitz(N: Nonlinearity, trials: int, seed: int) -> float:
     ratios = np.abs(N.base(u1) - N.base(u2)) / np.abs(u1 - u2)
     return float(np.max(ratios))
 
-
-def lipschitz_l2_gap(N: Nonlinearity, v: RealField, w: RealField) -> tuple[float, float]:
-    """(||F(v) - F(w)||_2, lip * ||v - w||_2) for property checks."""
-    fv = eval_F(N, v)
-    fw = eval_F(N, w)
-    gap = norms(RealField(fv.values - fw.values, N.grid)).l2
-    ref = N.lip * norms(RealField(v.values - w.values, N.grid)).l2
-    return gap, ref

@@ -20,27 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grid import RealField, SymbolSpec, TWO_PI, norms, reciprocal_grid
+from .grid import RealField, SymbolSpec, TWO_PI, norms
 from .kernels import (
     ADMISSIBLE_RTOL,
-    GainEval,
-    Kernel,
     KernelSequence,
-    gain_eval,
+    _kernel_diagnostics,
     gain_from_eval,
-    hat_on_sphere,
     ratio_distance_from_evals,
 )
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
     CertificateError,
     ConsistencyError,
-    ContractionCertificate,
     SolveReport,
+    _certificate,
     picard_solve,
-    ORTH_RTOL,
 )
 
 __all__ = [
@@ -116,38 +110,6 @@ class LemmaTable:
         )
 
 
-def _certificate_from_parts(
-    G: Kernel,
-    N: Nonlinearity,
-    spec: SymbolSpec,
-    ev: GainEval,
-    residual: float,
-    eps: float,
-    lip_sampled: float,
-    masked_modes: int,
-) -> ContractionCertificate:
-    gain, grid_gain, _ = gain_from_eval(ev)
-    pref = TWO_PI ** (G.grid.d / 2.0)
-    threshold = ORTH_RTOL * G.l1
-    q = pref * gain * N.lip
-    return ContractionCertificate(
-        gain=gain,
-        grid_gain=grid_gain,
-        q=q,
-        q_grid=pref * grid_gain * N.lip,
-        lip=N.lip,
-        lip_sampled=lip_sampled,
-        orth_residual=residual,
-        orth_threshold=threshold,
-        divergence_indicator=residual / spec.eta,
-        masked_modes=masked_modes,
-        eps_user=eps,
-        shift=spec.shift,
-        eta=spec.eta,
-        passed=bool(q <= 1.0 - eps and residual <= threshold),
-    )
-
-
 def run_sequence(
     seq: KernelSequence,
     N: Nonlinearity,
@@ -166,15 +128,10 @@ def run_sequence(
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     grid = seq.limit.grid
-    _, masked = reciprocal_grid(grid, spec)
-    masked_modes = int(np.count_nonzero(masked))
     lip_sampled = estimate_lipschitz(N, 4096, 0)
 
-    ev_limit = gain_eval(seq.limit, spec, nsamples)
-    res_limit = hat_on_sphere(seq.limit, spec.shift, nsamples).residual
-    cert_limit = _certificate_from_parts(
-        seq.limit, N, spec, ev_limit, res_limit, eps, lip_sampled, masked_modes
-    )
+    diag_limit = _kernel_diagnostics(seq.limit, spec, nsamples)
+    cert_limit = _certificate(seq.limit, N, spec, eps, diag_limit, lip_sampled)
     if not cert_limit.passed:
         raise MemberCertificateError(
             f"limit kernel fails the uniform certificate (q = {cert_limit.q:.6g}, "
@@ -191,11 +148,8 @@ def run_sequence(
     floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
     for i, member in enumerate(seq.members):
         m = i + 1
-        ev_m = gain_eval(member, spec, nsamples)
-        res_m = hat_on_sphere(member, spec.shift, nsamples).residual
-        cert_m = _certificate_from_parts(
-            member, N, spec, ev_m, res_m, eps, lip_sampled, masked_modes
-        )
+        diag_m = _kernel_diagnostics(member, spec, nsamples)
+        cert_m = _certificate(member, N, spec, eps, diag_m, lip_sampled)
         if not cert_m.passed:
             raise MemberCertificateError(
                 f"member {m} fails the uniform certificate (q = {cert_m.q:.6g}, "
@@ -206,7 +160,7 @@ def run_sequence(
         sol_dist = norms(
             RealField(report_m.final.values - limit_report.final.values, grid)
         ).l2
-        ratio = ratio_distance_from_evals(ev_m, ev_limit)
+        ratio = ratio_distance_from_evals(diag_m[0], diag_limit[0])
         bound_rhs = pref / eps * ratio * rhs_scale
         l1_dist, wl1_dist = seq.distances[i]
         rows.append(
@@ -264,17 +218,15 @@ def verify_lemmaA2(
     """
     grid = seq.limit.grid
     pref = TWO_PI ** (grid.d / 2.0)
-    ev_limit = gain_eval(seq.limit, spec, nsamples)
+    ev_limit, limit_residual = _kernel_diagnostics(seq.limit, spec, nsamples)
     limit_gain = gain_from_eval(ev_limit)[0]
-    limit_residual = hat_on_sphere(seq.limit, spec.shift, nsamples).residual
     scale = seq.limit.l1 / pref
 
     rows: list[LemmaRow] = []
     for i, member in enumerate(seq.members):
         m = i + 1
-        ev_m = gain_eval(member, spec, nsamples)
+        ev_m, res_m = _kernel_diagnostics(member, spec, nsamples)
         gain_m = gain_from_eval(ev_m)[0]
-        res_m = hat_on_sphere(member, spec.shift, nsamples).residual
         rows.append(
             LemmaRow(
                 m=m,

@@ -33,7 +33,7 @@ from .grid import (
     reciprocal_grid,
     symbol_grid,
 )
-from .kernels import Kernel, gain_eval, gain_from_eval, hat_on_sphere
+from .kernels import GainEval, Kernel, _kernel_diagnostics, gain_from_eval
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 
 __all__ = [
@@ -153,9 +153,27 @@ def certify(
         raise ValueError(f"eps_user must lie in (0, 1), got {eps_user}")
     if G.grid != N.grid:
         raise ValueError("kernel and nonlinearity live on different grids")
-    ev = gain_eval(G, spec, nsamples)
+    return _certificate(
+        G,
+        N,
+        spec,
+        eps_user,
+        _kernel_diagnostics(G, spec, nsamples),
+        estimate_lipschitz(N, lip_trials, seed),
+    )
+
+
+def _certificate(
+    G: Kernel,
+    N: Nonlinearity,
+    spec: SymbolSpec,
+    eps_user: float,
+    diagnostics: tuple[GainEval, float],
+    lip_sampled: float,
+) -> ContractionCertificate:
+    """The certificate of G from its one diagnostics pass (see certify)."""
+    ev, residual = diagnostics
     gain, grid_gain, _ = gain_from_eval(ev)
-    residual = hat_on_sphere(G, spec.shift, nsamples).residual
     _, masked = reciprocal_grid(G.grid, spec)
     pref = TWO_PI ** (G.grid.d / 2.0)
     threshold = ORTH_RTOL * G.l1
@@ -166,7 +184,7 @@ def certify(
         q=q,
         q_grid=pref * grid_gain * N.lip,
         lip=N.lip,
-        lip_sampled=estimate_lipschitz(N, lip_trials, seed),
+        lip_sampled=lip_sampled,
         orth_residual=residual,
         orth_threshold=threshold,
         divergence_indicator=residual / spec.eta,
@@ -208,6 +226,10 @@ class _PicardOperator:
 
     def transform(self, f: RealField) -> np.ndarray:
         return np.fft.rfftn(f.values, axes=self.axes)
+
+    def apply(self, N: Nonlinearity, v: RealField) -> RealField:
+        """One Picard step from v."""
+        return self.step(self.transform(eval_F(N, v)))[1]
 
     def step(self, what: np.ndarray) -> tuple[np.ndarray, RealField]:
         """u^ = multiplier * w^ and the real field u it describes."""
@@ -269,8 +291,7 @@ def apply_picard_map(v: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec)
     """One Picard step: solve the linear problem with right side G * F(v, .)."""
     if v.grid != G.grid:
         raise ValueError("field and kernel live on different grids")
-    op = _picard_operator(G, spec)
-    return op.step(op.transform(eval_F(N, v)))[1]
+    return _picard_operator(G, spec).apply(N, v)
 
 
 def equation_residual(u: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec) -> ResidualReport:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import llap.checks
 import llap.cli
+import llap.solver
 from llap import load_field
 from llap.cli import (
     EXIT_CERTIFICATE,
@@ -65,6 +67,27 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", cfg])
         assert result.exit_code == EXIT_CONFIG
         assert "even" in result.output
+
+
+class TestOutOfRangeSettings:
+    @pytest.mark.parametrize(
+        "command, old, new, what",
+        [
+            ("certify", "eps_user = 0.1", "eps_user = 1.5", "eps_user must lie in (0, 1)"),
+            ("solve", "tol = 1e-10", "tol = 0", "tol must be positive"),
+            ("solve", "max_iter = 200", "max_iter = 0", "max_iter must be at least 1"),
+        ],
+    )
+    def test_config_error_in_one_line(self, runner, tmp_path, command, old, new, what):
+        cfg = _write(tmp_path, REFERENCE.replace(old, new))
+        result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_CONFIG
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: line ")
+        assert what in lines[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolveCommand:
@@ -192,6 +215,21 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
         assert "na_dichotomy" in result.output
+
+    def test_picard_operator_built_at_most_twice(self, runner, tmp_path, monkeypatch):
+        calls = []
+        build = llap.solver._picard_operator
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(llap.solver, "_picard_operator", counted)
+        monkeypatch.setattr(llap.checks, "_picard_operator", counted)
+        cfg = _write(tmp_path, REFERENCE)
+        result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert 1 <= len(calls) <= 2
 
     def test_zero_kernel_degenerate_cases(self, runner, tmp_path):
         cfg = _write(

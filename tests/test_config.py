@@ -77,6 +77,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[grid]\nd = one\nL = 5.0\nn = 64\n")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("eps_user = 0.1", "eps_user = 0.0"),
+            ("eps_user = 0.1", "eps_user = 1.0"),
+            ("eps_user = 0.1", "eps_user = nan"),
+            ("tol = 1e-10", "tol = -1e-10"),
+            ("tol = 1e-10", "tol = nan"),
+            ("max_iter = 200", "max_iter = 0"),
+        ],
+    )
+    def test_out_of_range_value_line_number(self, old, new):
+        text = REFERENCE.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        with pytest.raises(ConfigError, match=f"line {line}: "):
+            parse_config(text)
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("d = 1\n")

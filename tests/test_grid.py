@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llap import (
     RealField,
@@ -128,13 +129,60 @@ class TestFourierTransform:
 
     def test_nudft_matches_fft_at_grid_modes(self, grid1):
         rng = np.random.default_rng(11)
-        f = RealField(rng.normal(size=grid1.shape), grid1)
-        F = forward_ft(f)
-        ks = [0, 1, 17, 500, -300]
-        pts = np.array([[grid1.mode_axis()[k]] for k in ks])
+        cases = [
+            (grid1, [(0,), (1,), (17,), (500,), (-300,)]),
+            (make_grid(2, 6.0, 32), [(0, 0), (1, -3), (15, 7), (-16, 2), (5, 5)]),
+            (make_grid(3, 5.0, 16), [(0, 0, 0), (1, 2, -3), (7, -8, 5), (-8, -8, -8)]),
+        ]
+        for grid, ks in cases:
+            f = RealField(rng.normal(size=grid.shape), grid)
+            F = forward_ft(f)
+            pts = np.array([[grid.mode_axis()[k] for k in idx] for idx in ks])
+            vals = nudft(f, pts)
+            ref = np.array([F.coeffs[idx] for idx in ks])
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_nudft_empty_and_bad_points(self, grid1):
+        f = RealField(np.ones(grid1.shape), grid1)
+        assert nudft(f, np.empty((0, 1))).shape == (0,)
+        with pytest.raises(ValueError, match="shape"):
+            nudft(f, np.zeros((3, 2)))
+
+
+def _brute_force_nudft(f: RealField, pts: np.ndarray) -> np.ndarray:
+    g = f.grid
+    pref = g.h**g.d / (2.0 * math.pi) ** (g.d / 2.0)
+    return pref * (np.exp(-1j * (pts @ g.flat_coords().T)) @ f.values.ravel())
+
+
+@st.composite
+def _nudft_problems(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([8, 10, 12, 14, 16]))
+    L = draw(st.floats(min_value=0.5, max_value=50.0))
+    grid = make_grid(d, L, n)
+    # Counts up to 3n straddle the chunk size n/2 and its multiples.
+    m = draw(st.integers(min_value=1, max_value=3 * n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    off_grid = rng.uniform(-grid.nyquist_radius, grid.nyquist_radius, size=(m, d))
+    on_grid = grid.mode_spacing * rng.integers(-n // 2, n // 2, size=(m, d))
+    pts = np.where(rng.random((m, 1)) < 0.5, on_grid, off_grid)
+    return RealField(rng.normal(size=grid.shape), grid), pts
+
+
+class TestNudftProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_nudft_problems())
+    def test_matches_brute_force_phase_sum(self, problem):
+        f, pts = problem
+        g = f.grid
         vals = nudft(f, pts)
-        ref = np.array([F.coeffs[k] for k in ks])
-        assert np.max(np.abs(vals - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        ref = _brute_force_nudft(f, pts)
+        # |value| <= pref * ||f||_1 bounds every point, so it is the scale
+        # against which the quadrature's roundoff is measured.
+        scale = g.h**g.d / (2.0 * math.pi) ** (g.d / 2.0) * float(np.sum(np.abs(f.values)))
+        assert vals.shape == (pts.shape[0],)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
 
 
 class TestSymbol:

@@ -6,6 +6,7 @@ import pytest
 from llap import (
     RealField,
     SymbolSpec,
+    default_eta,
     forward_ft,
     hat_on_sphere,
     inverse_symbol_gain,
@@ -21,6 +22,7 @@ from llap import (
     verify_hat_bound,
     Schedule,
 )
+from llap import kernels
 from llap.kernels import difference_coefficient
 from conftest import SQRT_2PI
 
@@ -314,6 +316,40 @@ class TestSequences:
     def test_inadmissible_limit_rejected(self, gauss_kernel, spec1):
         with pytest.raises(ValueError, match="inadmissible"):
             make_sequence(gauss_kernel, Schedule(kind="truncate", members=2), spec1, 0.5)
+
+    def test_atoms_built_once(self, diff_kernel, spec1, monkeypatch):
+        calls = []
+        build = kernels._atom_fields
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_atom_fields", counted)
+        sched = Schedule(kind="truncate", members=4, r_start=6.0, r_stop=14.0)
+        seq = make_sequence(diff_kernel, sched, spec1, taper_width=0.5)
+        assert len(seq.members) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d, n, L", [(1, 1024, 20.0), (2, 128, 20.0)])
+    def test_members_match_per_member_projection(self, d, n, L):
+        g = make_grid(d, L, n)
+        spec = SymbolSpec(0.0, default_eta(g, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, g
+        )
+        sched = Schedule(kind="truncate", members=3, r_start=6.0, r_stop=12.0, cutoff_width=2.0)
+        seq = make_sequence(K, sched, spec, taper_width=0.5)
+        radii = np.linspace(sched.r_start, sched.r_stop, sched.members)
+        for m, member in enumerate(seq.members, start=1):
+            cut = kernels._truncation_cutoff(g.radius_mesh(), float(radii[m - 1]), sched.cutoff_width)
+            raw = kernel_from_field(
+                RealField(cut * K.samples.values, g), family=f"truncate:{K.family}", params={"m": m}
+            )
+            ref = project_orthogonal(raw, spec, taper_width=0.5)
+            assert member.family == ref.family
+            gap = norms(RealField(member.samples.values - ref.samples.values, g)).l1
+            assert gap <= 1e-13 * ref.l1
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):
