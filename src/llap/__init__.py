@@ -15,13 +15,11 @@ from .grid import (
     default_eta,
     forward_ft,
     inverse_ft,
-    log_symbol,
     make_grid,
     norms,
     nudft,
     periodic_convolution,
     reciprocal_grid,
-    reciprocal_symbol,
     sample,
     spectral_l2,
     symbol_grid,
@@ -29,8 +27,8 @@ from .grid import (
 from .fieldio import dump_field, load_field
 from .kernels import (
     BoundCheck,
-    GainEstimate,
     Kernel,
+    KernelDiagnostics,
     KernelSequence,
     OrthogonalityReport,
     Schedule,

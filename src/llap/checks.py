@@ -36,9 +36,7 @@ from .grid import (
 )
 from .kernels import (
     ADMISSIBLE_RTOL,
-    _kernel_diagnostics,
-    gain_eval,
-    gain_from_eval,
+    inverse_symbol_gain,
     verify_derivative_bound,
     verify_hat_bound,
 )
@@ -113,9 +111,9 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
 def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
     eta0 = min(spec.eta, 0.1)
     etas = (eta0, eta0 / 2.0, eta0 / 4.0)
-    diagnostics = [_kernel_diagnostics(K, SymbolSpec(spec.shift, eta)) for eta in etas]
-    residual = diagnostics[0][1]
-    gains = [gain_from_eval(ev)[0] for ev, _ in diagnostics]
+    diagnostics = [inverse_symbol_gain(K, SymbolSpec(spec.shift, eta)) for eta in etas]
+    residual = diagnostics[0].orth_residual
+    gains = [diag.gain for diag in diagnostics]
     if residual <= ADMISSIBLE_RTOL * max(1.0, K.l1):
         if max(gains) <= 1e-30:
             return CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
@@ -178,8 +176,7 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
         )
     )
 
-    ev = gain_eval(K, spec)
-    grid_gain = gain_from_eval(ev)[1]
+    grid_gain = inverse_symbol_gain(K, spec).grid_gain
     pref = TWO_PI ** (grid.d / 2.0)
     q_grid = pref * grid_gain * N.lip
     worst_ratio = 0.0

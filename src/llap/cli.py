@@ -15,6 +15,7 @@ byte-identical tables.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import ConfigError, RunConfig, load_config
 from .grid import make_grid, norms
 from .kernels import make_sequence
-from .sequence import MemberCertificateError, run_sequence, verify_lemmaA2
+from .sequence import MemberCertificateError, run_sequence
 from .solver import (
     ConsistencyError,
     ContractionCertificate,
@@ -78,24 +79,8 @@ def _outdir(out_dir: str) -> Path:
 
 
 def _certificate_text(cert: ContractionCertificate) -> str:
-    fields = (
-        "gain",
-        "grid_gain",
-        "q",
-        "q_grid",
-        "lip",
-        "lip_sampled",
-        "orth_residual",
-        "orth_threshold",
-        "divergence_indicator",
-        "masked_modes",
-        "eps_user",
-        "shift",
-        "eta",
-        "passed",
-    )
     lines = ["[certificate]"]
-    lines += [f"{name} = {_fmt(getattr(cert, name))}" for name in fields]
+    lines += [f"{f.name} = {_fmt(getattr(cert, f.name))}" for f in dataclasses.fields(cert)]
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +191,7 @@ def sequence(config: str, out_dir: str):
         sys.exit(EXIT_CERTIFICATE)
     except ConsistencyError as e:
         _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
-    table = verify_lemmaA2(seq, spec, lip=nonlin.lip, eps=cfg.eps_user)
+    table = study.lemma
     out = _outdir(out_dir)
     _write_csv(
         out / "sequence_rows.csv",

@@ -15,8 +15,8 @@ Sections and keys:
     [nonlinearity]  family (saturating_sine|rational|clipped_linear), l, k,
                     amplitude, knee, h_family (zero|constant|gauss_bump|file),
                     h_value, h_amplitude, h_width, h_center, h_path
-    [solver]        tol (> 0), max_iter (>= 1), v0 (zero|random), v0_scale,
-                    seed, dump_field, tau
+    [solver]        tol (> 0), max_iter (>= 1), v0 (zero|random), v0_scale
+                    (finite, >= 0), seed (>= 0), dump_field, tau
     [sequence]      kind (truncate|mollify), members, r_start, r_stop,
                     cutoff_width, moll_scale
 """
@@ -104,6 +104,8 @@ _RANGES = {
     ("symbol", "eps_user"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("solver", "tol"): (lambda v: v > 0.0, "must be positive"),
     ("solver", "max_iter"): (lambda v: v >= 1, "must be at least 1"),
+    ("solver", "v0_scale"): (lambda v: np.isfinite(v) and v >= 0.0, "must be finite and non-negative"),
+    ("solver", "seed"): (lambda v: v >= 0, "must be non-negative"),
 }
 
 _REQUIRED = {

@@ -52,10 +52,7 @@ __all__ = [
     "sample",
     "forward_ft",
     "inverse_ft",
-    "inverse_ft_real",
-    "log_symbol",
     "symbol_grid",
-    "reciprocal_symbol",
     "reciprocal_grid",
     "default_eta",
     "norms",
@@ -118,10 +115,6 @@ class GridSpec:
     def mode_axis(self) -> np.ndarray:
         """Frequency values (pi/L)*k for one axis in FFT ordering."""
         return self.mode_spacing * _mode_integers(self.n)
-
-    def mode_meshes(self) -> tuple[np.ndarray, ...]:
-        p = self.mode_axis()
-        return np.meshgrid(*([p] * self.d), indexing="ij")
 
     def mode_radius_mesh(self) -> np.ndarray:
         return _mode_radius(self)
@@ -197,10 +190,6 @@ class SpectralField:
             )
         object.__setattr__(self, "coeffs", _freeze(c))
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "SpectralField":
-        return cls(np.zeros(grid.shape, dtype=complex), grid)
-
 
 @dataclass(frozen=True)
 class SymbolSpec:
@@ -269,19 +258,15 @@ def forward_ft(f: RealField) -> SpectralField:
     return SpectralField(coeffs, g)
 
 
-def _inverse_values(F: SpectralField) -> np.ndarray:
-    g = F.grid
-    pref = (g.mode_spacing**g.d / TWO_PI ** (g.d / 2.0)) * g.npoints
-    return pref * np.fft.ifftn(_phase_mesh(g) * F.coeffs)
-
-
 def inverse_ft(F: SpectralField) -> RealField:
     """Invert forward_ft; raises if the input is not conjugate-symmetric.
 
     A genuinely real field has conjugate-symmetric coefficients; an
     imaginary residue above 1e-10 of the spectral norm signals misuse.
     """
-    vals = _inverse_values(F)
+    g = F.grid
+    pref = (g.mode_spacing**g.d / TWO_PI ** (g.d / 2.0)) * g.npoints
+    vals = pref * np.fft.ifftn(_phase_mesh(g) * F.coeffs)
     scale = spectral_l2(F)
     imag_max = float(np.max(np.abs(vals.imag))) if scale > 0 else 0.0
     if imag_max > 1e-10 * scale:
@@ -289,25 +274,7 @@ def inverse_ft(F: SpectralField) -> RealField:
             "coefficients are not conjugate-symmetric: "
             f"imaginary residue {imag_max:.3e} exceeds 1e-10 * {scale:.3e}"
         )
-    return RealField(vals.real, F.grid)
-
-
-def inverse_ft_real(F: SpectralField) -> RealField:
-    """Inverse transform that discards the imaginary part without checking.
-
-    For pipelines whose coefficients are symmetric by construction but may
-    sit at the roundoff floor of a much larger upstream spectrum, where the
-    relative misuse check of inverse_ft is meaningless.
-    """
-    return RealField(_inverse_values(F).real, F.grid)
-
-
-def log_symbol(p, shift: float) -> float:
-    """ln|p| - shift, with -inf at p = 0."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(p, dtype=float))))
-    if r == 0.0:
-        return -math.inf
-    return math.log(r) - shift
+    return RealField(vals.real, g)
 
 
 def symbol_grid(grid: GridSpec, shift: float) -> np.ndarray:
@@ -317,26 +284,12 @@ def symbol_grid(grid: GridSpec, shift: float) -> np.ndarray:
         return np.log(r) - shift
 
 
-def reciprocal_symbol(p, spec: SymbolSpec) -> tuple[float, bool]:
-    """Regularized reciprocal 1/(ln|p| - shift) at a single frequency.
-
-    Returns (value, masked).  The value is 0 when the mode sits inside the
-    annulus |ln|p| - shift| < eta (masked = True) and at p = 0, where the
-    reciprocal tends to 0 continuously (masked = False).
-    """
-    t = log_symbol(p, spec.shift)
-    if t == -math.inf:
-        return 0.0, False
-    if abs(t) < spec.eta:
-        return 0.0, True
-    return 1.0 / t, False
-
-
 def reciprocal_grid(grid: GridSpec, spec: SymbolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reciprocal_symbol over all modes.
+    """Regularized reciprocal 1/(ln|p| - shift) on all modes.
 
-    Returns (values, masked).  masked flags the annulus modes only; the DC
-    mode carries value 0 with masked = False.
+    Returns (values, masked).  The value is 0 on the annulus
+    |ln|p| - shift| < eta, which masked flags, and at the DC mode, where the
+    reciprocal tends to 0 continuously and masked is False.
     """
     t = symbol_grid(grid, spec.shift)
     masked = np.abs(t) < spec.eta

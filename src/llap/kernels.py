@@ -8,12 +8,13 @@ logarithmic symbol vanishes:
   quadrature; its maximum is the orthogonality residual.  Admissible kernels
   have residual ~0, and only for those is the inverse-symbol gain stable
   under refinement of the masked annulus.
-* ``inverse_symbol_gain`` computes sup |G^(p) / (ln|p| - shift)| over the
+* ``inverse_symbol_gain`` is the one diagnostics pass per kernel.  Its
+  ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
   unmasked grid modes, refined by off-grid rings just outside the masked
-  annulus.  The orthogonality residual divided by eta accompanies the gain
-  as a divergence indicator: on a fixed grid the sup is always finite, and
-  only that indicator distinguishes a genuinely bounded ratio from a
-  1/eta divergence.
+  annulus, and the orthogonality residual.  That residual divided by eta
+  accompanies the gain as a divergence indicator: on a fixed grid the sup is
+  always finite, and only that indicator distinguishes a genuinely bounded
+  ratio from a 1/eta divergence.
 * ``project_orthogonal`` repairs an inadmissible kernel by subtracting
   analytic atoms whose transforms concentrate in an annulus of half-width
   taper_width * exp(shift) / 2 around the sphere, chosen so the sampled
@@ -26,7 +27,7 @@ logarithmic symbol vanishes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .grid import (
 __all__ = [
     "Kernel",
     "OrthogonalityReport",
-    "GainEstimate",
+    "KernelDiagnostics",
     "BoundCheck",
     "Schedule",
     "KernelSequence",
@@ -90,18 +91,6 @@ class OrthogonalityReport:
     points: np.ndarray
     values: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class GainEstimate:
-    """Inverse-symbol gain with its grid/ring split and divergence indicator."""
-
-    gain: float
-    grid_gain: float
-    ring_gain: float
-    orth_residual: float
-    divergence_indicator: float
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -427,23 +416,61 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples
 RING_MULTIPLES = (1.0, -1.0, 2.0, -2.0)
 
 
-@dataclass(frozen=True)
-class GainEval:
-    """Shared evaluation sets behind gains and ratio distances.
+def _max_ratio(hat: np.ndarray, denom: np.ndarray) -> float:
+    if hat.size == 0:
+        return 0.0
+    return float(np.max(np.abs(hat) / denom))
 
-    Gains of two kernels and the distance between them are taken over
-    identical point sets, so |gain(G1) - gain(G2)| <= ratio_distance(G1, G2)
-    holds exactly as a max-norm triangle inequality.
+
+@dataclass(frozen=True, eq=False)
+class KernelDiagnostics:
+    """One kernel's diagnostics pass: gain evaluation and sphere residual.
+
+    grid_hat holds G^ on the unmasked grid modes and ring_hat its values on
+    the four rings, each beside its denominator |ln|p| - shift|.  The gains
+    are fixed at construction.  Gains of two kernels and the distance
+    between them are taken over identical point sets, so
+    |gain(G1) - gain(G2)| <= ratio_distance(G1, G2) holds exactly as a
+    max-norm triangle inequality.
     """
 
     grid_hat: np.ndarray
     grid_denom: np.ndarray
     ring_hat: np.ndarray
     ring_denom: np.ndarray
+    orth_residual: float
+    eta: float
+    gain: float = field(init=False)
+    grid_gain: float = field(init=False)
+    ring_gain: float = field(init=False)
+    divergence_indicator: float = field(init=False)
+
+    def __post_init__(self):
+        grid_gain = _max_ratio(self.grid_hat, self.grid_denom)
+        ring_gain = _max_ratio(self.ring_hat, self.ring_denom)
+        object.__setattr__(self, "gain", max(grid_gain, ring_gain))
+        object.__setattr__(self, "grid_gain", grid_gain)
+        object.__setattr__(self, "ring_gain", ring_gain)
+        object.__setattr__(self, "divergence_indicator", self.orth_residual / self.eta)
+
+    def ratio_distance(self, other: KernelDiagnostics) -> float:
+        """sup |G1^(p) - G2^(p)| / |ln|p| - shift| over the shared points."""
+        if self.grid_hat.shape != other.grid_hat.shape or self.ring_hat.shape != other.ring_hat.shape:
+            raise ValueError("diagnostics come from different grids or sample counts")
+        return max(
+            _max_ratio(self.grid_hat - other.grid_hat, self.grid_denom),
+            _max_ratio(self.ring_hat - other.ring_hat, self.ring_denom),
+        )
 
 
-def _kernel_diagnostics(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> tuple[GainEval, float]:
-    """The kernel's gain evaluation and its orthogonality residual, in one pass.
+def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> KernelDiagnostics:
+    """sup |G^(p) / (ln|p| - shift)| over unmasked modes plus off-grid rings.
+
+    The rings sit at radii exp(shift +- eta) and exp(shift +- 2 eta), just
+    outside the masked annulus, and catch the near-sphere behaviour that the
+    grid modes may miss.  The masked annulus itself is excluded; instead the
+    orthogonality residual divided by eta is reported, which is the size the
+    excluded contribution would have.
 
     One forward_ft gives G^ on the grid modes, and one NUDFT call covers
     the singular sphere and the four rings; the sphere part is what
@@ -461,57 +488,12 @@ def _kernel_diagnostics(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> tup
     pts = np.concatenate([sphere_points(grid.d, rho, nsamples) for rho in radii])
     vals = nudft(G.samples, pts)
     per_ring = len(pts) // len(radii)
-    ev = GainEval(
+    return KernelDiagnostics(
         grid_hat=ghat[active],
         grid_denom=np.abs(t[active]),
         ring_hat=vals[per_ring:],
         ring_denom=np.repeat([abs(mult) * spec.eta for mult in RING_MULTIPLES], per_ring),
-    )
-    return ev, float(np.max(np.abs(vals[:per_ring])))
-
-
-def gain_eval(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> GainEval:
-    return _kernel_diagnostics(G, spec, nsamples)[0]
-
-
-def _max_ratio(hat: np.ndarray, denom: np.ndarray) -> float:
-    if hat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(hat) / denom))
-
-
-def gain_from_eval(ev: GainEval) -> tuple[float, float, float]:
-    grid_gain = _max_ratio(ev.grid_hat, ev.grid_denom)
-    ring_gain = _max_ratio(ev.ring_hat, ev.ring_denom)
-    return max(grid_gain, ring_gain), grid_gain, ring_gain
-
-
-def ratio_distance_from_evals(ev1: GainEval, ev2: GainEval) -> float:
-    if ev1.grid_hat.shape != ev2.grid_hat.shape or ev1.ring_hat.shape != ev2.ring_hat.shape:
-        raise ValueError("gain evaluations come from different grids or sample counts")
-    return max(
-        _max_ratio(ev1.grid_hat - ev2.grid_hat, ev1.grid_denom),
-        _max_ratio(ev1.ring_hat - ev2.ring_hat, ev1.ring_denom),
-    )
-
-
-def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> GainEstimate:
-    """sup |G^(p) / (ln|p| - shift)| over unmasked modes plus off-grid rings.
-
-    The rings sit at radii exp(shift +- eta) and exp(shift +- 2 eta), just
-    outside the masked annulus, and catch the near-sphere behaviour that the
-    grid modes may miss.  The masked annulus itself is excluded; instead the
-    orthogonality residual divided by eta is reported, which is the size the
-    excluded contribution would have.
-    """
-    ev, residual = _kernel_diagnostics(G, spec, nsamples)
-    gain, grid_gain, ring_gain = gain_from_eval(ev)
-    return GainEstimate(
-        gain=gain,
-        grid_gain=grid_gain,
-        ring_gain=ring_gain,
-        orth_residual=residual,
-        divergence_indicator=residual / spec.eta,
+        orth_residual=float(np.max(np.abs(vals[:per_ring]))),
         eta=spec.eta,
     )
 
@@ -520,8 +502,8 @@ def symbol_ratio_distance(G1: Kernel, G2: Kernel, spec: SymbolSpec, nsamples: in
     """sup |G1^(p) - G2^(p)| / |ln|p| - shift| over the gain evaluation set."""
     if G1.grid != G2.grid:
         raise ValueError("kernels live on different grids")
-    return ratio_distance_from_evals(
-        gain_eval(G1, spec, nsamples), gain_eval(G2, spec, nsamples)
+    return inverse_symbol_gain(G1, spec, nsamples).ratio_distance(
+        inverse_symbol_gain(G2, spec, nsamples)
     )
 
 

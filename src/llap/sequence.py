@@ -10,10 +10,12 @@ where ratio_dist is the sup of |G_m^ - G^| / |ln|p| - shift| over the same
 evaluation set as the gains.  At the discrete level the bound is provable,
 so every row must come out bound_ok; a failure indicates a bug, not noise.
 
-``verify_lemmaA2`` checks the kernel-level limit statements separately: the
-symbol-ratio distance vanishes along the sequence, the gains converge, the
-per-member admissibility (without which the gains diverge as the annulus
-shrinks), and persistence of the uniform certificate in the limit.
+The kernel-level limit statements form a LemmaTable: the symbol-ratio
+distance vanishes along the sequence, the gains converge, the per-member
+admissibility (without which the gains diverge as the annulus shrinks), and
+persistence of the uniform certificate in the limit.  ``run_sequence`` fills
+it from the same diagnostics pass per kernel that its certificates use;
+``verify_lemmaA2`` builds it on its own, without solving.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grid import RealField, SymbolSpec, TWO_PI, norms
-from .kernels import (
-    ADMISSIBLE_RTOL,
-    KernelSequence,
-    _kernel_diagnostics,
-    gain_from_eval,
-    ratio_distance_from_evals,
-)
+from .kernels import ADMISSIBLE_RTOL, Kernel, KernelDiagnostics, KernelSequence, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
     CertificateError,
@@ -76,6 +72,7 @@ class SequenceStudy:
     limit_gain: float
     rhs_scale: float  # ||F(u, .)||_2 of the limit solution
     eps: float
+    lemma: LemmaTable  # the kernel-level checks, from the same diagnostics
 
 
 @dataclass(frozen=True)
@@ -119,18 +116,20 @@ def run_sequence(
     max_iter: int = 500,
     nsamples: int = 128,
 ) -> SequenceStudy:
-    """Solve the limit problem and every member problem; fill the table.
+    """Solve the limit problem and every member problem; fill both tables.
 
     Refuses with the offending member index as soon as any certificate
     fails the uniform bound.  The limit problem is solved first because the
-    rows reference ||F(u, .)||_2 of its solution.
+    rows reference ||F(u, .)||_2 of its solution.  Each kernel gets one
+    diagnostics pass, which serves its certificate, its row and its
+    LemmaTable row (the table verify_lemmaA2 returns for N.lip and eps).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     grid = seq.limit.grid
     lip_sampled = estimate_lipschitz(N, 4096, 0)
 
-    diag_limit = _kernel_diagnostics(seq.limit, spec, nsamples)
+    diag_limit = inverse_symbol_gain(seq.limit, spec, nsamples)
     cert_limit = _certificate(seq.limit, N, spec, eps, diag_limit, lip_sampled)
     if not cert_limit.passed:
         raise MemberCertificateError(
@@ -145,10 +144,11 @@ def run_sequence(
     pref = TWO_PI ** (grid.d / 2.0)
 
     rows: list[SequenceRow] = []
+    lemma_rows: list[LemmaRow] = []
     floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
     for i, member in enumerate(seq.members):
         m = i + 1
-        diag_m = _kernel_diagnostics(member, spec, nsamples)
+        diag_m = inverse_symbol_gain(member, spec, nsamples)
         cert_m = _certificate(member, N, spec, eps, diag_m, lip_sampled)
         if not cert_m.passed:
             raise MemberCertificateError(
@@ -160,7 +160,8 @@ def run_sequence(
         sol_dist = norms(
             RealField(report_m.final.values - limit_report.final.values, grid)
         ).l2
-        ratio = ratio_distance_from_evals(diag_m[0], diag_limit[0])
+        lemma_rows.append(_lemma_row(m, member, diag_m, diag_limit, N.lip, eps))
+        ratio = lemma_rows[-1].ratio_dist
         bound_rhs = pref / eps * ratio * rhs_scale
         l1_dist, wl1_dist = seq.distances[i]
         rows.append(
@@ -197,6 +198,7 @@ def run_sequence(
         limit_gain=cert_limit.gain,
         rhs_scale=rhs_scale,
         eps=eps,
+        lemma=_lemma_table(seq, diag_limit, lemma_rows, N.lip, eps),
     )
 
 
@@ -216,28 +218,49 @@ def verify_lemmaA2(
     not raised; a member skipped by the projection shows up with a large
     divergence indicator.
     """
-    grid = seq.limit.grid
-    pref = TWO_PI ** (grid.d / 2.0)
-    ev_limit, limit_residual = _kernel_diagnostics(seq.limit, spec, nsamples)
-    limit_gain = gain_from_eval(ev_limit)[0]
-    scale = seq.limit.l1 / pref
+    limit = inverse_symbol_gain(seq.limit, spec, nsamples)
+    rows = [
+        _lemma_row(m, member, inverse_symbol_gain(member, spec, nsamples), limit, lip, eps)
+        for m, member in enumerate(seq.members, start=1)
+    ]
+    return _lemma_table(seq, limit, rows, lip, eps)
 
-    rows: list[LemmaRow] = []
-    for i, member in enumerate(seq.members):
-        m = i + 1
-        ev_m, res_m = _kernel_diagnostics(member, spec, nsamples)
-        gain_m = gain_from_eval(ev_m)[0]
-        rows.append(
-            LemmaRow(
-                m=m,
-                ratio_dist=ratio_distance_from_evals(ev_m, ev_limit),
-                gain=gain_m,
-                orth_residual=res_m,
-                divergence_indicator=res_m / spec.eta,
-                admissible=bool(res_m <= ADMISSIBLE_RTOL * max(1.0, member.l1)),
-                cert_ok=bool(pref * gain_m * lip <= 1.0 - eps),
-            )
-        )
+
+def _lemma_row(
+    m: int,
+    member: Kernel,
+    diag: KernelDiagnostics,
+    limit: KernelDiagnostics,
+    lip: float,
+    eps: float,
+) -> LemmaRow:
+    """Member m's LemmaRow from its diagnostics pass and the limit's.
+
+    Callers build each row as soon as the member's pass is made, so the
+    member's diagnostics can be dropped before the next pass.
+    """
+    pref = TWO_PI ** (member.grid.d / 2.0)
+    return LemmaRow(
+        m=m,
+        ratio_dist=diag.ratio_distance(limit),
+        gain=diag.gain,
+        orth_residual=diag.orth_residual,
+        divergence_indicator=diag.divergence_indicator,
+        admissible=bool(diag.orth_residual <= ADMISSIBLE_RTOL * max(1.0, member.l1)),
+        cert_ok=bool(pref * diag.gain * lip <= 1.0 - eps),
+    )
+
+
+def _lemma_table(
+    seq: KernelSequence,
+    limit: KernelDiagnostics,
+    rows: list[LemmaRow],
+    lip: float,
+    eps: float,
+) -> LemmaTable:
+    """The LemmaTable of seq from its member rows and the limit's pass."""
+    pref = TWO_PI ** (seq.limit.grid.d / 2.0)
+    scale = seq.limit.l1 / pref
 
     tiny = 1e-14 * max(1.0, scale)
     ratio_vanishes = bool(
@@ -248,19 +271,19 @@ def verify_lemmaA2(
     gains_converge = bool(
         rows
         and all(
-            abs(r.gain - limit_gain) <= r.ratio_dist + 1e-12 * max(1.0, limit_gain)
+            abs(r.gain - limit.gain) <= r.ratio_dist + 1e-12 * max(1.0, limit.gain)
             for r in rows
         )
-        and abs(rows[-1].gain - limit_gain) <= 1e-6 * scale + tiny
+        and abs(rows[-1].gain - limit.gain) <= 1e-6 * scale + tiny
     )
     members_admissible = all(r.admissible for r in rows)
     certificate_persists = (not all(r.cert_ok for r in rows)) or (
-        pref * limit_gain * lip <= 1.0 - eps + 1e-12
+        pref * limit.gain * lip <= 1.0 - eps + 1e-12
     )
     return LemmaTable(
         rows=tuple(rows),
-        limit_gain=limit_gain,
-        limit_residual=limit_residual,
+        limit_gain=limit.gain,
+        limit_residual=limit.orth_residual,
         scale=scale,
         ratio_vanishes=ratio_vanishes,
         gains_converge=gains_converge,

@@ -33,7 +33,7 @@ from .grid import (
     reciprocal_grid,
     symbol_grid,
 )
-from .kernels import GainEval, Kernel, _kernel_diagnostics, gain_from_eval
+from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 
 __all__ = [
@@ -158,7 +158,7 @@ def certify(
         N,
         spec,
         eps_user,
-        _kernel_diagnostics(G, spec, nsamples),
+        inverse_symbol_gain(G, spec, nsamples),
         estimate_lipschitz(N, lip_trials, seed),
     )
 
@@ -168,31 +168,29 @@ def _certificate(
     N: Nonlinearity,
     spec: SymbolSpec,
     eps_user: float,
-    diagnostics: tuple[GainEval, float],
+    diag: KernelDiagnostics,
     lip_sampled: float,
 ) -> ContractionCertificate:
     """The certificate of G from its one diagnostics pass (see certify)."""
-    ev, residual = diagnostics
-    gain, grid_gain, _ = gain_from_eval(ev)
     _, masked = reciprocal_grid(G.grid, spec)
     pref = TWO_PI ** (G.grid.d / 2.0)
     threshold = ORTH_RTOL * G.l1
-    q = pref * gain * N.lip
+    q = pref * diag.gain * N.lip
     return ContractionCertificate(
-        gain=gain,
-        grid_gain=grid_gain,
+        gain=diag.gain,
+        grid_gain=diag.grid_gain,
         q=q,
-        q_grid=pref * grid_gain * N.lip,
+        q_grid=pref * diag.grid_gain * N.lip,
         lip=N.lip,
         lip_sampled=lip_sampled,
-        orth_residual=residual,
+        orth_residual=diag.orth_residual,
         orth_threshold=threshold,
-        divergence_indicator=residual / spec.eta,
+        divergence_indicator=diag.divergence_indicator,
         masked_modes=int(np.count_nonzero(masked)),
         eps_user=eps_user,
         shift=spec.shift,
         eta=spec.eta,
-        passed=bool(q <= 1.0 - eps_user and residual <= threshold),
+        passed=bool(q <= 1.0 - eps_user and diag.orth_residual <= threshold),
     )
 
 

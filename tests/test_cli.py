@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 
 import llap.checks
 import llap.cli
+import llap.kernels
 import llap.solver
 from llap import load_field
 from llap.cli import (
@@ -76,6 +78,14 @@ class TestOutOfRangeSettings:
             ("certify", "eps_user = 0.1", "eps_user = 1.5", "eps_user must lie in (0, 1)"),
             ("solve", "tol = 1e-10", "tol = 0", "tol must be positive"),
             ("solve", "max_iter = 200", "max_iter = 0", "max_iter must be at least 1"),
+            ("certify", "seed = 0", "seed = -1", "seed must be non-negative"),
+            ("ft-selftest", "seed = 0", "seed = -1", "seed must be non-negative"),
+            (
+                "solve",
+                "seed = 0",
+                "seed = 0\nv0 = random\nv0_scale = nan",
+                "v0_scale must be finite and non-negative",
+            ),
         ],
     )
     def test_config_error_in_one_line(self, runner, tmp_path, command, old, new, what):
@@ -166,12 +176,14 @@ class TestSequenceCommand:
         assert "lemma_passed = true" in summary
 
     def test_failed_limit_checks_exit_code(self, runner, tmp_path, monkeypatch):
-        real = llap.cli.verify_lemmaA2
+        real = llap.cli.run_sequence
 
         def failing(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), gains_converge=False)
+            study = real(*args, **kwargs)
+            lemma = dataclasses.replace(study.lemma, gains_converge=False)
+            return dataclasses.replace(study, lemma=lemma)
 
-        monkeypatch.setattr(llap.cli, "verify_lemmaA2", failing)
+        monkeypatch.setattr(llap.cli, "run_sequence", failing)
         cfg = _write(tmp_path, REFERENCE)
         out = tmp_path / "out"
         result = runner.invoke(main, ["sequence", cfg, "-o", str(out)])
@@ -179,6 +191,26 @@ class TestSequenceCommand:
         assert "limit checks FAIL" in result.output
         assert "lemma_passed = false" in (out / "sequence_summary.txt").read_text()
         assert (out / "lemma_checks.csv").exists()
+
+    def test_one_diagnostics_pass_per_kernel(self, runner, tmp_path, monkeypatch):
+        # Six members plus the limit: each kernel's one pass serves its
+        # certificate, its sequence row and its lemma row.
+        calls = []
+        real = llap.kernels.inverse_symbol_gain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "llap" or name.startswith("llap.")) and getattr(
+                mod, "inverse_symbol_gain", None
+            ) is real:
+                monkeypatch.setattr(mod, "inverse_symbol_gain", counted)
+        result = runner.invoke(main, ["sequence", str(CONFIGS / "reference.cfg"),
+                                      "-o", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert len(calls) == 7
 
     def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
         def violated(*args, **kwargs):

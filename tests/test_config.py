@@ -86,6 +86,10 @@ class TestParsing:
             ("tol = 1e-10", "tol = -1e-10"),
             ("tol = 1e-10", "tol = nan"),
             ("max_iter = 200", "max_iter = 0"),
+            ("seed = 0", "seed = -1"),
+            ("seed = 0", "v0_scale = -1"),
+            ("seed = 0", "v0_scale = nan"),
+            ("seed = 0", "v0_scale = inf"),
         ],
     )
     def test_out_of_range_value_line_number(self, old, new):

@@ -10,13 +10,11 @@ from llap import (
     SymbolSpec,
     forward_ft,
     inverse_ft,
-    log_symbol,
     make_grid,
     norms,
     nudft,
     periodic_convolution,
     reciprocal_grid,
-    reciprocal_symbol,
     sample,
     spectral_l2,
     symbol_grid,
@@ -185,31 +183,43 @@ class TestNudftProperties:
         assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
 
 
+def _first_mode_at(radius: float):
+    # Mode spacing pi/L = radius puts the first positive mode (index 1) on
+    # that radius.
+    return make_grid(1, math.pi / radius, 8)
+
+
 class TestSymbol:
     def test_zero_at_unit_radius(self):
-        assert log_symbol([1.0], 0.0) == 0.0
+        g = _first_mode_at(1.0)
+        assert g.mode_axis()[1] == 1.0
+        assert symbol_grid(g, 0.0)[1] == 0.0
 
     def test_zero_at_shifted_radius(self):
-        assert log_symbol([math.e], 1.0) == pytest.approx(0.0, abs=1e-15)
+        g = _first_mode_at(math.e)
+        assert symbol_grid(g, 1.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_dc_sentinel(self):
-        assert log_symbol([0.0], 0.0) == -math.inf
-        assert log_symbol(np.zeros(3), 5.0) == -math.inf
+        t1 = symbol_grid(_first_mode_at(1.0), 0.0)
+        assert t1[0] == -math.inf
+        t3 = symbol_grid(make_grid(3, 5.0, 8), 5.0)
+        assert t3[0, 0, 0] == -math.inf
+        assert np.count_nonzero(np.isinf(t3)) == 1
 
     def test_reciprocal_outside_annulus(self):
-        value, masked = reciprocal_symbol([math.e**2], SymbolSpec(0.0, 0.1))
-        assert value == pytest.approx(0.5)
-        assert not masked
+        values, masked = reciprocal_grid(_first_mode_at(math.e**2), SymbolSpec(0.0, 0.1))
+        assert values[1] == pytest.approx(0.5)
+        assert not masked[1]
 
     def test_reciprocal_masked(self):
-        value, masked = reciprocal_symbol([1.0001], SymbolSpec(0.0, 0.01))
-        assert value == 0.0
-        assert masked
+        values, masked = reciprocal_grid(_first_mode_at(1.0001), SymbolSpec(0.0, 0.01))
+        assert values[1] == 0.0
+        assert masked[1]
 
     def test_reciprocal_dc(self):
-        value, masked = reciprocal_symbol([0.0], SymbolSpec(0.0, 0.01))
-        assert value == 0.0
-        assert not masked
+        values, masked = reciprocal_grid(_first_mode_at(1.0), SymbolSpec(0.0, 0.01))
+        assert values[0] == 0.0
+        assert not masked[0]
 
     def test_reciprocal_grid_matches_symbol(self, grid1):
         spec = SymbolSpec(0.0, 0.05)

@@ -111,6 +111,12 @@ def _raw_truncation(K, grid, radius):
 
 
 class TestVerifyLemma:
+    def test_run_sequence_table_matches(self, study, truncate_seq, sine_nonlinearity, spec1):
+        # run_sequence builds the table from its own diagnostics pass.
+        table = verify_lemmaA2(truncate_seq, spec1, lip=sine_nonlinearity.lip, eps=0.1)
+        assert study.lemma == table
+        assert table.passed
+
     def test_truncate_schedule_passes(self, truncate_seq, spec1):
         table = verify_lemmaA2(truncate_seq, spec1, lip=0.1, eps=0.1)
         assert table.ratio_vanishes
