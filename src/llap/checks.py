@@ -36,6 +36,7 @@ from .grid import (
 )
 from .kernels import (
     ADMISSIBLE_RTOL,
+    KernelDiagnostics,
     inverse_symbol_gain,
     verify_derivative_bound,
     verify_hat_bound,
@@ -108,7 +109,8 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
+def _dichotomy_check(K, spec: SymbolSpec) -> tuple[CheckResult, KernelDiagnostics]:
+    """The dichotomy check and the diagnostics pass at its first eta, min(eta, 0.1)."""
     eta0 = min(spec.eta, 0.1)
     etas = (eta0, eta0 / 2.0, eta0 / 4.0)
     diagnostics = [inverse_symbol_gain(K, SymbolSpec(spec.shift, eta)) for eta in etas]
@@ -116,14 +118,15 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
     gains = [diag.gain for diag in diagnostics]
     if residual <= ADMISSIBLE_RTOL * max(1.0, K.l1):
         if max(gains) <= 1e-30:
-            return CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
+            zero = CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
+            return zero, diagnostics[0]
         spread = (max(gains) - min(gains)) / max(gains)
         return CheckResult(
             "na_dichotomy",
             spread <= 0.05,
             spread,
             f"admissible kernel: gain varies {spread:.2%} across eta halvings",
-        )
+        ), diagnostics[0]
     products = [g * eta for g, eta in zip(gains, etas)]
     ok = all(0.8 * residual <= p <= 1.25 * residual for p in products)
     worst = max(abs(p / residual - 1.0) for p in products)
@@ -133,7 +136,7 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
         worst,
         "inadmissible kernel: gain * eta tracks the orthogonality residual "
         f"{residual:.3e} (1/eta divergence detected, expected)",
-    )
+    ), diagnostics[0]
 
 
 def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
@@ -164,7 +167,8 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
             f"max radial |dG^| = {db.observed:.6g} vs bound {db.bound:.6g} + 1e-6",
         )
     )
-    results.append(_dichotomy_check(K, spec))
+    dichotomy, first = _dichotomy_check(K, spec)
+    results.append(dichotomy)
 
     bd = boundary_decay(K.samples)
     results.append(
@@ -176,7 +180,7 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
         )
     )
 
-    grid_gain = inverse_symbol_gain(K, spec).grid_gain
+    grid_gain = (first if first.eta == spec.eta else inverse_symbol_gain(K, spec)).grid_gain
     pref = TWO_PI ** (grid.d / 2.0)
     q_grid = pref * grid_gain * N.lip
     worst_ratio = 0.0

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One command per process, driving the run described by a config file (see
-``llap.config`` for the format).  Exit codes: 0 success, 2 config problem,
+``llap.config`` for the format).  Exit codes: 0 success, 2 config problem
+(including a grid whose estimated arrays exceed the available memory),
 3 certificate failure, 4 non-convergence, 5 failed property checks (the
 ``verify`` suite, the transform self-tests, or the kernel-level limit checks
 of ``sequence``), 6 internal consistency check failed (a bound the theory
@@ -30,6 +31,7 @@ from .sequence import MemberCertificateError, run_sequence
 from .solver import (
     ConsistencyError,
     ContractionCertificate,
+    _peak_bytes,
     certify as compute_certificate,
     picard_solve,
 )
@@ -61,9 +63,51 @@ def _load(config_path: str) -> RunConfig:
         _fail(EXIT_CONFIG, "config error", e)
 
 
+def _available_bytes() -> int | None:
+    """MemAvailable, capped by this process's cgroup v2 memory.max when set.
+
+    Both are only read.  None when /proc/meminfo cannot be read.
+    """
+    try:
+        meminfo = Path("/proc/meminfo").read_text()
+        available = next(
+            int(line.split()[1]) * 1024
+            for line in meminfo.splitlines()
+            if line.startswith("MemAvailable:")
+        )
+    except (OSError, ValueError, StopIteration):
+        return None
+    try:
+        groups = Path("/proc/self/cgroup").read_text().splitlines()
+        path = next(line[3:] for line in groups if line.startswith("0::"))
+        limit = (Path("/sys/fs/cgroup") / path.lstrip("/") / "memory.max").read_text().strip()
+        if limit != "max":
+            available = min(available, int(limit))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return available
+
+
+def _preflight(grid) -> None:
+    """Refuse, with exit 2, a problem whose arrays cannot fit in memory."""
+    need = _peak_bytes(grid.d, grid.n)
+    available = _available_bytes()
+    if available is not None and need > available:
+        click.echo(
+            f"memory preflight: d={grid.d}, n={grid.n} needs an estimated "
+            f"{need / 2**30:.1f} GiB of arrays, more than the {available / 2**30:.1f} GiB available",
+            err=True,
+        )
+        sys.exit(EXIT_CONFIG)
+
+
 def _build_run(cfg: RunConfig):
     try:
         grid = cfg.grid()
+    except (ConfigError, ValueError, OSError) as e:
+        _fail(EXIT_CONFIG, "config error", e)
+    _preflight(grid)
+    try:
         spec = cfg.symbol_spec(grid)
         kernel = cfg.kernel(grid, spec)
         nonlin = cfg.nonlinearity(grid)
@@ -250,6 +294,7 @@ def verify(config: str, out_dir: str):
     """Run the full property suite for the configured problem."""
     cfg = _load(config)
     try:
+        _preflight(cfg.grid())
         results = run_property_suite(cfg)
     except (ConfigError, ValueError, OSError) as e:
         _fail(EXIT_CONFIG, "config error", e)

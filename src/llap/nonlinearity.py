@@ -69,14 +69,30 @@ class GrowthReport:
     witness: tuple[float, float, float] | None  # (u, x-sample offset h(x), |F|)
 
 
-def _base_for(family: str, gain: float, knee: float) -> Callable[[np.ndarray], np.ndarray]:
-    if family == "saturating_sine":
-        return lambda u: gain * np.sin(u)
-    if family == "rational":
-        return lambda u: gain * u / (1.0 + u * u)
-    if family == "clipped_linear":
-        return lambda u: gain * np.clip(u, -knee, knee)
-    raise ValueError(f"unknown nonlinearity family {family!r}")
+@dataclass(frozen=True)
+class _Family:
+    """base(u) of a built-in family.
+
+    Given out (and, for rational, a scratch array of u's shape) it writes
+    there instead of allocating, with the same operations in the same order,
+    so both paths give the same bits.
+    """
+
+    name: str
+    gain: float
+    knee: float
+
+    def __call__(self, u, out=None, scratch=None):
+        if self.name == "saturating_sine":
+            out = np.sin(u, out=out)
+        elif self.name == "rational":
+            out = np.multiply(self.gain, u, out=out)
+            den = np.multiply(u, u, out=scratch)
+            den += 1.0
+            return np.divide(out, den, out=out)
+        else:
+            out = np.clip(u, -self.knee, self.knee, out=out)
+        return np.multiply(self.gain, out, out=out)
 
 
 def make_nonlinearity(
@@ -97,12 +113,14 @@ def make_nonlinearity(
         raise ValueError(f"family amplitude must be nonnegative, got {gain}")
     if knee <= 0:
         raise ValueError(f"clip knee must be positive, got {knee}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown nonlinearity family {family!r}")
     return Nonlinearity(
         family=family,
         lip=lip,
         growth=lip if growth is None else growth,
         offset=offset,
-        base=_base_for(family, gain, knee),
+        base=_Family(family, gain, knee),
     )
 
 
@@ -114,6 +132,21 @@ def eval_F(N: Nonlinearity, v: RealField) -> RealField:
     if not np.all(np.isfinite(out)):
         raise ValueError("nonlinearity produced non-finite values")
     return RealField(out, N.grid)
+
+
+def _eval_F_into(
+    N: Nonlinearity, u: np.ndarray, offset: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """F(u) into out with the operations of eval_F; all four are matching slabs.
+
+    A built-in family allocates nothing; a custom base callable returns a
+    new array, which is copied into out.
+    """
+    if isinstance(N.base, _Family):
+        N.base(u, out, scratch)
+    else:
+        out[...] = N.base(u)
+    np.add(out, offset, out=out)
 
 
 def _sample_u(N: Nonlinearity, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -13,8 +13,11 @@ underlying fixed-point argument.  Solves with a failing certificate are
 refused, not attempted.
 
 The map, the equation residual and the triviality indicator share one
-operator per (kernel, spec) that works on the half spectrum of real FFTs;
-an iteration of picard_solve costs one rfftn and one irfftn.
+operator per (kernel, spec) that works on the half spectrum of real FFTs.
+The Picard step is computed in one place, _Iterate.step, which picard_solve,
+the map and the residual all use: one irfftn, one rfftn and every pointwise
+pass of an iteration, fused into slabs that run on worker threads when the
+grid is large (grid._slabs) and give the same bits however they are split.
 """
 
 from __future__ import annotations
@@ -29,12 +32,17 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
+    _irfft_rows,
+    _pairwise_total,
+    _rfft_rows,
+    _rfftn,
+    _slabs,
     forward_ft,
     reciprocal_grid,
     symbol_grid,
 )
 from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
-from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
+from .nonlinearity import Nonlinearity, _eval_F_into, estimate_lipschitz, eval_F
 
 __all__ = [
     "ContractionCertificate",
@@ -215,39 +223,174 @@ class _PicardOperator:
     rhs: np.ndarray  # (2 pi)^(d/2) G^, with the phase of forward_ft
     symbol: np.ndarray  # ln|p| - shift on the active modes, zero elsewhere
     active: np.ndarray  # unmasked, non-DC modes
+    inactive: np.ndarray  # ~active: the masked annulus and DC
     weights: np.ndarray
     scale: float  # (pi/L)^d times the squared forward_ft prefactor
 
-    @property
-    def axes(self) -> tuple[int, ...]:
-        return tuple(range(self.grid.d))
-
-    def transform(self, f: RealField) -> np.ndarray:
-        return np.fft.rfftn(f.values, axes=self.axes)
-
     def apply(self, N: Nonlinearity, v: RealField) -> RealField:
         """One Picard step from v."""
-        return self.step(self.transform(eval_F(N, v)))[1]
+        it = _Iterate(self, N, v.values)
+        it.step()
+        return RealField(it.v, self.grid)
 
-    def step(self, what: np.ndarray) -> tuple[np.ndarray, RealField]:
-        """u^ = multiplier * w^ and the real field u it describes."""
-        uhat = self.multiplier * what
-        if not np.all(np.isfinite(uhat)):
-            raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
-        values = np.fft.irfftn(uhat, s=self.grid.shape, axes=self.axes)
-        return uhat, RealField(values, self.grid)
+    def equation_residual(self, N: Nonlinearity, u: RealField) -> ResidualReport:
+        """Residual of u, from u^ and w^ = (F(u))^ (see equation_residual)."""
+        it = _Iterate(self, N, u.values)
+        _rfftn(u.values, out=it.uhat)
+        it.slabs.map(it.residual_terms, it.slabs.cols)
+        return it.residual()
 
-    def residual(self, uhat: np.ndarray, what: np.ndarray) -> ResidualReport:
-        """Equation residual of u^ against the right side built from w^ = (F(u))^."""
-        diff = self.symbol * uhat
-        diff -= self.rhs * what
-        sq = np.abs(diff)
-        sq *= sq
-        sq *= self.weights
-        return ResidualReport(
-            value=math.sqrt(self.scale * float(np.sum(sq, where=self.active))),
-            masked_rhs_energy=math.sqrt(self.scale * float(np.sum(sq, where=~self.active))),
+
+class _Iterate:
+    """The current iterate of one solve, its buffers and the fused Picard step.
+
+    The calling thread allocates every buffer once, and the stages write into
+    them through out=, so worker threads allocate nothing of field size:
+    glibc gives each thread its own arena, and arrays freed there would
+    raise the peak RSS.
+
+      v      the current iterate; within a step, scratch for the update
+             and then F(u)
+      u      the next iterate
+      what   w^ = (F(v))^ between steps; within a step, the inverse
+             transform's work space and then the forward transform of F(u)
+      uhat   multiplier * w^, then the residual's difference
+      spare  (2 pi)^(d/2) G^ w^ for the residual, whose squared moduli go to
+             its real part (terms); a field-shaped scratch for F
+    """
+
+    def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray):
+        grid = op.grid
+        if N.grid != grid:
+            raise ValueError("field and nonlinearity live on different grids")
+        self.op, self.N = op, N
+        self.slabs = _slabs(grid.shape, op.weights.shape)
+        self.v = np.array(v, dtype=float)
+        self.u = np.empty(grid.shape)
+        self.what = np.empty(op.weights.shape, dtype=complex)
+        self.uhat = np.empty_like(self.what)
+        self.spare = np.empty_like(self.what)
+        self.terms = self.spare.real
+        self.scratch = self.spare.reshape(-1).view(float)[: grid.npoints].reshape(grid.shape)
+        loaded = self.slabs.map(
+            lambda rows: self._forward_rows(rows, self.v, self.u), self.slabs.rows
         )
+        if not all(loaded):
+            raise ValueError(_NONFINITE_F)
+        if grid.d > 1:
+            self.slabs.map(self._forward_cols, self.slabs.cols)
+
+    def step(self) -> tuple[float, float, ResidualReport]:
+        """Advance v by one Picard step.
+
+        Returns the sums of squares of the update and of the new iterate,
+        each equal to np.sum over the whole field, and the new iterate's
+        equation residual.
+        """
+        slabs = self.slabs
+        if not all(slabs.map(self._spectral_cols, slabs.cols)):
+            raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
+        rows = slabs.map(self._physical_rows, slabs.rows)
+        if not all(r[2] for r in rows):
+            raise ValueError("field contains non-finite entries")
+        if not all(r[3] for r in rows):
+            raise ValueError(_NONFINITE_F)
+        slabs.map(self._residual_cols, slabs.cols)
+        self.u, self.v = self.v, self.u
+        return (
+            _pairwise_total([r[0] for r in rows]),
+            _pairwise_total([r[1] for r in rows]),
+            self.residual(),
+        )
+
+    # Stage 1, on an axis-1 slab: u^ = multiplier * w^, then the axis-0
+    # stage of the inverse transform into what.
+    def _spectral_cols(self, c: tuple) -> bool:
+        uhat = np.multiply(self.op.multiplier[c], self.what[c], out=self.uhat[c])
+        if not _all_finite(uhat):
+            return False
+        if uhat.ndim > 1:
+            np.fft.ifft(uhat, axis=0, out=self.what[c])
+        return True
+
+    # Stage 2, on an axis-0 slab: the rest of the inverse transform into u,
+    # the update's and u's sums of squares, then F(u) and the inner stages of
+    # its forward transform.  Returns (update sum, u sum, u finite, F finite).
+    def _physical_rows(self, rows: slice) -> tuple[float, float, bool, bool]:
+        u, v = self.u[rows], self.v[rows]
+        _irfft_rows(self.what[rows] if u.ndim > 1 else self.uhat, u)
+        if not _all_finite(u):
+            return 0.0, 0.0, False, True
+        np.subtract(u, v, out=v)
+        np.multiply(v, v, out=v)
+        update = float(np.sum(v))
+        np.multiply(u, u, out=v)
+        norm = float(np.sum(v))
+        return update, norm, True, self._forward_rows(rows, self.u, self.v)
+
+    def _forward_rows(self, rows: slice, field: np.ndarray, out: np.ndarray) -> bool:
+        """F(field) into out and the inner forward stages into what, on an axis-0 slab."""
+        _eval_F_into(self.N, field[rows], self.N.offset.values[rows], out[rows], self.scratch[rows])
+        if not _all_finite(out[rows]):
+            return False
+        _rfft_rows(out[rows], self.what[rows])
+        return True
+
+    def _forward_cols(self, c: tuple) -> None:
+        np.fft.fft(self.what[c], axis=0, out=self.what[c])
+
+    # Stage 3, on an axis-1 slab: the axis-0 forward stage, then the
+    # residual's terms.
+    def _residual_cols(self, c: tuple) -> None:
+        if self.op.grid.d > 1:
+            self._forward_cols(c)
+        self.residual_terms(c)
+
+    def residual_terms(self, c: tuple) -> None:
+        """Weighted |ln|p| - shift) u^ - (2 pi)^(d/2) G^ w^|^2 into terms."""
+        op = self.op
+        diff = np.multiply(op.symbol[c], self.uhat[c], out=self.uhat[c])
+        np.subtract(diff, np.multiply(op.rhs[c], self.what[c], out=self.spare[c]), out=diff)
+        sq = np.abs(diff, out=self.terms[c])
+        np.multiply(sq, sq, out=sq)
+        np.multiply(sq, op.weights[c], out=sq)
+
+    def residual(self) -> ResidualReport:
+        # np.sum with where= adds the sums of its unmasked stretches one after
+        # another, so slab sums could not reproduce it; the active and masked
+        # sums each run whole, one per thread.
+        op = self.op
+        active, masked = self.slabs.map(
+            lambda where: float(np.sum(self.terms, where=where)), (op.active, op.inactive)
+        )
+        return ResidualReport(
+            value=math.sqrt(op.scale * active), masked_rhs_energy=math.sqrt(op.scale * masked)
+        )
+
+
+_NONFINITE_F = "nonlinearity produced non-finite values"
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # A sum of finite terms is finite unless it overflows, and any non-finite
+    # term makes it non-finite; only an overflow needs the elementwise test.
+    return bool(np.isfinite(np.sum(x))) or bool(np.isfinite(x).all())
+
+
+def _peak_bytes(d: int, n: int) -> int:
+    """Estimated peak bytes of the arrays a certify-and-solve run on (d, n) holds.
+
+    Nine real fields (kernel samples, offset, starting field, the grid's
+    cached meshes and the two iterates), six half spectra (the operator's
+    multiplier and right side, its symbol and weights together, and the
+    iterate's three complex buffers) and the kernel's full complex transform.
+    At d = 2 and 3 the array peak of such a run, traced with tracemalloc,
+    is 15.6 to 15.9 real fields; this estimate is about 17.  The
+    interpreter and its modules come on top.
+    """
+    real = 8 * n**d
+    half = 16 * n ** (d - 1) * (n // 2 + 1)
+    return 9 * real + 6 * half + 2 * real
 
 
 def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
@@ -267,6 +410,7 @@ def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
         rhs=rhs,
         symbol=np.where(active, t, 0.0),
         active=active,
+        inactive=~active,
         weights=weights,
         scale=grid.mode_spacing**grid.d * pref * pref,
     )
@@ -302,8 +446,7 @@ def equation_residual(u: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec
     """
     if u.grid != G.grid:
         raise ValueError("field and kernel live on different grids")
-    op = _picard_operator(G, spec)
-    return op.residual(op.transform(u), op.transform(eval_F(N, u)))
+    return _picard_operator(G, spec).equation_residual(N, u)
 
 
 def triviality_indicator(G: Kernel, N: Nonlinearity, spec: SymbolSpec, tau: float) -> float:
@@ -317,13 +460,9 @@ def triviality_indicator(G: Kernel, N: Nonlinearity, spec: SymbolSpec, tau: floa
         raise ValueError(f"tau must be positive, got {tau}")
     op = _picard_operator(G, spec)
     ghat = np.abs(op.rhs)
-    w0hat = np.abs(op.transform(eval_F(N, RealField.zeros(G.grid))))
+    w0hat = np.abs(_rfftn(eval_F(N, RealField.zeros(G.grid)).values))
     both = (ghat > tau * ghat.max()) & (w0hat > tau * w0hat.max()) & op.active
     return float(np.sum(op.weights, where=both)) / float(np.sum(op.weights, where=op.active))
-
-
-def _l2(values: np.ndarray, grid: GridSpec) -> float:
-    return math.sqrt(grid.h**grid.d * float(np.sum(values * values)))
 
 
 def _geometric_prediction(first_update: float, ratios: np.ndarray, stop: float) -> int | None:
@@ -372,22 +511,16 @@ def picard_solve(
     v = v0 if v0 is not None else RealField.zeros(grid)
     if v.grid != grid:
         raise ValueError("starting field lives on a different grid")
-    op = _picard_operator(G, spec)
-
-    # Each iteration costs one irfftn (the step) and one rfftn (F of the new
-    # iterate); the residual reuses that u^ and w^, and w^ feeds the next step.
-    what = op.transform(eval_F(N, v))
+    it = _Iterate(_picard_operator(G, spec), N, v.values)
     updates: list[float] = []
     converged = False
     stop_threshold = tol
+    weight = grid.h**grid.d
     for _ in range(max_iter):
-        uhat, u = op.step(what)
-        upd = _l2(u.values - v.values, grid)
+        update_sq, norm_sq, res = it.step()
+        upd = math.sqrt(weight * update_sq)
         updates.append(upd)
-        v = u
-        what = op.transform(eval_F(N, v))
-        res = op.residual(uhat, what)
-        stop_threshold = tol * max(1.0, _l2(v.values, grid))
+        stop_threshold = tol * max(1.0, math.sqrt(weight * norm_sq))
         if upd <= stop_threshold or res.value <= tol:
             converged = True
             break
@@ -414,7 +547,7 @@ def picard_solve(
         iterations=len(updates),
         update_norms=tuple(updates),
         contraction_ratios=ratios,
-        final=v,
+        final=RealField(it.v, grid),
         residual=res.value,
         masked_rhs_energy=res.masked_rhs_energy,
         certificate=cert,

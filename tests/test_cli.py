@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import llap.checks
 import llap.cli
+import llap.config
 import llap.kernels
 import llap.solver
 from llap import load_field
@@ -248,6 +249,26 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert "na_dichotomy" in result.output
 
+    def test_one_diagnostics_pass_per_eta(self, runner, tmp_path, monkeypatch):
+        # eta = 0.05 is the dichotomy check's first eta, so its pass also
+        # gives the grid gain of the sampled contraction check.
+        calls = []
+        real = llap.kernels.inverse_symbol_gain
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].eta)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "llap" or name.startswith("llap.")) and getattr(
+                mod, "inverse_symbol_gain", None
+            ) is real:
+                monkeypatch.setattr(mod, "inverse_symbol_gain", counted)
+        result = runner.invoke(main, ["verify", str(CONFIGS / "projected_gaussian.cfg"),
+                                      "-o", str(tmp_path / "out")])
+        assert "na_dichotomy" in result.output
+        assert calls == [0.05, 0.025, 0.0125]
+
     def test_picard_operator_built_at_most_twice(self, runner, tmp_path, monkeypatch):
         calls = []
         build = llap.solver._picard_operator
@@ -269,6 +290,40 @@ class TestVerifyCommand:
         )
         result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
+
+
+class TestMemoryPreflight:
+    def test_estimate_arithmetic(self):
+        # d=3, n=512: a real field is 2^30 bytes, a half spectrum
+        # 16 * 512^2 * 257 bytes; eleven fields and six half spectra.
+        assert llap.solver._peak_bytes(3, 512) == 11 * 2**30 + 6 * 16 * 512**2 * 257
+        assert llap.solver._peak_bytes(3, 512) == 18_278_776_832
+        assert llap.solver._peak_bytes(1, 1024) == 11 * 8 * 1024 + 6 * 16 * 513
+
+    def test_available_memory_is_read(self):
+        available = llap.cli._available_bytes()
+        assert available is None or available > 0
+
+    @pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
+    def test_refused_before_allocating(self, runner, tmp_path, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("kernel built for a problem that cannot fit")
+
+        monkeypatch.setattr(llap.cli, "_available_bytes", lambda: 2**30)
+        monkeypatch.setattr(llap.config.RunConfig, "kernel", never)
+        big = REFERENCE.replace("d = 1", "d = 3").replace("n = 1024", "n = 512")
+        cfg = _write(tmp_path, big)
+        result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_CONFIG
+        assert result.output.strip().splitlines() == [
+            "memory preflight: d=3, n=512 needs an estimated 17.0 GiB of arrays, "
+            "more than the 1.0 GiB available"
+        ]
+
+    def test_fitting_problem_runs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(llap.cli, "_available_bytes", lambda: 2**30)
+        cfg = _write(tmp_path, REFERENCE)
+        assert runner.invoke(main, ["certify", cfg, "-o", str(tmp_path / "out")]).exit_code == 0
 
 
 class TestFtSelftest:
