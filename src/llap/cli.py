@@ -311,10 +311,10 @@ def ft_selftest_cmd(config: str | None, out_dir: str):
     if config is not None:
         cfg = _load(config)
         try:
-            grid = cfg.grid()
-            seed = cfg.seed
+            grid, seed = cfg.grid(), cfg.seed
         except (ConfigError, ValueError) as e:
             _fail(EXIT_CONFIG, "config error", e)
+        _preflight(grid)
     else:
         grid = make_grid(1, 20.0, 1024)
         seed = 0

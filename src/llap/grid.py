@@ -33,9 +33,9 @@ frozen at construction, so grids, fields and spectra are safe to share
 across threads.
 
 Large multi-dimensional transforms run in slabs on a pool of worker threads
-(``_rfftn``, ``_irfftn``, ``_fftn``).  Each runs numpy's own 1-D transforms in
-numpy's axis order, so its result equals numpy's n-D transform bit for bit,
-however many threads there are.
+(``_rfftn``, ``_fftn``).  Each runs numpy's own 1-D transforms in numpy's axis
+order, so its result equals numpy's n-D transform bit for bit, however many
+threads there are.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class GridSpec:
 
     def mode_axis(self) -> np.ndarray:
         """Frequency values (pi/L)*k for one axis in FFT ordering."""
-        return self.mode_spacing * _mode_integers(self.n)
+        return self.mode_spacing * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     def mode_radius_mesh(self) -> np.ndarray:
         return _mode_radius(self)
@@ -231,17 +231,11 @@ def sample(grid: GridSpec, fn: Callable[..., np.ndarray]) -> RealField:
     return RealField(np.asarray(fn(*grid.coord_meshes()), dtype=float), grid)
 
 
-def _mode_integers(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n)
-
-
-@lru_cache(maxsize=32)
-def _phase_mesh(grid: GridSpec) -> np.ndarray:
-    # exp(+i pi k) = (-1)^k per axis, relating samples on [-L, L) to the
-    # index-space DFT.
-    k = _mode_integers(grid.n).astype(int)
-    axis = np.where(k % 2 == 0, 1.0, -1.0)
-    return _freeze(reduce(np.multiply.outer, [axis] * grid.d))
+def _phase(grid: GridSpec, last: int) -> np.ndarray:
+    # exp(+i pi k) = (-1)^k per axis relates samples on [-L, L) to the
+    # index-space DFT; the last axis keeps its first `last` modes.
+    sign = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
+    return reduce(np.multiply.outer, [sign] * (grid.d - 1) + [sign[:last]])
 
 
 @lru_cache(maxsize=32)
@@ -380,18 +374,6 @@ def _rfftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _irfftn(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """np.fft.irfftn(a, s=shape, axes=every axis), bit for bit, in slabs."""
-    out = np.empty(shape)
-    slabs = _slabs(shape, a.shape)
-    work = a
-    if a.ndim > 1:
-        work = np.empty_like(a)
-        slabs.map(lambda cols: np.fft.ifft(a[cols], axis=0, out=work[cols]), slabs.cols)
-    slabs.map(lambda rows: _irfft_rows(work[rows], out[rows]), slabs.rows)
-    return out
-
-
 def _fftn(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """np.fft.fftn(a), or np.fft.ifftn(a) when inverse, bit for bit, in slabs."""
     fft = np.fft.ifft if inverse else np.fft.fft
@@ -413,8 +395,16 @@ def forward_ft(f: RealField) -> SpectralField:
     """Quadrature approximation of the unitary Fourier transform."""
     g = f.grid
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
-    coeffs = pref * _phase_mesh(g) * _fftn(f.values)
+    coeffs = pref * _phase(g, g.n) * _fftn(f.values)
     return SpectralField(coeffs, g)
+
+
+def _half_ft(f: RealField) -> np.ndarray:
+    """(2 pi)^(d/2) forward_ft(f) on the half spectrum: h^d (-1)^k rfftn(f), read-only."""
+    g = f.grid
+    out = _rfftn(f.values)
+    np.multiply(out, g.h**g.d * _phase(g, g.n // 2 + 1), out=out)
+    return _freeze(out)
 
 
 def inverse_ft(F: SpectralField) -> RealField:
@@ -425,7 +415,7 @@ def inverse_ft(F: SpectralField) -> RealField:
     """
     g = F.grid
     pref = (g.mode_spacing**g.d / TWO_PI ** (g.d / 2.0)) * g.npoints
-    vals = pref * _fftn(_phase_mesh(g) * F.coeffs, inverse=True)
+    vals = pref * _fftn(_phase(g, g.n) * F.coeffs, inverse=True)
     scale = spectral_l2(F)
     imag_max = float(np.max(np.abs(vals.imag))) if scale > 0 else 0.0
     if imag_max > 1e-10 * scale:
@@ -457,6 +447,35 @@ def reciprocal_grid(grid: GridSpec, spec: SymbolSpec) -> tuple[np.ndarray, np.nd
     active = ~masked & np.isfinite(t)
     values[active] = 1.0 / t[active]
     return values, masked
+
+
+class _HalfModes(NamedTuple):
+    """The symbol ln|p| - shift of one (grid, spec) on the half spectrum.
+
+    A real field's transform is conjugate-symmetric, so a half spectrum keeps
+    the last-axis modes 0..n/2 of numpy's rfftn layout.  weights counts each
+    mode with its twin, which has the same radial symbol, so weighted half
+    sums and counts equal those over the full grid.
+    """
+
+    symbol: np.ndarray  # ln|p| - shift on the active modes, zero elsewhere
+    active: np.ndarray  # unmasked, non-DC modes
+    inactive: np.ndarray  # ~active: the masked annulus and DC
+    weights: np.ndarray  # 1 on last-axis modes 0 and n/2, else 2; a broadcast view
+    masked_modes: int  # modes of the full grid with |ln|p| - shift| < eta
+
+
+@lru_cache(maxsize=32)
+def _half_modes(grid: GridSpec, spec: SymbolSpec) -> _HalfModes:
+    axes = [grid.mode_axis()] * (grid.d - 1) + [grid.mode_axis()[: grid.n // 2 + 1]]
+    with np.errstate(divide="ignore"):
+        t = np.log(np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))))
+    t -= spec.shift
+    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
+    weights = np.broadcast_to(np.where(np.arange(grid.n // 2 + 1) % (grid.n // 2), 2.0, 1.0), t.shape)
+    masked = int(np.sum(weights, where=np.abs(t) < spec.eta))
+    symbol = _freeze(np.where(active, t, 0.0))
+    return _HalfModes(symbol, _freeze(active), _freeze(~active), weights, masked)
 
 
 def norms(f: RealField) -> Norms:

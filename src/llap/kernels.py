@@ -8,6 +8,7 @@ logarithmic symbol vanishes:
   quadrature; its maximum is the orthogonality residual.  Admissible kernels
   have residual ~0, and only for those is the inverse-symbol gain stable
   under refinement of the masked annulus.
+* ``Kernel.hat``, made when the kernel is built, is its one transform.
 * ``inverse_symbol_gain`` is the one diagnostics pass per kernel.  Its
   ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
   unmasked grid modes, refined by off-grid rings just outside the masked
@@ -36,11 +37,12 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
-    forward_ft,
+    _half_ft,
+    _half_modes,
+    _HalfModes,
     norms,
     nudft,
     periodic_convolution,
-    symbol_grid,
 )
 
 __all__ = [
@@ -70,13 +72,14 @@ ADMISSIBLE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel samples with cached quadrature norms and an analytic tag."""
+    """Kernel samples with their one transform, quadrature norms and an analytic tag."""
 
     samples: RealField
     family: str
     params: dict
     l1: float
     weighted_l1: float
+    hat: np.ndarray  # (2 pi)^(d/2) G^ on the half spectrum, read-only
 
     @property
     def grid(self) -> GridSpec:
@@ -146,6 +149,7 @@ def _build(samples: RealField, family: str, params: dict) -> Kernel:
         params=dict(params),
         l1=n.l1,
         weighted_l1=n.weighted_l1,
+        hat=_half_ft(samples),
     )
 
 
@@ -416,18 +420,19 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples
 RING_MULTIPLES = (1.0, -1.0, 2.0, -2.0)
 
 
-def _max_ratio(hat: np.ndarray, denom: np.ndarray) -> float:
-    if hat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(hat) / denom))
+def _max_ratio(hat: np.ndarray, denom: np.ndarray, where=True) -> float:
+    """max |hat| / |denom| over the entries where selects, 0 if none."""
+    return float(np.max(np.abs(np.divide(np.abs(hat), denom, out=np.zeros(hat.shape), where=where))))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelDiagnostics:
     """One kernel's diagnostics pass: gain evaluation and sphere residual.
 
-    grid_hat holds G^ on the unmasked grid modes and ring_hat its values on
-    the four rings, each beside its denominator |ln|p| - shift|.  The gains
+    grid_hat is the kernel's hat, (2 pi)^(d/2) G^ on the half spectrum, read
+    over modes.active with modes.symbol as denominator; the symbol is radial
+    and |G^(-p)| = |G^(p)|, so the half spectrum holds every grid value.
+    ring_hat holds G^ on the four rings beside its denominator.  The gains
     are fixed at construction.  Gains of two kernels and the distance
     between them are taken over identical point sets, so
     |gain(G1) - gain(G2)| <= ratio_distance(G1, G2) holds exactly as a
@@ -435,7 +440,7 @@ class KernelDiagnostics:
     """
 
     grid_hat: np.ndarray
-    grid_denom: np.ndarray
+    modes: _HalfModes
     ring_hat: np.ndarray
     ring_denom: np.ndarray
     orth_residual: float
@@ -446,7 +451,7 @@ class KernelDiagnostics:
     divergence_indicator: float = field(init=False)
 
     def __post_init__(self):
-        grid_gain = _max_ratio(self.grid_hat, self.grid_denom)
+        grid_gain = self._grid_ratio(self.grid_hat)
         ring_gain = _max_ratio(self.ring_hat, self.ring_denom)
         object.__setattr__(self, "gain", max(grid_gain, ring_gain))
         object.__setattr__(self, "grid_gain", grid_gain)
@@ -458,9 +463,12 @@ class KernelDiagnostics:
         if self.grid_hat.shape != other.grid_hat.shape or self.ring_hat.shape != other.ring_hat.shape:
             raise ValueError("diagnostics come from different grids or sample counts")
         return max(
-            _max_ratio(self.grid_hat - other.grid_hat, self.grid_denom),
+            self._grid_ratio(self.grid_hat - other.grid_hat),
             _max_ratio(self.ring_hat - other.ring_hat, self.ring_denom),
         )
+
+    def _grid_ratio(self, hat: np.ndarray) -> float:
+        return _max_ratio(hat, self.modes.symbol, self.modes.active) / TWO_PI ** (hat.ndim / 2.0)
 
 
 def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> KernelDiagnostics:
@@ -472,7 +480,7 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> Ker
     orthogonality residual divided by eta is reported, which is the size the
     excluded contribution would have.
 
-    One forward_ft gives G^ on the grid modes, and one NUDFT call covers
+    The grid modes are read from the kernel's hat, and one NUDFT call covers
     the singular sphere and the four rings; the sphere part is what
     hat_on_sphere samples, so the residual equals its maximum.
     """
@@ -481,16 +489,13 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> Ker
     grid = G.grid
     radius = spec.sphere_radius
     _check_resolved(grid, radius * math.exp(2.0 * spec.eta))
-    t = symbol_grid(grid, spec.shift)
-    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-    ghat = forward_ft(G.samples).coeffs
     radii = [radius] + [radius * math.exp(mult * spec.eta) for mult in RING_MULTIPLES]
     pts = np.concatenate([sphere_points(grid.d, rho, nsamples) for rho in radii])
     vals = nudft(G.samples, pts)
     per_ring = len(pts) // len(radii)
     return KernelDiagnostics(
-        grid_hat=ghat[active],
-        grid_denom=np.abs(t[active]),
+        grid_hat=G.hat,
+        modes=_half_modes(grid, spec),
         ring_hat=vals[per_ring:],
         ring_denom=np.repeat([abs(mult) * spec.eta for mult in RING_MULTIPLES], per_ring),
         orth_residual=float(np.max(np.abs(vals[:per_ring]))),
@@ -512,12 +517,13 @@ def symbol_ratio_distance(G1: Kernel, G2: Kernel, spec: SymbolSpec, nsamples: in
 
 
 def verify_hat_bound(G: Kernel) -> BoundCheck:
-    """max |G^| <= (2 pi)^(-d/2) ||G||_1, checked over all grid modes."""
+    """max |G^| <= (2 pi)^(-d/2) ||G||_1, checked over all grid modes (G.hat)."""
     grid = G.grid
-    ghat = np.abs(forward_ft(G.samples).coeffs)
-    bound = G.l1 / TWO_PI ** (grid.d / 2.0)
-    idx = np.unravel_index(int(np.argmax(ghat)), grid.shape)
-    observed = float(ghat[idx])
+    pref = TWO_PI ** (grid.d / 2.0)
+    ghat = np.abs(G.hat)
+    bound = G.l1 / pref
+    idx = np.unravel_index(int(np.argmax(ghat)), ghat.shape)
+    observed = float(ghat[idx]) / pref
     where = tuple(float(grid.mode_axis()[i]) for i in idx)
     return BoundCheck(
         passed=observed <= bound + 1e-10,

@@ -12,8 +12,8 @@ pass before any solve is attempted, mirroring the hypothesis of the
 underlying fixed-point argument.  Solves with a failing certificate are
 refused, not attempted.
 
-The map, the equation residual and the triviality indicator share one
-operator per (kernel, spec) that works on the half spectrum of real FFTs.
+The map, the equation residual and the triviality indicator work on the
+half spectrum of real FFTs, from the kernel's hat and grid._half_modes.
 The Picard step is computed in one place, _Iterate.step, which picard_solve,
 the map and the residual all use: one irfftn, one rfftn and every pointwise
 pass of an iteration, fused into slabs that run on worker threads when the
@@ -32,14 +32,13 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
+    _HalfModes,
+    _half_modes,
     _irfft_rows,
     _pairwise_total,
     _rfft_rows,
     _rfftn,
     _slabs,
-    forward_ft,
-    reciprocal_grid,
-    symbol_grid,
 )
 from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, _eval_F_into, estimate_lipschitz, eval_F
@@ -180,7 +179,6 @@ def _certificate(
     lip_sampled: float,
 ) -> ContractionCertificate:
     """The certificate of G from its one diagnostics pass (see certify)."""
-    _, masked = reciprocal_grid(G.grid, spec)
     pref = TWO_PI ** (G.grid.d / 2.0)
     threshold = ORTH_RTOL * G.l1
     q = pref * diag.gain * N.lip
@@ -194,7 +192,7 @@ def _certificate(
         orth_residual=diag.orth_residual,
         orth_threshold=threshold,
         divergence_indicator=diag.divergence_indicator,
-        masked_modes=int(np.count_nonzero(masked)),
+        masked_modes=diag.modes.masked_modes,
         eps_user=eps_user,
         shift=spec.shift,
         eta=spec.eta,
@@ -204,12 +202,7 @@ def _certificate(
 
 @dataclass(frozen=True)
 class _PicardOperator:
-    """The Picard map of one (kernel, spec) pair on the half spectrum.
-
-    Real fields have conjugate-symmetric transforms, so every array here
-    keeps only the last-axis modes 0..n/2 of numpy's rfftn layout.  weights
-    counts each stored mode with its conjugate twin (1 on last-axis modes 0
-    and n/2, 2 elsewhere), so a weighted half sum equals the full sum.
+    """The Picard map of one (kernel, spec) pair on the half spectrum (see grid._HalfModes).
 
     Spectra handed in and out are raw rfftn outputs.  The transform's
     prefactors cancel in the step (irfftn(multiplier * rfftn(w)) equals
@@ -220,11 +213,8 @@ class _PicardOperator:
 
     grid: GridSpec
     multiplier: np.ndarray  # (2 pi)^(d/2) G^ / (ln|p| - shift), zero off the active modes
-    rhs: np.ndarray  # (2 pi)^(d/2) G^, with the phase of forward_ft
-    symbol: np.ndarray  # ln|p| - shift on the active modes, zero elsewhere
-    active: np.ndarray  # unmasked, non-DC modes
-    inactive: np.ndarray  # ~active: the masked annulus and DC
-    weights: np.ndarray
+    rhs: np.ndarray  # the kernel's hat, (2 pi)^(d/2) G^ with its phase (-1)^k
+    modes: _HalfModes
     scale: float  # (pi/L)^d times the squared forward_ft prefactor
 
     def apply(self, N: Nonlinearity, v: RealField) -> RealField:
@@ -264,10 +254,10 @@ class _Iterate:
         if N.grid != grid:
             raise ValueError("field and nonlinearity live on different grids")
         self.op, self.N = op, N
-        self.slabs = _slabs(grid.shape, op.weights.shape)
+        self.slabs = _slabs(grid.shape, op.rhs.shape)
         self.v = np.array(v, dtype=float)
         self.u = np.empty(grid.shape)
-        self.what = np.empty(op.weights.shape, dtype=complex)
+        self.what = np.empty(op.rhs.shape, dtype=complex)
         self.uhat = np.empty_like(self.what)
         self.spare = np.empty_like(self.what)
         self.terms = self.spare.real
@@ -349,11 +339,11 @@ class _Iterate:
     def residual_terms(self, c: tuple) -> None:
         """Weighted |ln|p| - shift) u^ - (2 pi)^(d/2) G^ w^|^2 into terms."""
         op = self.op
-        diff = np.multiply(op.symbol[c], self.uhat[c], out=self.uhat[c])
+        diff = np.multiply(op.modes.symbol[c], self.uhat[c], out=self.uhat[c])
         np.subtract(diff, np.multiply(op.rhs[c], self.what[c], out=self.spare[c]), out=diff)
         sq = np.abs(diff, out=self.terms[c])
         np.multiply(sq, sq, out=sq)
-        np.multiply(sq, op.weights[c], out=sq)
+        np.multiply(sq, op.modes.weights[c], out=sq)
 
     def residual(self) -> ResidualReport:
         # np.sum with where= adds the sums of its unmasked stretches one after
@@ -361,7 +351,7 @@ class _Iterate:
         # sums each run whole, one per thread.
         op = self.op
         active, masked = self.slabs.map(
-            lambda where: float(np.sum(self.terms, where=where)), (op.active, op.inactive)
+            lambda where: float(np.sum(self.terms, where=where)), (op.modes.active, op.modes.inactive)
         )
         return ResidualReport(
             value=math.sqrt(op.scale * active), masked_rhs_energy=math.sqrt(op.scale * masked)
@@ -380,40 +370,25 @@ def _all_finite(x: np.ndarray) -> bool:
 def _peak_bytes(d: int, n: int) -> int:
     """Estimated peak bytes of the arrays a certify-and-solve run on (d, n) holds.
 
-    Nine real fields (kernel samples, offset, starting field, the grid's
-    cached meshes and the two iterates), six half spectra (the operator's
-    multiplier and right side, its symbol and weights together, and the
-    iterate's three complex buffers) and the kernel's full complex transform.
-    At d = 2 and 3 the array peak of such a run, traced with tracemalloc,
-    is 15.6 to 15.9 real fields; this estimate is about 17.  The
+    Seven real fields (kernel samples, offset, starting field, cached |x|
+    mesh, both iterates, the report's final copy) and seven half spectra (the
+    kernel's hat, the multiplier, three iterate buffers, the symbol with its
+    masks, and transients such as numpy's FFT plans).  Traced with
+    tracemalloc, such a run peaks at 12.8 to 13.5 real fields at d = 1, 2 and
+    3, and ft_selftest at 12.0 to 13.2, against about 14 here; the
     interpreter and its modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
-    return 9 * real + 6 * half + 2 * real
+    return 7 * real + 7 * half
 
 
 def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
     grid = G.grid
-    half = (Ellipsis, slice(0, grid.n // 2 + 1))
-    rhs = TWO_PI ** (grid.d / 2.0) * forward_ft(G.samples).coeffs[half]
-    recip, _ = reciprocal_grid(grid, spec)
-    t = symbol_grid(grid, spec.shift)[half]
-    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-    weights = np.full(t.shape, 2.0)
-    weights[..., 0] = 1.0
-    weights[..., -1] = 1.0
+    modes = _half_modes(grid, spec)
+    recip = np.divide(1.0, modes.symbol, out=np.zeros(modes.symbol.shape), where=modes.active)
     pref = grid.h**grid.d / TWO_PI ** (grid.d / 2.0)
-    return _PicardOperator(
-        grid=grid,
-        multiplier=rhs * recip[half],
-        rhs=rhs,
-        symbol=np.where(active, t, 0.0),
-        active=active,
-        inactive=~active,
-        weights=weights,
-        scale=grid.mode_spacing**grid.d * pref * pref,
-    )
+    return _PicardOperator(grid, G.hat * recip, G.hat, modes, grid.mode_spacing**grid.d * pref * pref)
 
 
 def _hermitian_extension(half: np.ndarray, n: int) -> np.ndarray:
@@ -458,11 +433,11 @@ def triviality_indicator(G: Kernel, N: Nonlinearity, spec: SymbolSpec, tau: floa
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    op = _picard_operator(G, spec)
-    ghat = np.abs(op.rhs)
+    modes = _half_modes(G.grid, spec)
+    ghat = np.abs(G.hat)
     w0hat = np.abs(_rfftn(eval_F(N, RealField.zeros(G.grid)).values))
-    both = (ghat > tau * ghat.max()) & (w0hat > tau * w0hat.max()) & op.active
-    return float(np.sum(op.weights, where=both)) / float(np.sum(op.weights, where=op.active))
+    both = (ghat > tau * ghat.max()) & (w0hat > tau * w0hat.max()) & modes.active
+    return float(np.sum(modes.weights, where=both)) / float(np.sum(modes.weights, where=modes.active))
 
 
 def _geometric_prediction(first_update: float, ratios: np.ndarray, stop: float) -> int | None:

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,28 +296,65 @@ class TestVerifyCommand:
 class TestMemoryPreflight:
     def test_estimate_arithmetic(self):
         # d=3, n=512: a real field is 2^30 bytes, a half spectrum
-        # 16 * 512^2 * 257 bytes; eleven fields and six half spectra.
-        assert llap.solver._peak_bytes(3, 512) == 11 * 2**30 + 6 * 16 * 512**2 * 257
-        assert llap.solver._peak_bytes(3, 512) == 18_278_776_832
-        assert llap.solver._peak_bytes(1, 1024) == 11 * 8 * 1024 + 6 * 16 * 513
+        # 16 * 512^2 * 257 bytes; seven of each.
+        assert llap.solver._peak_bytes(3, 512) == 7 * 2**30 + 7 * 16 * 512**2 * 257
+        assert llap.solver._peak_bytes(3, 512) == 15_061_745_664
+        assert llap.solver._peak_bytes(1, 1024) == 7 * 8 * 1024 + 7 * 16 * 513
+
+    @staticmethod
+    def _certify_and_solve(d, n, L):
+        grid = llap.make_grid(d, L, n)
+        spec = llap.SymbolSpec(0.0, llap.default_eta(grid, 0.0))
+        K = llap.make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid
+        )
+        offset = llap.sample(grid, lambda *xs: 0.3 * np.exp(-sum(x * x for x in xs) / 2.0))
+        N = llap.make_nonlinearity("saturating_sine", lip=0.1, offset=offset)
+        v0 = llap.RealField(np.random.default_rng(0).normal(0.0, 0.01, grid.shape), grid)
+        cert = llap.certify(K, N, spec, eps_user=0.1)
+        report = llap.picard_solve(K, N, spec, v0=v0, certificate=cert)
+        assert report.converged
+        llap.norms(report.final)  # as the solve summary does
+
+    @pytest.mark.parametrize("d,n", [(2, 256), (3, 48)])
+    def test_estimate_bounds_a_traced_run(self, d, n):
+        # A small run first imports every module, so that only arrays are
+        # traced; the box sizes are used by no other test, so the grid's
+        # caches start empty.  The estimate must bound both traces without
+        # being loose.
+        self._certify_and_solve(d, 32, 10.0)
+        peaks = []
+        for run in (
+            lambda: self._certify_and_solve(d, n, 13.0),
+            lambda: llap.checks.ft_selftest(llap.make_grid(d, 14.0, n)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        estimate = llap.solver._peak_bytes(d, n)
+        assert 0.8 * estimate <= max(peaks) <= estimate
 
     def test_available_memory_is_read(self):
         available = llap.cli._available_bytes()
         assert available is None or available > 0
 
-    @pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
+    @pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify", "ft-selftest"])
     def test_refused_before_allocating(self, runner, tmp_path, monkeypatch, command):
         def never(*args, **kwargs):
-            raise AssertionError("kernel built for a problem that cannot fit")
+            raise AssertionError("arrays allocated for a problem that cannot fit")
 
         monkeypatch.setattr(llap.cli, "_available_bytes", lambda: 2**30)
         monkeypatch.setattr(llap.config.RunConfig, "kernel", never)
+        monkeypatch.setattr(llap.cli, "ft_selftest", never)
         big = REFERENCE.replace("d = 1", "d = 3").replace("n = 1024", "n = 512")
         cfg = _write(tmp_path, big)
         result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CONFIG
         assert result.output.strip().splitlines() == [
-            "memory preflight: d=3, n=512 needs an estimated 17.0 GiB of arrays, "
+            "memory preflight: d=3, n=512 needs an estimated 14.0 GiB of arrays, "
             "more than the 1.0 GiB available"
         ]
 

@@ -102,12 +102,7 @@ def test_transforms_match_numpy(pool_on, d, half, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n,) * d)
     c = a + 1j * rng.normal(size=a.shape)
-    spectrum = np.fft.rfftn(a)
-    axes = tuple(range(d))
-    assert np.array_equal(grid_mod._rfftn(a), spectrum)
-    assert np.array_equal(
-        grid_mod._irfftn(spectrum, a.shape), np.fft.irfftn(spectrum, s=a.shape, axes=axes)
-    )
+    assert np.array_equal(grid_mod._rfftn(a), np.fft.rfftn(a))
     assert np.array_equal(grid_mod._fftn(a), np.fft.fftn(a))
     assert np.array_equal(grid_mod._fftn(c), np.fft.fftn(c))
     assert np.array_equal(grid_mod._fftn(c, inverse=True), np.fft.ifftn(c))

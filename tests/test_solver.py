@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import llap.grid
 from llap import (
     CertificateError,
     Nonlinearity,
     RealField,
+    Schedule,
     SpectralField,
     SymbolSpec,
     apply_picard_map,
@@ -15,18 +18,25 @@ from llap import (
     eval_F,
     forward_ft,
     inverse_ft,
+    inverse_symbol_gain,
     kernel_from_field,
     make_grid,
     make_kernel,
     make_nonlinearity,
+    make_sequence,
     norms,
     picard_multiplier,
     picard_solve,
     reciprocal_grid,
+    run_sequence,
     sample,
     symbol_grid,
     triviality_indicator,
+    verify_hat_bound,
+    verify_lemmaA2,
 )
+from llap.grid import _half_modes
+from llap.solver import _picard_operator
 from conftest import SQRT_2PI, l2_gap
 
 TWO_PI = 2.0 * math.pi
@@ -341,7 +351,7 @@ class TestLinearOracle:
 
 
 class TestHalfSpectrumHigherDimensions:
-    """The fused operator against full-spectrum formulas at d = 2 and 3.
+    """The half-spectrum operator and diagnostics against full-spectrum formulas.
 
     n = 16 keeps the grids small; the half spectrum then has an odd last
     axis (9 modes), whose first and last planes carry Hermitian weight 1.
@@ -349,7 +359,7 @@ class TestHalfSpectrumHigherDimensions:
     narrow Gaussian, so the difference kernel certifies.
     """
 
-    @pytest.fixture(scope="class", params=[2, 3])
+    @pytest.fixture(scope="class", params=[1, 2, 3])
     @staticmethod
     def problem(request):
         grid = make_grid(request.param, 10.0, 16)
@@ -405,6 +415,33 @@ class TestHalfSpectrumHigherDimensions:
         expected = np.count_nonzero(both) / np.count_nonzero(active)
         assert triviality_indicator(K, N, spec, tau=1e-8) == pytest.approx(expected, rel=1e-12)
 
+    def test_diagnostics_match_full_spectrum(self, problem):
+        grid, spec, K, N = problem
+        other = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.5}, grid)
+        recip, masked = reciprocal_grid(grid, spec)
+        ghat = forward_ft(K.samples).coeffs
+        diag, diag_other = inverse_symbol_gain(K, spec), inverse_symbol_gain(other, spec)
+        grid_gain = np.max(np.abs(ghat * recip))
+        ring_distance = np.max(np.abs(diag.ring_hat - diag_other.ring_hat) / diag.ring_denom)
+        distance = max(
+            np.max(np.abs((ghat - forward_ft(other.samples).coeffs) * recip)), ring_distance
+        )
+        assert diag.grid_gain == pytest.approx(grid_gain, rel=1e-14)
+        assert diag.gain == pytest.approx(max(grid_gain, diag.ring_gain), rel=1e-14)
+        assert diag.ratio_distance(diag_other) == pytest.approx(distance, rel=1e-14)
+        assert verify_hat_bound(K).observed == pytest.approx(np.max(np.abs(ghat)), rel=1e-14)
+        assert certify(K, N, spec, eps_user=0.1).masked_modes == np.count_nonzero(masked)
+
+    def test_operator_reads_the_kernel_spectrum(self, problem):
+        grid, spec, K, N = problem
+        op = _picard_operator(K, spec)
+        assert op.rhs is K.hat
+        assert op.modes is _half_modes(grid, spec)
+        assert not K.hat.flags.writeable
+        weights = op.modes.weights
+        assert weights.strides[:-1] == (0,) * (grid.d - 1)
+        assert np.sum(weights) == grid.npoints
+
     def test_solve_residual_and_tail_sums(self, problem):
         grid, spec, K, N = problem
         cert = certify(K, N, spec, eps_user=0.1)
@@ -418,3 +455,55 @@ class TestHalfSpectrumHigherDimensions:
         assert all(
             tail <= bound + 1e-11 for tail, bound in zip(report.tail_sums, report.apriori_bounds)
         )
+
+
+def _llap_bindings(real):
+    """(module, name) of every binding of the function real in the llap modules."""
+    return [
+        (mod, name)
+        for modname, mod in list(sys.modules.items())
+        if modname == "llap" or modname.startswith("llap.")
+        for name, obj in list(vars(mod).items())
+        if obj is real
+    ]
+
+
+class TestOneKernelTransform:
+    def test_certify_and_solve_transform_the_kernel_once(
+        self, grid1, spec1, sine_nonlinearity, monkeypatch
+    ):
+        inputs = []
+        for real in (llap.grid._rfftn, llap.grid._fftn):
+
+            def recorded(a, *args, _real=real, **kwargs):
+                inputs.append(a)
+                return _real(a, *args, **kwargs)
+
+            for mod, name in _llap_bindings(real):
+                monkeypatch.setattr(mod, name, recorded)
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid1
+        )
+        cert = certify(K, sine_nonlinearity, spec1, eps_user=0.1)
+        report = picard_solve(K, sine_nonlinearity, spec1, certificate=cert)
+        assert report.converged
+        assert sum(a is K.samples.values for a in inputs) == 1
+
+    def test_no_full_transform_on_the_certified_paths(
+        self, diff_kernel, spec1, sine_nonlinearity, monkeypatch
+    ):
+        sched = Schedule(kind="truncate", members=2, r_start=8.0, r_stop=12.0)
+        seq = make_sequence(diff_kernel, sched, spec1, taper_width=0.5)
+
+        def never(*args, **kwargs):
+            raise AssertionError("forward_ft called")
+
+        for mod, name in _llap_bindings(llap.grid.forward_ft):
+            monkeypatch.setattr(mod, name, never)
+        cert = certify(diff_kernel, sine_nonlinearity, spec1, eps_user=0.1)
+        picard_solve(diff_kernel, sine_nonlinearity, spec1, certificate=cert)
+        inverse_symbol_gain(diff_kernel, spec1)
+        verify_hat_bound(diff_kernel)
+        study = run_sequence(seq, sine_nonlinearity, spec1, eps=0.1)
+        verify_lemmaA2(seq, spec1, sine_nonlinearity.lip, 0.1)
+        assert study.lemma.passed
