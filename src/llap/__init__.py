@@ -1,77 +1,20 @@
 """Spectral fixed-point solver for a nonlocal equation with a logarithmic symbol.
 
-The public API re-exports the grid and transform layer, kernel families with
-their solvability diagnostics, the built-in nonlinearities, the certified
-Picard solver, and the kernel-sequence convergence study.
+The top-level namespace holds what a run needs from start to finish: the
+grid and field constructors, the symbol and its default regularization, the
+kernel, nonlinearity and sequence builders, the certificate, the Picard
+solve and the sequence study, and the config loader with its errors.
+Everything else (transforms, diagnostics, bound checks, report types and
+field files) is imported from its module: ``llap.grid``, ``llap.kernels``,
+``llap.nonlinearity``, ``llap.solver``, ``llap.sequence``, ``llap.checks``,
+``llap.config`` and ``llap.fieldio``.
 """
 
-from .grid import (
-    GridSpec,
-    Norms,
-    RealField,
-    SpectralField,
-    SymbolSpec,
-    boundary_decay,
-    default_eta,
-    forward_ft,
-    inverse_ft,
-    make_grid,
-    norms,
-    nudft,
-    periodic_convolution,
-    reciprocal_grid,
-    sample,
-    spectral_l2,
-    symbol_grid,
-)
-from .fieldio import dump_field, load_field
-from .kernels import (
-    BoundCheck,
-    Kernel,
-    KernelDiagnostics,
-    KernelSequence,
-    OrthogonalityReport,
-    Schedule,
-    hat_on_sphere,
-    inverse_symbol_gain,
-    kernel_from_field,
-    make_kernel,
-    make_sequence,
-    project_orthogonal,
-    sphere_points,
-    symbol_ratio_distance,
-    verify_derivative_bound,
-    verify_hat_bound,
-)
-from .nonlinearity import (
-    GrowthReport,
-    Nonlinearity,
-    estimate_lipschitz,
-    eval_F,
-    make_nonlinearity,
-    verify_growth,
-)
-from .solver import (
-    CertificateError,
-    ContractionCertificate,
-    ResidualReport,
-    SolveReport,
-    apply_picard_map,
-    certify,
-    equation_residual,
-    picard_multiplier,
-    picard_solve,
-    triviality_indicator,
-)
-from .sequence import (
-    LemmaRow,
-    LemmaTable,
-    MemberCertificateError,
-    SequenceRow,
-    SequenceStudy,
-    run_sequence,
-    verify_lemmaA2,
-)
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .grid import RealField, SymbolSpec, default_eta, make_grid, norms, sample
+from .kernels import Schedule, make_kernel, make_sequence
+from .nonlinearity import make_nonlinearity
+from .solver import ContractionCertificate, certify, picard_solve
+from .sequence import MemberCertificateError, run_sequence, verify_lemmaA2
+from .config import ConfigError, RunConfig, load_config
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import fieldio
 from .checks import CheckResult, ft_selftest, run_property_suite
@@ -295,7 +296,12 @@ def verify(config: str, out_dir: str):
     cfg = _load(config)
     try:
         _preflight(cfg.grid())
-        results = run_property_suite(cfg)
+        # An overflow ends in ConsistencyError or a failed check; numpy's
+        # floating-point warnings would only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            results = run_property_suite(cfg)
+    except ConsistencyError as e:
+        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
     except (ConfigError, ValueError, OSError) as e:
         _fail(EXIT_CONFIG, "config error", e)
     ok = _report_checks(results, _outdir(out_dir), "verify_report.csv")

@@ -243,14 +243,8 @@ class RunConfig:
     def schedule(self) -> Schedule:
         if "sequence" not in self.sections:
             raise ConfigError("this command needs a [sequence] section")
-        return Schedule(
-            kind=self.get("sequence", "kind", "truncate"),
-            members=self.get("sequence", "members", 6),
-            r_start=self.get("sequence", "r_start", 6.0),
-            r_stop=self.get("sequence", "r_stop", 14.0),
-            cutoff_width=self.get("sequence", "cutoff_width", 2.0),
-            moll_scale=self.get("sequence", "moll_scale", 0.5),
-        )
+        # The section's keys are Schedule's fields; its defaults fill the rest.
+        return Schedule(**{"kind": "truncate", "members": 6, **self.sections["sequence"]})
 
     def starting_field(self, grid: GridSpec) -> RealField | None:
         v0 = self.get("solver", "v0", "zero")

@@ -32,9 +32,9 @@ Every operation here is a pure function of its inputs, and field values are
 frozen at construction, so grids, fields and spectra are safe to share
 across threads.
 
-Large multi-dimensional transforms run in slabs on a pool of worker threads
-(``_rfftn``, ``_fftn``).  Each runs numpy's own 1-D transforms in numpy's axis
-order, so its result equals numpy's n-D transform bit for bit, however many
+Large real transforms (``_rfftn``) and the Picard step run in slabs on a pool
+of worker threads.  They run numpy's own 1-D transforms in numpy's axis
+order, so a transform equals numpy's n-D transform bit for bit, however many
 threads there are.
 """
 
@@ -374,28 +374,11 @@ def _rfftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _fftn(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """np.fft.fftn(a), or np.fft.ifftn(a) when inverse, bit for bit, in slabs."""
-    fft = np.fft.ifft if inverse else np.fft.fft
-    out = np.empty(a.shape, dtype=complex)
-    slabs = _slabs(a.shape, a.shape)
-
-    def rows_stage(rows):
-        block = out[rows]
-        np.copyto(block, a[rows])
-        for axis in range(a.ndim - 1, 0, -1):
-            fft(block, axis=axis, out=block)
-
-    slabs.map(rows_stage, slabs.rows)
-    slabs.map(lambda cols: fft(out[cols], axis=0, out=out[cols]), slabs.cols)
-    return out
-
-
 def forward_ft(f: RealField) -> SpectralField:
     """Quadrature approximation of the unitary Fourier transform."""
     g = f.grid
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
-    coeffs = pref * _phase(g, g.n) * _fftn(f.values)
+    coeffs = pref * _phase(g, g.n) * np.fft.fftn(f.values)
     return SpectralField(coeffs, g)
 
 
@@ -415,7 +398,7 @@ def inverse_ft(F: SpectralField) -> RealField:
     """
     g = F.grid
     pref = (g.mode_spacing**g.d / TWO_PI ** (g.d / 2.0)) * g.npoints
-    vals = pref * _fftn(_phase(g, g.n) * F.coeffs, inverse=True)
+    vals = pref * np.fft.ifftn(_phase(g, g.n) * F.coeffs)
     scale = spectral_l2(F)
     imag_max = float(np.max(np.abs(vals.imag))) if scale > 0 else 0.0
     if imag_max > 1e-10 * scale:

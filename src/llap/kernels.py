@@ -63,11 +63,15 @@ __all__ = [
     "verify_derivative_bound",
     "make_sequence",
     "ADMISSIBLE_RTOL",
+    "SPHERE_SAMPLES",
 ]
 
 # Relative orthogonality-residual threshold below which a kernel is treated
 # as satisfying the solvability conditions.
 ADMISSIBLE_RTOL = 1e-8
+
+# Points per sampled sphere or ring for d >= 2 (d = 1 has two).
+SPHERE_SAMPLES = 128
 
 
 @dataclass(frozen=True)
@@ -218,19 +222,19 @@ def _unit_gaussian(r: np.ndarray, width: float, d: int) -> np.ndarray:
     return np.exp(-(r * r) / (2.0 * width * width)) / (width * math.sqrt(TWO_PI)) ** d
 
 
-def sphere_points(d: int, radius: float, nsamples: int) -> np.ndarray:
-    """Evaluation points on the sphere of the given radius.
+def sphere_points(d: int, radius: float) -> np.ndarray:
+    """SPHERE_SAMPLES evaluation points on the sphere of the given radius.
 
     d = 1: the two points +-radius.  d = 2: uniform angles.  d = 3: a
-    Fibonacci lattice, near-uniform coverage with a single count parameter.
+    Fibonacci lattice, near-uniform coverage for any count.
     """
     if d == 1:
         return np.array([[radius], [-radius]])
     if d == 2:
-        theta = TWO_PI * np.arange(nsamples) / nsamples
+        theta = TWO_PI * np.arange(SPHERE_SAMPLES) / SPHERE_SAMPLES
         return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    i = np.arange(nsamples)
-    z = 1.0 - (2.0 * i + 1.0) / nsamples
+    i = np.arange(SPHERE_SAMPLES)
+    z = 1.0 - (2.0 * i + 1.0) / SPHERE_SAMPLES
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     return radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
@@ -244,18 +248,16 @@ def _check_resolved(grid: GridSpec, radius: float) -> None:
         )
 
 
-def hat_on_sphere(G: Kernel, shift: float, nsamples: int = 128) -> OrthogonalityReport:
+def hat_on_sphere(G: Kernel, shift: float) -> OrthogonalityReport:
     """Sample |G^| on the singular sphere by nonuniform quadrature.
 
     The transform is evaluated at off-grid points directly from the samples,
     so the report reflects the quadrature convention exactly rather than an
     interpolation of the DFT.
     """
-    if nsamples < 2:
-        raise ValueError("need at least two sphere samples")
     radius = math.exp(shift)
     _check_resolved(G.grid, radius)
-    pts = sphere_points(G.grid.d, radius, nsamples)
+    pts = sphere_points(G.grid.d, radius)
     vals = np.abs(nudft(G.samples, pts))
     return OrthogonalityReport(
         shift=shift,
@@ -330,7 +332,7 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> list[RealField]
 
 @dataclass(frozen=True)
 class _Projector:
-    """project_orthogonal for one (grid, spec, taper_width, nsamples), prebuilt.
+    """project_orthogonal for one (grid, spec, taper_width), prebuilt.
 
     Holds the atoms, their transforms at the sphere points stacked as the
     real system [Re A; Im A], and that system's pseudo-inverse, so that
@@ -340,7 +342,6 @@ class _Projector:
 
     spec: SymbolSpec
     taper_width: float
-    nsamples: int
     points: np.ndarray
     atoms: np.ndarray  # (atoms, *grid.shape)
     pinv: np.ndarray  # pseudo-inverse of the (2 * points, atoms) sphere system
@@ -356,7 +357,7 @@ class _Projector:
             f"projected:{G.family}",
             {**G.params, "taper_width": self.taper_width, "shift": self.spec.shift},
         )
-        achieved = hat_on_sphere(projected, self.spec.shift, self.nsamples).residual
+        achieved = hat_on_sphere(projected, self.spec.shift).residual
         limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
         if achieved > limit:
             raise ValueError(
@@ -366,7 +367,7 @@ class _Projector:
         return projected
 
 
-def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float, nsamples: int) -> _Projector:
+def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Projector:
     if taper_width < spec.eta:
         raise ValueError(
             f"taper_width {taper_width:.6g} is narrower than the masked annulus eta {spec.eta:.6g}"
@@ -382,7 +383,7 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float, nsamples: i
             f"taper too narrow for the grid: only {affected} modes within "
             f"{nominal:.6g} of the sphere radius {radius:.6g}"
         )
-    pts = sphere_points(grid.d, radius, nsamples)
+    pts = sphere_points(grid.d, radius)
     atoms = _atom_fields(grid, radius, sigma)
     A = np.stack([nudft(a, pts) for a in atoms], axis=1)
     system = np.vstack([A.real, A.imag])
@@ -391,14 +392,13 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float, nsamples: i
     return _Projector(
         spec=spec,
         taper_width=taper_width,
-        nsamples=nsamples,
         points=pts,
         atoms=np.stack([a.values for a in atoms]),
         pinv=np.linalg.pinv(system, rcond=rcond),
     )
 
 
-def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples: int = 128) -> Kernel:
+def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kernel:
     """Remove the kernel's spectral content on the singular sphere.
 
     Subtracts atoms whose transforms concentrate in the annulus
@@ -411,7 +411,7 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float, nsamples
     1e-10 * ||G||_1; coarse grids in d = 3 can pin the floor above that,
     in which case the projection refuses and a finer grid is needed.
     """
-    return _projector(G.grid, spec, taper_width, nsamples)(G)
+    return _projector(G.grid, spec, taper_width)(G)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +471,7 @@ class KernelDiagnostics:
         return _max_ratio(hat, self.modes.symbol, self.modes.active) / TWO_PI ** (hat.ndim / 2.0)
 
 
-def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> KernelDiagnostics:
+def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
     """sup |G^(p) / (ln|p| - shift)| over unmasked modes plus off-grid rings.
 
     The rings sit at radii exp(shift +- eta) and exp(shift +- 2 eta), just
@@ -484,13 +484,11 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> Ker
     the singular sphere and the four rings; the sphere part is what
     hat_on_sphere samples, so the residual equals its maximum.
     """
-    if nsamples < 2:
-        raise ValueError("need at least two sphere samples")
     grid = G.grid
     radius = spec.sphere_radius
     _check_resolved(grid, radius * math.exp(2.0 * spec.eta))
     radii = [radius] + [radius * math.exp(mult * spec.eta) for mult in RING_MULTIPLES]
-    pts = np.concatenate([sphere_points(grid.d, rho, nsamples) for rho in radii])
+    pts = np.concatenate([sphere_points(grid.d, rho) for rho in radii])
     vals = nudft(G.samples, pts)
     per_ring = len(pts) // len(radii)
     return KernelDiagnostics(
@@ -503,13 +501,11 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec, nsamples: int = 128) -> Ker
     )
 
 
-def symbol_ratio_distance(G1: Kernel, G2: Kernel, spec: SymbolSpec, nsamples: int = 128) -> float:
+def symbol_ratio_distance(G1: Kernel, G2: Kernel, spec: SymbolSpec) -> float:
     """sup |G1^(p) - G2^(p)| / |ln|p| - shift| over the gain evaluation set."""
     if G1.grid != G2.grid:
         raise ValueError("kernels live on different grids")
-    return inverse_symbol_gain(G1, spec, nsamples).ratio_distance(
-        inverse_symbol_gain(G2, spec, nsamples)
-    )
+    return inverse_symbol_gain(G1, spec).ratio_distance(inverse_symbol_gain(G2, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +530,16 @@ def verify_hat_bound(G: Kernel) -> BoundCheck:
     )
 
 
-def verify_derivative_bound(
-    G: Kernel,
-    step: float = 1e-5,
-    naxis: int = 96,
-    nrays: int = 6,
-    nradii: int = 48,
-    seed: int = 0,
-) -> BoundCheck:
+def verify_derivative_bound(G: Kernel, seed: int = 0) -> BoundCheck:
     """|d G^ / d|p|| <= (2 pi)^(-d/2) || |x| G ||_1 along axes and random rays.
 
-    Central differences of the nonuniform quadrature with a discretization
-    slack of 1e-6 on the bound.  Radii are geometrically spaced so the
-    low-frequency region, where kernel transforms vary fastest, is sampled
-    densely.
+    Central differences (step 1e-5) of the nonuniform quadrature with a
+    discretization slack of 1e-6 on the bound, at 96 radii along each axis
+    and 48 along each of six random rays.  Radii are geometrically spaced so
+    the low-frequency region, where kernel transforms vary fastest, is
+    sampled densely.
     """
+    step, naxis, nrays, nradii = 1e-5, 96, 6, 48
     grid = G.grid
     bound = G.weighted_l1 / TWO_PI ** (grid.d / 2.0)
     rng = np.random.default_rng(seed)
@@ -608,7 +599,6 @@ def make_sequence(
     schedule: Schedule,
     spec: SymbolSpec,
     taper_width: float,
-    nsamples: int = 128,
 ) -> KernelSequence:
     """Kernels G_m -> G in L1 and weighted L1, each re-projected.
 
@@ -618,14 +608,14 @@ def make_sequence(
     The projector, atoms and sphere system included, is built once and
     applied to every member.
     """
-    residual = hat_on_sphere(G, spec.shift, nsamples).residual
+    residual = hat_on_sphere(G, spec.shift).residual
     if residual > ADMISSIBLE_RTOL * max(1.0, G.l1):
         raise ValueError(
             f"limit kernel is inadmissible: orthogonality residual {residual:.3e} "
             f"exceeds {ADMISSIBLE_RTOL:.1e} * max(1, ||G||_1)"
         )
     grid = G.grid
-    project = _projector(grid, spec, taper_width, nsamples)
+    project = _projector(grid, spec, taper_width)
     members = []
     distances = []
     r = grid.radius_mesh()

@@ -26,6 +26,7 @@ from .grid import RealField, SymbolSpec, TWO_PI, norms
 from .kernels import ADMISSIBLE_RTOL, Kernel, KernelDiagnostics, KernelSequence, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
+    LIP_TRIALS,
     CertificateError,
     ConsistencyError,
     SolveReport,
@@ -114,7 +115,6 @@ def run_sequence(
     eps: float,
     tol: float = 1e-10,
     max_iter: int = 500,
-    nsamples: int = 128,
 ) -> SequenceStudy:
     """Solve the limit problem and every member problem; fill both tables.
 
@@ -127,9 +127,9 @@ def run_sequence(
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     grid = seq.limit.grid
-    lip_sampled = estimate_lipschitz(N, 4096, 0)
+    lip_sampled = estimate_lipschitz(N, LIP_TRIALS, 0)
 
-    diag_limit = inverse_symbol_gain(seq.limit, spec, nsamples)
+    diag_limit = inverse_symbol_gain(seq.limit, spec)
     cert_limit = _certificate(seq.limit, N, spec, eps, diag_limit, lip_sampled)
     if not cert_limit.passed:
         raise MemberCertificateError(
@@ -148,7 +148,7 @@ def run_sequence(
     floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
     for i, member in enumerate(seq.members):
         m = i + 1
-        diag_m = inverse_symbol_gain(member, spec, nsamples)
+        diag_m = inverse_symbol_gain(member, spec)
         cert_m = _certificate(member, N, spec, eps, diag_m, lip_sampled)
         if not cert_m.passed:
             raise MemberCertificateError(
@@ -202,13 +202,7 @@ def run_sequence(
     )
 
 
-def verify_lemmaA2(
-    seq: KernelSequence,
-    spec: SymbolSpec,
-    lip: float,
-    eps: float,
-    nsamples: int = 128,
-) -> LemmaTable:
+def verify_lemmaA2(seq: KernelSequence, spec: SymbolSpec, lip: float, eps: float) -> LemmaTable:
     """Kernel-level convergence checks along the sequence.
 
     Verifies that the symbol-ratio distance to the limit vanishes, that the
@@ -218,9 +212,9 @@ def verify_lemmaA2(
     not raised; a member skipped by the projection shows up with a large
     divergence indicator.
     """
-    limit = inverse_symbol_gain(seq.limit, spec, nsamples)
+    limit = inverse_symbol_gain(seq.limit, spec)
     rows = [
-        _lemma_row(m, member, inverse_symbol_gain(member, spec, nsamples), limit, lip, eps)
+        _lemma_row(m, member, inverse_symbol_gain(member, spec), limit, lip, eps)
         for m, member in enumerate(seq.members, start=1)
     ]
     return _lemma_table(seq, limit, rows, lip, eps)

@@ -50,16 +50,19 @@ __all__ = [
     "CertificateError",
     "ConsistencyError",
     "certify",
-    "picard_multiplier",
     "apply_picard_map",
     "picard_solve",
     "equation_residual",
     "triviality_indicator",
     "ORTH_RTOL",
+    "LIP_TRIALS",
 ]
 
 # Relative orthogonality-residual threshold for a passing certificate.
 ORTH_RTOL = 1e-6
+
+# Samples behind a certificate's advisory Lipschitz estimate, lip_sampled.
+LIP_TRIALS = 4096
 
 
 class CertificateError(RuntimeError):
@@ -147,8 +150,6 @@ def certify(
     N: Nonlinearity,
     spec: SymbolSpec,
     eps_user: float,
-    nsamples: int = 128,
-    lip_trials: int = 4096,
     seed: int = 0,
 ) -> ContractionCertificate:
     """Compute the contraction certificate; failing certificates are returned.
@@ -165,8 +166,8 @@ def certify(
         N,
         spec,
         eps_user,
-        inverse_symbol_gain(G, spec, nsamples),
-        estimate_lipschitz(N, lip_trials, seed),
+        inverse_symbol_gain(G, spec),
+        estimate_lipschitz(N, LIP_TRIALS, seed),
     )
 
 
@@ -389,19 +390,6 @@ def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
     recip = np.divide(1.0, modes.symbol, out=np.zeros(modes.symbol.shape), where=modes.active)
     pref = grid.h**grid.d / TWO_PI ** (grid.d / 2.0)
     return _PicardOperator(grid, G.hat * recip, G.hat, modes, grid.mode_spacing**grid.d * pref * pref)
-
-
-def _hermitian_extension(half: np.ndarray, n: int) -> np.ndarray:
-    """Full FFT-ordered array whose last-axis modes 0..n/2 are half."""
-    twin = half[..., n // 2 - 1 : 0 : -1]
-    for axis in range(half.ndim - 1):
-        twin = np.roll(np.flip(twin, axis), 1, axis)
-    return np.concatenate([half, twin.conj()], axis=-1)
-
-
-def picard_multiplier(G: Kernel, spec: SymbolSpec) -> np.ndarray:
-    """Spectral multiplier (2 pi)^(d/2) G^(p) / (ln|p| - shift), masked."""
-    return _hermitian_extension(_picard_operator(G, spec).multiplier, G.grid.n)
 
 
 def apply_picard_map(v: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec) -> RealField:

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from llap import (
+from llap.grid import (
+    TWO_PI,
     RealField,
     SymbolSpec,
     default_eta,
+    forward_ft,
     make_grid,
-    make_kernel,
-    make_nonlinearity,
+    norms,
+    reciprocal_grid,
     sample,
 )
+from llap.kernels import make_kernel
+from llap.nonlinearity import make_nonlinearity
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -55,7 +59,11 @@ def zero_offset_nonlinearity(grid1):
     return make_nonlinearity("saturating_sine", lip=0.1, offset=RealField.zeros(grid1))
 
 
-def l2_gap(a: RealField, b: RealField) -> float:
-    from llap import norms
+def full_multiplier(K, spec) -> np.ndarray:
+    """The Picard multiplier (2 pi)^(d/2) G^ / (ln|p| - shift) on the full grid, from forward_ft."""
+    recip, _ = reciprocal_grid(K.grid, spec)
+    return TWO_PI ** (K.grid.d / 2.0) * forward_ft(K.samples).coeffs * recip
 
+
+def l2_gap(a: RealField, b: RealField) -> float:
     return norms(RealField(a.values - b.values, a.grid)).l2

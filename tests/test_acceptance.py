@@ -9,41 +9,42 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from llap import (
-    KernelSequence,
+from llap.grid import (
     RealField,
-    Schedule,
     SpectralField,
     SymbolSpec,
-    apply_picard_map,
-    certify,
     default_eta,
-    eval_F,
     forward_ft,
     inverse_ft,
-    inverse_symbol_gain,
-    kernel_from_field,
     make_grid,
-    make_kernel,
-    make_nonlinearity,
-    make_sequence,
     norms,
-    picard_multiplier,
-    picard_solve,
-    project_orthogonal,
-    run_sequence,
     sample,
     spectral_l2,
-    triviality_indicator,
+    symbol_grid,
+)
+from llap.kernels import (
+    KernelSequence,
+    Schedule,
+    _truncation_cutoff,
+    inverse_symbol_gain,
+    kernel_from_field,
+    make_kernel,
+    make_sequence,
+    project_orthogonal,
     verify_derivative_bound,
     verify_hat_bound,
-    verify_lemmaA2,
 )
+from llap.nonlinearity import Nonlinearity, eval_F, make_nonlinearity
+from llap.solver import (
+    apply_picard_map,
+    certify,
+    picard_solve,
+    triviality_indicator,
+)
+from llap.sequence import run_sequence, verify_lemmaA2
 from llap.cli import EXIT_CERTIFICATE, main
-from llap.kernels import _truncation_cutoff
-from llap.nonlinearity import Nonlinearity
 
-from conftest import SQRT_2PI, l2_gap
+from conftest import SQRT_2PI, full_multiplier, l2_gap
 
 EXP_HALF = math.exp(-0.5)
 
@@ -170,7 +171,7 @@ class TestAcceptance:
             base=lambda u: lip * u,
         )
         report = picard_solve(diff_kernel, N, spec1, tol=1e-13, max_iter=400)
-        M = picard_multiplier(diff_kernel, spec1)
+        M = full_multiplier(diff_kernel, spec1)
         hhat = forward_ft(bump_offset).coeffs
         direct = inverse_ft(SpectralField(M * hhat / (1.0 - lip * M), grid1))
         gap = l2_gap(report.final, direct)
@@ -223,8 +224,6 @@ class TestAcceptance:
         frac1 = triviality_indicator(diff_kernel, sine_nonlinearity, spec1, tau=1e-8)
         rep1 = picard_solve(diff_kernel, sine_nonlinearity, spec1, tol=1e-10)
         nontrivial_ok = frac1 > 0.0 and norms(rep1.final).l2 > 1e-12
-
-        from llap import symbol_grid
 
         t = symbol_grid(grid1, spec1.shift)
         coeffs = np.where(np.isfinite(t) & (np.abs(t) < spec1.eta), 1.0, 0.0).astype(complex)

@@ -12,7 +12,7 @@ import llap.cli
 import llap.config
 import llap.kernels
 import llap.solver
-from llap import load_field
+from llap.fieldio import load_field
 from llap.cli import (
     EXIT_CERTIFICATE,
     EXIT_CHECK_FAILED,
@@ -284,6 +284,16 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
         assert 1 <= len(calls) <= 2
+
+    def test_consistency_failure_exit_code(self, runner, tmp_path):
+        # The kernel's spectrum overflows, so the map's spectrum goes non-finite.
+        cfg = _write(tmp_path, REFERENCE.replace("amplitude = 1.0", "amplitude = 1e307"))
+        result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_INCONSISTENT
+        assert result.stderr.splitlines() == [
+            "internal consistency check failed: "
+            "non-finite spectral intermediate; certificate is unsound"
+        ]
 
     def test_zero_kernel_degenerate_cases(self, runner, tmp_path):
         cfg = _write(

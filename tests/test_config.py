@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from llap import ConfigError, dump_field, make_kernel, parse_config
-from llap.fieldio import dump_sidecar
+from llap.config import ConfigError, parse_config
+from llap.fieldio import dump_field, dump_sidecar
+from llap.kernels import make_kernel
 
 REFERENCE = """
 [grid]

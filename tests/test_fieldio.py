@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from llap import RealField, dump_field, load_field, make_grid
-from llap.fieldio import MAGIC, dump_sidecar, load_sidecar
+from llap.grid import RealField, make_grid
+from llap.fieldio import MAGIC, dump_field, dump_sidecar, load_field, load_sidecar
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])

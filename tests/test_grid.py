@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llap import (
+from llap.grid import (
     RealField,
     SpectralField,
     SymbolSpec,

@@ -3,27 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from llap import (
-    RealField,
-    SymbolSpec,
-    default_eta,
-    forward_ft,
+from llap.grid import RealField, SymbolSpec, default_eta, forward_ft, make_grid, norms
+from llap.kernels import (
+    Schedule,
+    difference_coefficient,
     hat_on_sphere,
     inverse_symbol_gain,
     kernel_from_field,
-    make_grid,
     make_kernel,
     make_sequence,
-    norms,
     project_orthogonal,
     sphere_points,
     symbol_ratio_distance,
     verify_derivative_bound,
     verify_hat_bound,
-    Schedule,
 )
 from llap import kernels
-from llap.kernels import difference_coefficient
 from conftest import SQRT_2PI
 
 EXP_HALF = math.exp(-0.5)  # |G^| of the unit Gaussian on the unit sphere
@@ -94,13 +89,10 @@ class TestHatOnSphere:
         with pytest.raises(ValueError, match="resolved"):
             hat_on_sphere(gauss_kernel, math.log(100.0))
 
-    def test_nsamples_validation(self, gauss_kernel):
-        with pytest.raises(ValueError, match="two"):
-            hat_on_sphere(gauss_kernel, 0.0, nsamples=1)
-
     def test_sphere_points_on_sphere(self):
         for d in (2, 3):
-            pts = sphere_points(d, 2.5, 64)
+            pts = sphere_points(d, 2.5)
+            assert pts.shape == (kernels.SPHERE_SAMPLES, d)
             assert np.allclose(np.linalg.norm(pts, axis=1), 2.5, rtol=1e-12)
 
 

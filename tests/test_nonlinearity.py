@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from llap import (
-    RealField,
-    estimate_lipschitz,
-    eval_F,
-    make_grid,
-    make_nonlinearity,
-    verify_growth,
-)
+from llap.grid import RealField, make_grid
+from llap.nonlinearity import estimate_lipschitz, eval_F, make_nonlinearity, verify_growth
 from conftest import l2_gap
 
 

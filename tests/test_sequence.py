@@ -1,17 +1,15 @@
 import pytest
 
-from llap import (
+from llap.grid import RealField
+from llap.kernels import (
     KernelSequence,
-    RealField,
     Schedule,
+    _truncation_cutoff,
     kernel_from_field,
-    make_nonlinearity,
     make_sequence,
-    run_sequence,
-    verify_lemmaA2,
 )
-from llap.kernels import _truncation_cutoff
-from llap.sequence import MemberCertificateError
+from llap.nonlinearity import make_nonlinearity
+from llap.sequence import MemberCertificateError, run_sequence, verify_lemmaA2
 from conftest import SQRT_2PI
 
 

@@ -19,21 +19,11 @@ import llap
 import llap.cli
 import llap.grid as grid_mod
 import llap.solver
-from llap import (
-    Nonlinearity,
-    RealField,
-    SymbolSpec,
-    apply_picard_map,
-    certify,
-    equation_residual,
-    make_grid,
-    make_kernel,
-    make_nonlinearity,
-    picard_solve,
-    sample,
-)
+from llap.grid import RealField, SymbolSpec, make_grid, sample
+from llap.kernels import make_kernel
+from llap.nonlinearity import Nonlinearity, make_nonlinearity
+from llap.solver import ConsistencyError, apply_picard_map, certify, equation_residual, picard_solve
 from llap.cli import EXIT_INCONSISTENT, main
-from llap.solver import ConsistencyError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,11 +91,7 @@ def test_transforms_match_numpy(pool_on, d, half, seed):
     n = 2 * min(half, 8 if d == 3 else 12)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n,) * d)
-    c = a + 1j * rng.normal(size=a.shape)
     assert np.array_equal(grid_mod._rfftn(a), np.fft.rfftn(a))
-    assert np.array_equal(grid_mod._fftn(a), np.fft.fftn(a))
-    assert np.array_equal(grid_mod._fftn(c), np.fft.fftn(c))
-    assert np.array_equal(grid_mod._fftn(c, inverse=True), np.fft.ifftn(c))
 
 
 @pytest.mark.parametrize("parts", [2, 4])

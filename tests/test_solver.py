@@ -5,39 +5,39 @@ import numpy as np
 import pytest
 
 import llap.grid
-from llap import (
-    CertificateError,
-    Nonlinearity,
+from llap.grid import (
     RealField,
-    Schedule,
     SpectralField,
     SymbolSpec,
+    _half_modes,
+    forward_ft,
+    inverse_ft,
+    make_grid,
+    norms,
+    reciprocal_grid,
+    sample,
+    symbol_grid,
+)
+from llap.kernels import (
+    Schedule,
+    inverse_symbol_gain,
+    kernel_from_field,
+    make_kernel,
+    make_sequence,
+    verify_hat_bound,
+)
+from llap.nonlinearity import Nonlinearity, eval_F, make_nonlinearity
+from llap.solver import (
+    CertificateError,
+    _picard_operator,
     apply_picard_map,
     certify,
     equation_residual,
-    eval_F,
-    forward_ft,
-    inverse_ft,
-    inverse_symbol_gain,
-    kernel_from_field,
-    make_grid,
-    make_kernel,
-    make_nonlinearity,
-    make_sequence,
-    norms,
-    picard_multiplier,
     picard_solve,
-    reciprocal_grid,
-    run_sequence,
-    sample,
-    symbol_grid,
     triviality_indicator,
-    verify_hat_bound,
-    verify_lemmaA2,
 )
-from llap.grid import _half_modes
-from llap.solver import _picard_operator
-from conftest import SQRT_2PI, l2_gap
+from llap.sequence import run_sequence, verify_lemmaA2
+from conftest import SQRT_2PI, full_multiplier, l2_gap
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,9 +141,10 @@ class TestApplyMap:
         assert norms(u).l2 <= 1e-14
 
     def test_multiplier_zero_on_masked_and_dc(self, diff_kernel, spec1, grid1):
-        M = picard_multiplier(diff_kernel, spec1)
+        M = _picard_operator(diff_kernel, spec1).multiplier
         _, masked = reciprocal_grid(grid1, spec1)
-        assert np.all(M[masked] == 0.0)
+        assert np.all(M[masked[..., : grid1.n // 2 + 1]] == 0.0)
+        assert np.all(M[_half_modes(grid1, spec1).inactive] == 0.0)
         assert M[grid1.dc_index] == 0.0
 
 
@@ -344,7 +345,7 @@ class TestLinearOracle:
         lip = 0.1
         N = linear_nonlinearity(grid1, lip, bump_offset)
         report = picard_solve(diff_kernel, N, spec1, tol=1e-13, max_iter=400)
-        M = picard_multiplier(diff_kernel, spec1)
+        M = full_multiplier(diff_kernel, spec1)
         hhat = forward_ft(bump_offset).coeffs
         direct = inverse_ft(SpectralField(M * hhat / (1.0 - lip * M), grid1))
         assert l2_gap(report.final, direct) <= 1e-10
@@ -375,16 +376,15 @@ class TestHalfSpectrumHigherDimensions:
 
     def test_multiplier_matches_full_spectrum(self, problem):
         grid, spec, K, N = problem
-        recip, _ = reciprocal_grid(grid, spec)
-        full = TWO_PI ** (grid.d / 2.0) * forward_ft(K.samples).coeffs * recip
-        M = picard_multiplier(K, spec)
-        assert M.shape == grid.shape
-        assert np.max(np.abs(M - full)) <= 1e-14 * np.max(np.abs(full))
+        full = full_multiplier(K, spec)
+        M = _picard_operator(K, spec).multiplier
+        assert M.shape == grid.shape[:-1] + (grid.n // 2 + 1,)
+        assert np.max(np.abs(M - full[..., : grid.n // 2 + 1])) <= 1e-14 * np.max(np.abs(full))
 
     def test_map_matches_full_spectrum_step(self, problem):
         grid, spec, K, N = problem
         v = RealField(np.random.default_rng(1).normal(0.0, 0.5, grid.shape), grid)
-        M = TWO_PI ** (grid.d / 2.0) * forward_ft(K.samples).coeffs * reciprocal_grid(grid, spec)[0]
+        M = full_multiplier(K, spec)
         expected = inverse_ft(SpectralField(M * forward_ft(eval_F(N, v)).coeffs, grid))
         mapped = apply_picard_map(v, K, N, spec)
         assert l2_gap(mapped, expected) <= 1e-13 * norms(expected).l2
@@ -473,14 +473,17 @@ class TestOneKernelTransform:
         self, grid1, spec1, sine_nonlinearity, monkeypatch
     ):
         inputs = []
-        for real in (llap.grid._rfftn, llap.grid._fftn):
 
-            def recorded(a, *args, _real=real, **kwargs):
+        def recorder(real):
+            def recorded(a, *args, **kwargs):
                 inputs.append(a)
-                return _real(a, *args, **kwargs)
+                return real(a, *args, **kwargs)
 
-            for mod, name in _llap_bindings(real):
-                monkeypatch.setattr(mod, name, recorded)
+            return recorded
+
+        for mod, name in _llap_bindings(llap.grid._rfftn):
+            monkeypatch.setattr(mod, name, recorder(llap.grid._rfftn))
+        monkeypatch.setattr(np.fft, "fftn", recorder(np.fft.fftn))
         K = make_kernel(
             "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid1
         )
