@@ -89,9 +89,15 @@ def _available_bytes() -> int | None:
     return available
 
 
-def _preflight(grid) -> None:
-    """Refuse, with exit 2, a problem whose arrays cannot fit in memory."""
-    need = _peak_bytes(grid.d, grid.n)
+def _preflight(cfg: RunConfig | None, grid, command: str) -> None:
+    """Refuse, with exit 2, a problem whose arrays cannot fit in memory.
+
+    cfg supplies the member count and the projection flag; None stands for
+    a command that builds no kernel.
+    """
+    members = cfg.schedule().members if command == "sequence" else 0
+    project = cfg is not None and bool(cfg.get("kernel", "project", False))
+    need = _peak_bytes(grid.d, grid.n, command, members, project)
     available = _available_bytes()
     if available is not None and need > available:
         click.echo(
@@ -102,12 +108,12 @@ def _preflight(grid) -> None:
         sys.exit(EXIT_CONFIG)
 
 
-def _build_run(cfg: RunConfig):
+def _build_run(cfg: RunConfig, command: str):
     try:
         grid = cfg.grid()
+        _preflight(cfg, grid, command)
     except (ConfigError, ValueError, OSError) as e:
         _fail(EXIT_CONFIG, "config error", e)
-    _preflight(grid)
     try:
         spec = cfg.symbol_spec(grid)
         kernel = cfg.kernel(grid, spec)
@@ -146,7 +152,7 @@ def main():
 def certify(config: str, out_dir: str):
     """Compute the contraction certificate; exit 0 only if it passes."""
     cfg = _load(config)
-    grid, spec, kernel, nonlin = _build_run(cfg)
+    grid, spec, kernel, nonlin = _build_run(cfg, "certify")
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
     fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
@@ -166,7 +172,7 @@ def certify(config: str, out_dir: str):
 def solve(config: str, out_dir: str):
     """Run the Picard iteration to its fixed point and write the report."""
     cfg = _load(config)
-    grid, spec, kernel, nonlin = _build_run(cfg)
+    grid, spec, kernel, nonlin = _build_run(cfg, "solve")
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
     fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
@@ -221,7 +227,7 @@ def solve(config: str, out_dir: str):
 def sequence(config: str, out_dir: str):
     """Solve along a convergent kernel sequence and verify the limit claims."""
     cfg = _load(config)
-    grid, spec, kernel, nonlin = _build_run(cfg)
+    grid, spec, kernel, nonlin = _build_run(cfg, "sequence")
     try:
         schedule = cfg.schedule()
         seq = make_sequence(kernel, schedule, spec, taper_width=cfg.taper_width)
@@ -295,7 +301,7 @@ def verify(config: str, out_dir: str):
     """Run the full property suite for the configured problem."""
     cfg = _load(config)
     try:
-        _preflight(cfg.grid())
+        _preflight(cfg, cfg.grid(), "verify")
         # An overflow ends in ConsistencyError or a failed check; numpy's
         # floating-point warnings would only repeat it on stderr.
         with np.errstate(all="ignore"):
@@ -320,7 +326,7 @@ def ft_selftest_cmd(config: str | None, out_dir: str):
             grid, seed = cfg.grid(), cfg.seed
         except (ConfigError, ValueError) as e:
             _fail(EXIT_CONFIG, "config error", e)
-        _preflight(grid)
+        _preflight(None, grid, "ft-selftest")
     else:
         grid = make_grid(1, 20.0, 1024)
         seed = 0

@@ -146,7 +146,13 @@ class KernelSequence:
 
 
 def _build(samples: RealField, family: str, params: dict) -> Kernel:
-    n = norms(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = norms(samples)
+    if not (math.isfinite(n.l1) and math.isfinite(n.weighted_l1)):
+        raise ValueError(
+            f"kernel norms overflow (||G||_1 = {n.l1:.3g}, || |x| G ||_1 = {n.weighted_l1:.3g}); "
+            "G must be integrable"
+        )
     return Kernel(
         samples=samples,
         family=family,
@@ -278,56 +284,120 @@ def hat_on_sphere(G: Kernel, shift: float) -> OrthogonalityReport:
 _ENVELOPE_FLOOR = {1: 2.0, 2: 7.5, 3: 7.5}
 
 
-def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> list[RealField]:
-    """Analytic atoms whose transforms concentrate near |p| = radius.
+# Rows per block of the Bessel quadratures: each (rows x nodes) phase array
+# stays near 512 kB however many distinct radii the grid has.
+_QUADRATURE_ELEMENTS = 2**16
+
+
+def _row_blocks(rows: int, nodes: int):
+    step = max(1, _QUADRATURE_ELEMENTS // nodes)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """J_k(z) for z >= 0, one column per order k, by Bessel's integral.
+
+    J_k(z) = (1/pi) int_0^pi cos(k t - z sin t) dt (DLMF 10.9.2).  The
+    integrand is even and 2 pi-periodic in t, so the midpoint rule on
+    m = ceil(max(z, k)) + 40 nodes converges exponentially; expanding the
+    cosine makes every order one real matrix product.
+    """
+    k = np.asarray(orders, dtype=float)
+    m = math.ceil(max(float(z.max()), k.max())) + 40
+    t = (np.arange(m) + 0.5) * (math.pi / m)
+    sin_t = np.sin(t)
+    cos_kt = np.cos(np.multiply.outer(t, k)) / m
+    sin_kt = np.sin(np.multiply.outer(t, k)) / m
+    out = np.empty((len(z), len(k)))
+    for rows in _row_blocks(len(z), m):
+        ph = np.multiply.outer(z[rows], sin_t)
+        out[rows] = np.cos(ph) @ cos_kt + np.sin(ph) @ sin_kt
+    return out
+
+
+def _spherical_bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """j_l(z) for z >= 0, one column per order l, by the Legendre integral.
+
+    j_l(z) = (1 / (2 i^l)) int_{-1}^{1} exp(i z x) P_l(x) dx (DLMF 10.54.2).
+    The part of opposite parity to P_l integrates to zero, so even orders
+    contract cos(z x) and odd ones sin(z x) with w P_l(x) / (2 (-1)^(l//2)),
+    by Gauss-Legendre quadrature on ceil(z/2) + l + 40 nodes.
+    """
+    nodes = math.ceil(float(z.max()) / 2.0) + max(orders) + 40
+    x, _ = np.polynomial.legendre.leggauss(nodes)
+    # The weights are rebuilt at leggauss's nodes as 2 / ((1 - x^2) P_n'(x)^2)
+    # from the three-term recurrence: numpy's own lose a digit at these node
+    # counts (1.0e-14 in j_l at 90 nodes, against 1.7e-15).
+    P = [np.ones(nodes), x]
+    for k in range(2, nodes + 1):
+        P.append(((2 * k - 1) * x * P[-1] - (k - 1) * P[-2]) / k)
+    dP = nodes * (x * P[nodes] - P[nodes - 1]) / (x * x - 1.0)
+    w = 2.0 / ((1.0 - x * x) * dP * dP)
+    weights = np.stack([w * P[ell] / (2.0 * (-1) ** (ell // 2)) for ell in orders], axis=1)
+    odd = np.array([ell % 2 == 1 for ell in orders])
+    out = np.empty((len(z), len(orders)))
+    for rows in _row_blocks(len(z), nodes):
+        zx = np.multiply.outer(z[rows], x)
+        for cols, trig in ((~odd, np.cos), (odd, np.sin)):
+            if cols.any():
+                out[rows, cols] = trig(zx) @ weights[:, cols]
+    return out
+
+
+def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
+    """Analytic atoms whose transforms concentrate near |p| = radius, stacked.
 
     The Gaussian envelope exp(-sigma^2 |x|^2 / 2) sets the spectral bump
     half-width.  One dimension needs a cosine and a sine atom for the real
     and imaginary parts on the two-point sphere.  For d >= 2 the basis is a
     radial atom plus atoms modulated by the angular harmonics the Cartesian
     grid itself excites (fourfold harmonics for d = 2, cubic invariants for
-    d = 3), each paired with the matching Bessel radial profile.
+    d = 3), each paired with the matching Bessel radial profile: J_k from
+    Bessel's integral by the midpoint rule on ceil(max(z, k)) + 40 nodes
+    (d = 2), j_l from the Legendre integral by Gauss-Legendre quadrature on
+    ceil(z/2) + l + 40 nodes (d = 3), z running up to the largest radius
+    times |x|.
     """
     r = grid.radius_mesh()
     env = np.exp(-(sigma * r) ** 2 / 2.0)
     if grid.d == 1:
         x = grid.coord_meshes()[0]
-        return [
-            RealField(env * np.cos(radius * x), grid),
-            RealField(env * np.sin(radius * x), grid),
-        ]
-    # Imported here: scipy.special dominates the package's import time, and
-    # the one-dimensional atoms need no Bessel function.
-    from scipy.special import jv, spherical_jn
-
-    # The Bessel functions dominate the cost, and the grid's symmetries
-    # repeat every radius many times: evaluate them once per distinct radius.
+        return np.stack([env * np.cos(radius * x), env * np.sin(radius * x)])
+    # The grid's symmetries repeat every radius many times: evaluate the
+    # profiles once per distinct radius.
     distinct, where = np.unique(radius * r, return_inverse=True)
 
-    def profile(bessel, order: int) -> np.ndarray:
-        return bessel(order, distinct)[where].reshape(grid.shape)
+    def atoms(angular: np.ndarray, profiles: np.ndarray, columns) -> np.ndarray:
+        """Multiply angular factor i by env and profile column columns[i], in place."""
+        for atom, column in zip(angular, columns):
+            atom *= env * profiles[:, column][where].reshape(grid.shape)
+        return angular
 
     if grid.d == 2:
+        orders = (0, 4, 8, 12)
         X, Y = grid.coord_meshes()
         theta = np.arctan2(Y, X)
-        return [
-            RealField(env * profile(jv, k) * np.cos(k * theta), grid)
-            for k in (0, 4, 8, 12)
-        ]
-    X, Y, Z = grid.coord_meshes()
-    rr = np.where(r > 0, r, 1.0)
-    invariants = [
-        (0, np.ones(grid.shape)),
-        (4, (X**4 + Y**4 + Z**4) / rr**4),
-        (6, (X**2 * Y**2 * Z**2) / rr**6),
-        (8, (X**8 + Y**8 + Z**8) / rr**8),
-        (8, (X**4 * Y**4 + Y**4 * Z**4 + Z**4 * X**4) / rr**8),
-        (10, (X**2 * Y**2 * Z**2 * (X**4 + Y**4 + Z**4)) / rr**10),
-    ]
-    return [
-        RealField(env * profile(spherical_jn, ell) * c, grid)
-        for ell, c in invariants
-    ]
+        angular = np.empty((len(orders), *grid.shape))
+        for atom, k in zip(angular, orders):
+            np.cos(k * theta, out=atom)
+        return atoms(angular, _bessel_j(orders, distinct), range(len(orders)))
+    # The cubic invariants, as short products of the squared direction
+    # cosines a, b, c (0 at the origin), written straight into the atoms.
+    x2 = grid.axis_coords() ** 2
+    r2 = np.where(r > 0, r * r, 1.0)
+    a, b, c = (x2.reshape(shape) / r2 for shape in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    angular = np.empty((6, *grid.shape))
+    one, quartic, abc, octic, mixed, decic = angular
+    one[...] = 1.0
+    np.multiply(a * b, c, out=abc)
+    for s in (a, b, c):
+        np.multiply(s, s, out=s)
+    np.add(a + b, c, out=quartic)
+    np.add(a * a + b * b, c * c, out=octic)
+    np.add(a * b + b * c, c * a, out=mixed)
+    np.multiply(abc, quartic, out=decic)
+    # Profile columns for l = 0, 4, 6, 8, 10; both l = 8 invariants use one.
+    return atoms(angular, _spherical_bessel_j((0, 4, 6, 8, 10), distinct), (0, 1, 2, 3, 3, 4))
 
 
 @dataclass(frozen=True)
@@ -351,7 +421,8 @@ class _Projector:
         if float(np.max(np.abs(target))) == 0.0:
             return G
         coeffs = self.pinv @ np.concatenate([target.real, target.imag])
-        vals = G.samples.values - np.tensordot(coeffs, self.atoms, axes=1)
+        vals = np.tensordot(coeffs, self.atoms, axes=1)
+        np.subtract(G.samples.values, vals, out=vals)
         projected = _build(
             RealField(vals, G.grid),
             f"projected:{G.family}",
@@ -385,7 +456,7 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
         )
     pts = sphere_points(grid.d, radius)
     atoms = _atom_fields(grid, radius, sigma)
-    A = np.stack([nudft(a, pts) for a in atoms], axis=1)
+    A = np.stack([nudft(RealField(a, grid), pts) for a in atoms], axis=1)
     system = np.vstack([A.real, A.imag])
     # The singular-value cutoff np.linalg.lstsq applies with rcond=None.
     rcond = np.finfo(float).eps * max(system.shape)
@@ -393,7 +464,7 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
         spec=spec,
         taper_width=taper_width,
         points=pts,
-        atoms=np.stack([a.values for a in atoms]),
+        atoms=atoms,
         pinv=np.linalg.pinv(system, rcond=rcond),
     )
 
@@ -594,6 +665,15 @@ def _unit_mass_gaussian_field(grid: GridSpec, width: float) -> RealField:
     return RealField(vals / mass, grid)
 
 
+def _member_samples(G: Kernel, schedule: Schedule, m: int) -> RealField:
+    grid = G.grid
+    if schedule.kind == "truncate":
+        R = float(np.linspace(schedule.r_start, schedule.r_stop, schedule.members)[m - 1])
+        cut = _truncation_cutoff(grid.radius_mesh(), R, schedule.cutoff_width)
+        return RealField(cut * G.samples.values, grid)
+    return periodic_convolution(G.samples, _unit_mass_gaussian_field(grid, schedule.moll_scale / m))
+
+
 def make_sequence(
     G: Kernel,
     schedule: Schedule,
@@ -618,20 +698,13 @@ def make_sequence(
     project = _projector(grid, spec, taper_width)
     members = []
     distances = []
-    r = grid.radius_mesh()
-    radii = np.linspace(schedule.r_start, schedule.r_stop, schedule.members)
     for m in range(1, schedule.members + 1):
-        if schedule.kind == "truncate":
-            cut = _truncation_cutoff(r, float(radii[m - 1]), schedule.cutoff_width)
-            raw = RealField(cut * G.samples.values, grid)
-        else:
-            moll = _unit_mass_gaussian_field(grid, schedule.moll_scale / m)
-            raw = periodic_convolution(G.samples, moll)
-        member = kernel_from_field(raw, family=f"{schedule.kind}:{G.family}", params={"m": m})
+        member = kernel_from_field(
+            _member_samples(G, schedule, m), family=f"{schedule.kind}:{G.family}", params={"m": m}
+        )
         if member.l1 > 0:
             member = project(member)
-        diff = RealField(member.samples.values - G.samples.values, grid)
-        dn = norms(diff)
+        dn = norms(RealField(member.samples.values - G.samples.values, grid))
         members.append(member)
         distances.append((dn.l1, dn.weighted_l1))
     return KernelSequence(members=tuple(members), limit=G, distances=tuple(distances))

@@ -368,20 +368,35 @@ def _all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(np.sum(x))) or bool(np.isfinite(x).all())
 
 
-def _peak_bytes(d: int, n: int) -> int:
-    """Estimated peak bytes of the arrays a certify-and-solve run on (d, n) holds.
+def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = False) -> int:
+    """Estimated peak bytes of the arrays the CLI command holds on (d, n).
 
-    Seven real fields (kernel samples, offset, starting field, cached |x|
-    mesh, both iterates, the report's final copy) and seven half spectra (the
-    kernel's hat, the multiplier, three iterate buffers, the symbol with its
-    masks, and transients such as numpy's FFT plans).  Traced with
-    tracemalloc, such a run peaks at 12.8 to 13.5 real fields at d = 1, 2 and
-    3, and ft_selftest at 12.0 to 13.2, against about 14 here; the
+    certify, solve and ft-selftest: seven real fields (kernel samples,
+    offset, starting field, cached |x| mesh, both iterates, the report's
+    final copy) and seven half spectra (the kernel's hat, the multiplier,
+    three iterate buffers, the symbol with its masks, and transients such as
+    numpy's FFT plans).  verify adds seven real fields: the property
+    suite's random pairs, their images and differences beside a map
+    application's buffers.  sequence adds, per member kernel, its samples
+    and its hat, and the projector's atoms (2, 4 or 6 real fields at d = 1,
+    2, 3), which make_sequence always builds; the atoms also count for any
+    command whose kernel is projected.  Traced with tracemalloc, a
+    certify-and-solve run peaks at 12.8 to 13.5 real fields at d = 1, 2 and
+    3, ft_selftest at 12.0 to 13.2, against about 14 here; verify at 19.9
+    (d = 2, n = 256) and 20.0 (d = 3, n = 48) against 21.1 and 21.3; a
+    six-member sequence at 28.6 and 29.6 against 30.1 and 32.5.  The
     interpreter and its modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
-    return 7 * real + 7 * half
+    total = 7 * real + 7 * half
+    if command == "verify":
+        total += 7 * real
+    if command == "sequence":
+        total += members * (real + half)
+    if command == "sequence" or project:
+        total += 2 * d * real
+    return total
 
 
 def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -30,6 +32,18 @@ RAW_GAUSSIAN = REFERENCE.replace(
     "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0",
     "family = gaussian\nwidth = 1.0\namplitude = 1.0",
 )
+
+
+def _box(d, n, L, project=False):
+    """REFERENCE on another box; project swaps in a projected Gaussian, eta 0.05."""
+    text = REFERENCE.replace("d = 1", f"d = {d}").replace("L = 20.0", f"L = {L}")
+    text = text.replace("n = 1024", f"n = {n}")
+    if project:
+        text = text.replace("eps_user = 0.1", "eps_user = 0.1\neta = 0.05").replace(
+            "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0",
+            "family = gaussian\nwidth = 1.0\namplitude = 1.0\nproject = true\ntaper_width = 0.5",
+        )
+    return text
 
 
 @pytest.fixture()
@@ -71,6 +85,27 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", cfg])
         assert result.exit_code == EXIT_CONFIG
         assert "even" in result.output
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
+def test_overflowing_kernel_refused_in_one_line(tmp_path, command):
+    # A fresh process, so that numpy's floating-point warnings would reach
+    # stderr as they do for a user rather than being raised by pytest.
+    cfg = _write(tmp_path, REFERENCE.replace("amplitude = 1.0", "amplitude = 1e307"))
+    src = str(Path(llap.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "llap.cli", command, cfg, "-o", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.splitlines() == [
+        "config error: kernel norms overflow (||G||_1 = inf, || |x| G ||_1 = inf); "
+        "G must be integrable"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 class TestOutOfRangeSettings:
@@ -285,9 +320,18 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert 1 <= len(calls) <= 2
 
-    def test_consistency_failure_exit_code(self, runner, tmp_path):
-        # The kernel's spectrum overflows, so the map's spectrum goes non-finite.
-        cfg = _write(tmp_path, REFERENCE.replace("amplitude = 1.0", "amplitude = 1e307"))
+    def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        # A non-finite multiplier makes the map's spectrum non-finite.
+        build = llap.checks._picard_operator
+
+        def poisoned(G, spec):
+            op = build(G, spec)
+            multiplier = op.multiplier.copy()
+            multiplier[1] = np.nan
+            return type(op)(**{**vars(op), "multiplier": multiplier})
+
+        monkeypatch.setattr(llap.checks, "_picard_operator", poisoned)
+        cfg = _write(tmp_path, REFERENCE)
         result = runner.invoke(main, ["verify", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_INCONSISTENT
         assert result.stderr.splitlines() == [
@@ -306,10 +350,19 @@ class TestVerifyCommand:
 class TestMemoryPreflight:
     def test_estimate_arithmetic(self):
         # d=3, n=512: a real field is 2^30 bytes, a half spectrum
-        # 16 * 512^2 * 257 bytes; seven of each.
-        assert llap.solver._peak_bytes(3, 512) == 7 * 2**30 + 7 * 16 * 512**2 * 257
-        assert llap.solver._peak_bytes(3, 512) == 15_061_745_664
-        assert llap.solver._peak_bytes(1, 1024) == 7 * 8 * 1024 + 7 * 16 * 513
+        # 16 * 512^2 * 257 bytes; seven of each, seven more real fields for
+        # verify, and for sequence a real field and a half spectrum per
+        # member plus six atoms.
+        real, half = 2**30, 16 * 512**2 * 257
+        assert llap.solver._peak_bytes(3, 512, "solve") == 7 * real + 7 * half
+        assert llap.solver._peak_bytes(3, 512, "certify") == 15_061_745_664
+        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 7 * 8 * 1024 + 7 * 16 * 513
+        assert llap.solver._peak_bytes(3, 512, "verify") == 14 * real + 7 * half
+        assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 13 * real + 7 * half
+        assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 19 * real + 13 * half
+        assert llap.solver._peak_bytes(2, 512, "sequence", members=2, project=True) == (
+            llap.solver._peak_bytes(2, 512, "sequence", members=2)
+        )
 
     @staticmethod
     def _certify_and_solve(d, n, L):
@@ -325,6 +378,17 @@ class TestMemoryPreflight:
         report = llap.picard_solve(K, N, spec, v0=v0, certificate=cert)
         assert report.converged
         llap.norms(report.final)  # as the solve summary does
+
+    @classmethod
+    def _sequence(cls, d, n, L):
+        # What the sequence command builds and holds, with a projected limit.
+        cfg = llap.config.parse_config(_box(d, n, L, project=True))
+        grid = cfg.grid()
+        spec = cfg.symbol_spec(grid)
+        K = cfg.kernel(grid, spec)
+        seq = llap.make_sequence(K, cfg.schedule(), spec, taper_width=cfg.taper_width)
+        study = llap.run_sequence(seq, cfg.nonlinearity(grid), spec, eps=0.1, tol=1e-10, max_iter=200)
+        assert study.lemma.passed
 
     @pytest.mark.parametrize("d,n", [(2, 256), (3, 48)])
     def test_estimate_bounds_a_traced_run(self, d, n):
@@ -344,8 +408,31 @@ class TestMemoryPreflight:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        estimate = llap.solver._peak_bytes(d, n)
+        estimate = llap.solver._peak_bytes(d, n, "solve")
         assert 0.8 * estimate <= max(peaks) <= estimate
+
+    @pytest.mark.parametrize("d,n,warm", [(2, 256, (32, 15.0)), (3, 48, (32, 10.0))])
+    @pytest.mark.parametrize("command", ["sequence", "verify"])
+    def test_command_estimate_bounds_a_traced_run(self, d, n, warm, command):
+        # As above, for what sequence (with a projected limit) and verify
+        # hold; the warm-up box is too small to be traced.
+        if command == "sequence":
+            L = 19.5 if d == 2 else 12.5
+            run = lambda n, L: self._sequence(d, n, L)  # noqa: E731
+        else:
+            L = 17.0
+            run = lambda n, L: llap.checks.run_property_suite(  # noqa: E731
+                llap.config.parse_config(_box(d, n, L))
+            )
+        run(*warm)
+        tracemalloc.start()
+        try:
+            run(n, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = llap.solver._peak_bytes(d, n, command, members=6)
+        assert 0.8 * estimate <= peak <= estimate, peak / estimate
 
     def test_available_memory_is_read(self):
         available = llap.cli._available_bytes()
@@ -363,8 +450,11 @@ class TestMemoryPreflight:
         cfg = _write(tmp_path, big)
         result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CONFIG
+        # verify holds seven more real fields; sequence its six members'
+        # samples and hats and the six d = 3 atoms.
+        need = {"verify": "21.0", "sequence": "32.1"}.get(command, "14.0")
         assert result.output.strip().splitlines() == [
-            "memory preflight: d=3, n=512 needs an estimated 14.0 GiB of arrays, "
+            f"memory preflight: d=3, n=512 needs an estimated {need} GiB of arrays, "
             "more than the 1.0 GiB available"
         ]
 
@@ -409,6 +499,20 @@ def test_reference_run_is_deterministic(runner, tmp_path):
             assert result.exit_code == 0, result.output
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
     assert Path("field.llap") in files
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_projected_2d_sequence_is_deterministic(runner, tmp_path):
+    # The d = 2 atoms' Bessel profiles come from BLAS matrix products; two
+    # runs must still give byte-identical out-dirs.
+    cfg = _write(tmp_path, _box(2, 64, 12.5, project=True))
+    for out in ("a", "b"):
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+    assert len(files) == 3
     assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

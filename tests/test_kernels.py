@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llap.grid import RealField, SymbolSpec, default_eta, forward_ft, make_grid, norms
 from llap.kernels import (
@@ -146,6 +151,12 @@ class TestProjection:
         proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.25)
         assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
 
+    def test_projection_d3_cubic(self):
+        g = make_grid(3, 12.0, 32)
+        K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, g)
+        proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.5)
+        assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
+
     def test_projection_nonradial_d1(self, grid1):
         # Off-center kernels have complex G^ on the sphere; both parts go.
         x = grid1.axis_coords()
@@ -153,6 +164,61 @@ class TestProjection:
         K = kernel_from_field(RealField(vals, grid1), "shifted")
         proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.25)
         assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
+
+
+@pytest.fixture(scope="module")
+def special():
+    return pytest.importorskip("scipy.special")
+
+
+class TestBesselProfiles:
+    """The atoms' radial profiles against scipy.special, the reference."""
+
+    # Subnormal radii are left out: scipy's spherical_jn returns nan there
+    # (l = 4 at 5e-324), and a grid radius is 0 or at least a grid spacing.
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 80.0, allow_subnormal=False), min_size=1, max_size=40))
+    def test_match_scipy(self, special, zs):
+        z = np.array([0.0, *zs])
+        J = kernels._bessel_j((0, 4, 8, 12), z)
+        for i, k in enumerate((0, 4, 8, 12)):
+            assert np.max(np.abs(J[:, i] - special.jv(k, z))) <= 1e-14
+        j = kernels._spherical_bessel_j((0, 4, 6, 8, 10), z)
+        for i, ell in enumerate((0, 4, 6, 8, 10)):
+            assert np.max(np.abs(j[:, i] - special.spherical_jn(ell, z))) <= 1e-14
+
+    def test_odd_spherical_orders(self, special):
+        # The sine branch of the Legendre integral; the atoms use even orders.
+        z = np.linspace(0.0, 80.0, 801)
+        j = kernels._spherical_bessel_j((1, 3, 4), z)
+        for i, ell in enumerate((1, 3, 4)):
+            assert np.max(np.abs(j[:, i] - special.spherical_jn(ell, z))) <= 1e-14
+
+    def test_blocks_cover_every_radius(self, monkeypatch):
+        z = np.linspace(0.0, 30.0, 1001)
+        whole = kernels._bessel_j((0, 4), z), kernels._spherical_bessel_j((0, 4), z)
+        monkeypatch.setattr(kernels, "_QUADRATURE_ELEMENTS", 1000)
+        blocked = kernels._bessel_j((0, 4), z), kernels._spherical_bessel_j((0, 4), z)
+        for a, b in zip(whole, blocked):
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def test_projection_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "from llap.grid import SymbolSpec, make_grid\n"
+        "from llap.kernels import make_kernel, project_orthogonal\n"
+        "for d, n, L in ((2, 64, 20.0), (3, 32, 12.0)):\n"
+        "    K = make_kernel('gaussian', {'width': 1.0}, make_grid(d, L, n))\n"
+        "    project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestInverseSymbolGain:
