@@ -238,7 +238,8 @@ def sequence(config: str, out_dir: str):
             seq, nonlin, spec, eps=cfg.eps_user, tol=cfg.tol, max_iter=cfg.max_iter
         )
     except MemberCertificateError as e:
-        click.echo(f"certificate failure at member {e.member}: {e}", err=True)
+        where = "the limit kernel" if e.member is None else f"member {e.member}"
+        click.echo(f"certificate failure at {where}: {e}", err=True)
         sys.exit(EXIT_CERTIFICATE)
     except ConsistencyError as e:
         _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)

@@ -30,7 +30,14 @@ import numpy as np
 
 from . import fieldio
 from .grid import GridSpec, RealField, SymbolSpec, default_eta, make_grid, sample
-from .kernels import Kernel, Schedule, kernel_from_field, make_kernel, project_orthogonal
+from .kernels import (
+    Kernel,
+    Schedule,
+    _check_band,
+    kernel_from_field,
+    make_kernel,
+    project_orthogonal,
+)
 from .nonlinearity import Nonlinearity, make_nonlinearity
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -138,7 +145,11 @@ class RunConfig:
         eta = self.get("symbol", "eta")
         if eta is None:
             eta = default_eta(grid, shift)
-        return SymbolSpec(shift=shift, eta=eta)
+        spec = SymbolSpec(shift=shift, eta=eta)
+        # Every diagnostics pass samples out to the outer ring: an unresolved
+        # band is refused here, before any kernel is built.
+        _check_band(grid, spec)
+        return spec
 
     @property
     def eps_user(self) -> float:

@@ -496,14 +496,19 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
         (2 pi)^(-d/2) h^d sum_j f(x_j) exp(-i p.x_j),
 
     an exact quadrature, not an interpolation.  The phase separates over
-    axes, so the sum is a chunked separable contraction: for a chunk of
-    points, the axis-0 phases E_0 = exp(-i p_0 x) (chunk x n) multiply the
-    samples viewed as an (n, n^(d-1)) matrix, as two real matrix products
-    (cosine and sine), and every further axis is contracted row by row
-    with its own phases.  A chunk holds at most min(n/2, n^(d-1)) points,
-    so neither the complex intermediate (chunk x n^(d-1)) nor a phase
-    matrix exceeds the bytes of one real n^d field; in one dimension that
-    means one point at a time.
+    axes, so the sum is a chunked separable contraction in real arithmetic.
+    For a chunk of c points, the axis-0 cosines and negated sines (2c x n)
+    multiply the samples viewed as an (n, n^(d-1)) matrix in one matrix
+    product, whose rows are the real and imaginary parts; every further
+    axis is contracted point by point with its own cosines and sines in one
+    batched matrix product.  A chunk holds at most min(n/2, n^(d-1)) points,
+    so neither a phase matrix nor the product (2c x n^(d-1)) exceeds the
+    bytes of one real n^d field; in one dimension that means one point at a
+    time.  Phases, products and contractions are written into buffers made
+    once per call, so a call never holds two chunks' temporaries.
+
+    The diagnostics pass (``kernels.inverse_symbol_gain``) calls this once
+    per kernel and symbol spec in a run, and the kernel keeps the record.
     """
     g = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -512,18 +517,38 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
     x = g.axis_coords()
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
     samples = f.values.reshape(g.n, -1)
+    rest = samples.shape[1]
     out = np.empty(pts.shape[0], dtype=complex)
-    chunk = min(g.n // 2, g.n ** (g.d - 1))
+    chunk = min(g.n // 2, rest)
+    trig_buf = np.empty((2 * chunk, g.n))
+    prod_buf = np.empty(2 * chunk * rest)
+    parts_buf = np.empty(4 * chunk * (rest // g.n))
     for start in range(0, pts.shape[0], chunk):
         p = pts[start : start + chunk]
         c = p.shape[0]
-        theta = np.multiply.outer(p[:, 0], x)
-        both = np.concatenate([np.cos(theta), np.sin(theta)]) @ samples
-        acc = both[:c] - 1j * both[c:]
+        trig = trig_buf[: 2 * c]
+        np.multiply.outer(p[:, 0], x, out=trig[c:])
+        np.cos(trig[c:], out=trig[:c])
+        np.sin(trig[c:], out=trig[c:])
+        np.negative(trig[c:], out=trig[c:])
+        # Rows [:c] hold the real parts, rows [c:] the imaginary parts.
+        acc = prod_buf[: 2 * c * rest].reshape(2 * c, rest)
+        np.matmul(trig, samples, out=acc)
         for axis in range(1, g.d):
-            phase = np.exp(-1j * np.multiply.outer(p[:, axis], x))
-            acc = np.einsum("cj,cjk->ck", phase, acc.reshape(c, g.n, -1))
-        out[start : start + c] = pref * acc[:, 0]
+            # (cos - i sin)(re + i im) summed over this axis, per point.
+            k = acc.shape[1] // g.n
+            phase = trig.reshape(c, 2, g.n)
+            np.multiply.outer(p[:, axis], x, out=phase[:, 1])
+            np.cos(phase[:, 1], out=phase[:, 0])
+            np.sin(phase[:, 1], out=phase[:, 1])
+            parts = parts_buf[: 4 * c * k].reshape(2, c, 2, k)
+            np.matmul(phase, acc.reshape(2, c, g.n, k), out=parts)
+            # The product has been read; its buffer takes the contraction.
+            acc = prod_buf[: 2 * c * k].reshape(2 * c, k)
+            np.add(parts[0, :, 0], parts[1, :, 1], out=acc[:c])
+            np.subtract(parts[1, :, 0], parts[0, :, 1], out=acc[c:])
+        np.multiply(acc[:c, 0], pref, out=out.real[start : start + c])
+        np.multiply(acc[c:, 0], pref, out=out.imag[start : start + c])
     return out
 
 

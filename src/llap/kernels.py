@@ -9,7 +9,11 @@ logarithmic symbol vanishes:
   have residual ~0, and only for those is the inverse-symbol gain stable
   under refinement of the masked annulus.
 * ``Kernel.hat``, made when the kernel is built, is its one transform.
-* ``inverse_symbol_gain`` is the one diagnostics pass per kernel.  Its
+* ``inverse_symbol_gain`` is the one diagnostics pass per kernel and symbol
+  spec in a run: one NUDFT call over the sphere and four rings, made on
+  first use and kept on the kernel, so the projector's residual check, the
+  admissibility check of ``make_sequence``, the certificates, the sequence
+  rows and ``verify_lemmaA2`` all read the same record.  Its
   ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
   unmasked grid modes, refined by off-grid rings just outside the masked
   annulus, and the orthogonality residual.  That residual divided by eta
@@ -76,7 +80,12 @@ SPHERE_SAMPLES = 128
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel samples with their one transform, quadrature norms and an analytic tag."""
+    """Kernel samples with their one transform, quadrature norms and an analytic tag.
+
+    The kernel also keeps its diagnostics passes, one per SymbolSpec, as
+    inverse_symbol_gain makes them; a pass holds the hat by reference and
+    640 complex sphere and ring values (d >= 2), about 10 kB.
+    """
 
     samples: RealField
     family: str
@@ -84,6 +93,7 @@ class Kernel:
     l1: float
     weighted_l1: float
     hat: np.ndarray  # (2 pi)^(d/2) G^ on the half spectrum, read-only
+    _diagnostics: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def grid(self) -> GridSpec:
@@ -153,6 +163,12 @@ def _build(samples: RealField, family: str, params: dict) -> Kernel:
             f"kernel norms overflow (||G||_1 = {n.l1:.3g}, || |x| G ||_1 = {n.weighted_l1:.3g}); "
             "G must be integrable"
         )
+    # L2 norms of fields made from G (members, differences) square its values.
+    if not math.isfinite(n.l2):
+        raise ValueError(
+            f"kernel norms overflow (||G||_2 = {n.l2:.3g}, ||G||_1 = {n.l1:.3g}); "
+            "G must be square integrable"
+        )
     return Kernel(
         samples=samples,
         family=family,
@@ -214,7 +230,15 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
             raise ValueError(f"difference kernel needs positive widths, got {params}")
         if w1 == w2:
             raise ValueError("difference kernel needs two distinct widths")
-        c2 = c1 * difference_coefficient(w1, w2, shift)
+        try:
+            c2 = c1 * difference_coefficient(w1, w2, shift)
+        except OverflowError:
+            c2 = math.inf
+        if not math.isfinite(c2):
+            raise ValueError(
+                f"difference kernel's second coefficient overflows at shift {shift:.6g} "
+                f"(widths {w1:.6g}, {w2:.6g}); lower the shift or bring the widths closer"
+            )
         vals = c1 * _unit_gaussian(r, w1, grid.d) - c2 * _unit_gaussian(r, w2, grid.d)
         return _build(
             RealField(vals, grid),
@@ -246,12 +270,23 @@ def sphere_points(d: int, radius: float) -> np.ndarray:
     return radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _check_resolved(grid: GridSpec, radius: float) -> None:
+def _check_resolved(grid: GridSpec, radius: float, what: str = "sphere radius") -> None:
     if radius >= grid.nyquist_radius:
         raise ValueError(
-            f"sphere radius {radius:.6g} lies outside the resolved frequency band "
-            f"(Nyquist {grid.nyquist_radius:.6g}); enlarge n or L"
+            f"{what} {radius:.6g} lies outside the resolved frequency band "
+            f"(Nyquist {grid.nyquist_radius:.6g}); raise n or shrink L"
         )
+
+
+def _check_band(grid: GridSpec, spec: SymbolSpec) -> None:
+    """Refuse a spec whose sphere or outermost diagnostics ring is unresolved.
+
+    The diagnostics pass samples G^ out to exp(shift + 2 eta), so every
+    later reader of it needs that radius below the grid's Nyquist radius.
+    """
+    radius = spec.sphere_radius
+    _check_resolved(grid, radius)
+    _check_resolved(grid, radius * math.exp(2.0 * spec.eta), "outer ring radius exp(a + 2 eta) =")
 
 
 def hat_on_sphere(G: Kernel, shift: float) -> OrthogonalityReport:
@@ -407,7 +442,9 @@ class _Projector:
     Holds the atoms, their transforms at the sphere points stacked as the
     real system [Re A; Im A], and that system's pseudo-inverse, so that
     projecting a kernel costs one NUDFT of the kernel, one small matrix
-    product and the re-measured residual check.
+    product and the projected kernel's diagnostics pass, whose sphere
+    residual is the re-measured check and which the kernel keeps for its
+    later readers.
     """
 
     spec: SymbolSpec
@@ -428,7 +465,7 @@ class _Projector:
             f"projected:{G.family}",
             {**G.params, "taper_width": self.taper_width, "shift": self.spec.shift},
         )
-        achieved = hat_on_sphere(projected, self.spec.shift).residual
+        achieved = inverse_symbol_gain(projected, self.spec).orth_residual
         limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
         if achieved > limit:
             raise ValueError(
@@ -443,8 +480,8 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
         raise ValueError(
             f"taper_width {taper_width:.6g} is narrower than the masked annulus eta {spec.eta:.6g}"
         )
+    _check_band(grid, spec)
     radius = spec.sphere_radius
-    _check_resolved(grid, radius)
     nominal = taper_width * radius / 2.0
     sigma = max(nominal, _ENVELOPE_FLOOR[grid.d] / grid.L)
     pr = grid.mode_radius_mesh()
@@ -553,11 +590,22 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
 
     The grid modes are read from the kernel's hat, and one NUDFT call covers
     the singular sphere and the four rings; the sphere part is what
-    hat_on_sphere samples, so the residual equals its maximum.
+    hat_on_sphere samples, so the residual equals its maximum.  The pass is
+    made once per (kernel, spec) and kept on the kernel: later calls return
+    the same record.
     """
+    diag = G._diagnostics.get(spec)
+    if diag is None:
+        # setdefault keeps one record per spec should two threads race here.
+        diag = G._diagnostics.setdefault(spec, _diagnostics_pass(G, spec))
+    return diag
+
+
+def _diagnostics_pass(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
+    """The NUDFT over the sphere and the rings behind inverse_symbol_gain."""
     grid = G.grid
     radius = spec.sphere_radius
-    _check_resolved(grid, radius * math.exp(2.0 * spec.eta))
+    _check_band(grid, spec)
     radii = [radius] + [radius * math.exp(mult * spec.eta) for mult in RING_MULTIPLES]
     pts = np.concatenate([sphere_points(grid.d, rho) for rho in radii])
     vals = nudft(G.samples, pts)
@@ -686,9 +734,11 @@ def make_sequence(
     (orthogonality residual at most 1e-8 relative); every member is passed
     through project_orthogonal so the per-member conditions hold as well.
     The projector, atoms and sphere system included, is built once and
-    applied to every member.
+    applied to every member.  The admissibility check and the projector's
+    re-measured residuals read each kernel's diagnostics pass, which the
+    kernels keep for run_sequence and verify_lemmaA2.
     """
-    residual = hat_on_sphere(G, spec.shift).residual
+    residual = inverse_symbol_gain(G, spec).orth_residual
     if residual > ADMISSIBLE_RTOL * max(1.0, G.l1):
         raise ValueError(
             f"limit kernel is inadmissible: orthogonality residual {residual:.3e} "

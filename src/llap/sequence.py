@@ -15,7 +15,8 @@ distance vanishes along the sequence, the gains converge, the per-member
 admissibility (without which the gains diverge as the annulus shrinks), and
 persistence of the uniform certificate in the limit.  ``run_sequence`` fills
 it from the same diagnostics pass per kernel that its certificates use;
-``verify_lemmaA2`` builds it on its own, without solving.
+``verify_lemmaA2`` builds it without solving.  Both read the passes the
+kernels keep (``make_sequence`` made them), so neither computes a NUDFT.
 """
 
 from __future__ import annotations
@@ -120,9 +121,10 @@ def run_sequence(
 
     Refuses with the offending member index as soon as any certificate
     fails the uniform bound.  The limit problem is solved first because the
-    rows reference ||F(u, .)||_2 of its solution.  Each kernel gets one
-    diagnostics pass, which serves its certificate, its row and its
-    LemmaTable row (the table verify_lemmaA2 returns for N.lip and eps).
+    rows reference ||F(u, .)||_2 of its solution.  Each kernel's one
+    diagnostics pass, kept on the kernel, serves its certificate, its row
+    and its LemmaTable row (the table verify_lemmaA2 returns for N.lip and
+    eps).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -51,6 +52,27 @@ def runner():
     return CliRunner()
 
 
+def _count_passes(monkeypatch):
+    """Diagnostics passes computed, as (kernel, eta), and every NUDFT call's size.
+
+    A pass a kernel already keeps is served without either.
+    """
+    passes, sizes = [], []
+    compute, nudft = llap.kernels._diagnostics_pass, llap.kernels.nudft
+
+    def counted_pass(G, spec):
+        passes.append((G, spec.eta))
+        return compute(G, spec)
+
+    def counted_nudft(f, points):
+        sizes.append(len(points))
+        return nudft(f, points)
+
+    monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted_pass)
+    monkeypatch.setattr(llap.kernels, "nudft", counted_nudft)
+    return passes, sizes
+
+
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -87,24 +109,70 @@ class TestCertifyCommand:
         assert "even" in result.output
 
 
-@pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
-def test_overflowing_kernel_refused_in_one_line(tmp_path, command):
-    # A fresh process, so that numpy's floating-point warnings would reach
-    # stderr as they do for a user rather than being raised by pytest.
-    cfg = _write(tmp_path, REFERENCE.replace("amplitude = 1.0", "amplitude = 1e307"))
+def _llap(tmp_path, text, command):
+    """Run one llap command on a config text in a fresh process.
+
+    A fresh process, so that numpy's floating-point warnings would reach
+    stderr as they do for a user rather than being raised by pytest.
+    """
+    cfg = _write(tmp_path, text)
     src = str(Path(llap.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "llap.cli", command, cfg, "-o", str(tmp_path / "out")],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
+def test_overflowing_kernel_refused_in_one_line(tmp_path, command):
+    result = _llap(tmp_path, REFERENCE.replace("amplitude = 1.0", "amplitude = 1e307"), command)
     assert result.returncode == EXIT_CONFIG
     assert result.stderr.splitlines() == [
         "config error: kernel norms overflow (||G||_1 = inf, || |x| G ||_1 = inf); "
         "G must be integrable"
     ]
+    assert not (tmp_path / "out").exists()
+
+
+RING_BEYOND_NYQUIST = (
+    "config error: outer ring radius exp(a + 2 eta) = 80.869 lies outside the resolved "
+    "frequency band (Nyquist 80.4248); raise n or shrink L"
+)
+
+
+@pytest.mark.parametrize(
+    "kernel, old, new, line",
+    [
+        # The sphere (80.24) is resolved, the outer ring (80.87) is not.
+        ("raw", "a = 0.0", "a = 4.385", RING_BEYOND_NYQUIST),
+        ("reference", "a = 0.0", "a = 4.385", RING_BEYOND_NYQUIST),
+        # exp(3 e^(2a) / 2) overflows for the second Gaussian's weight.
+        (
+            "reference",
+            "a = 0.0",
+            "a = 4.0",
+            "config error: difference kernel's second coefficient overflows at shift 4 "
+            "(widths 1, 2); lower the shift or bring the widths closer",
+        ),
+        # ||G||_1 is finite, its sum of squares is not.
+        (
+            "reference",
+            "amplitude = 1.0",
+            "amplitude = 1e306",
+            "config error: kernel norms overflow (||G||_2 = inf, ||G||_1 = 3.48e+306); "
+            "G must be square integrable",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
+def test_unusable_symbol_or_kernel_refused_in_one_line(tmp_path, command, kernel, old, new, line):
+    text = RAW_GAUSSIAN if kernel == "raw" else REFERENCE
+    result = _llap(tmp_path, text.replace(old, new), command)
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.splitlines() == [line]
     assert not (tmp_path / "out").exists()
 
 
@@ -230,24 +298,18 @@ class TestSequenceCommand:
         assert (out / "lemma_checks.csv").exists()
 
     def test_one_diagnostics_pass_per_kernel(self, runner, tmp_path, monkeypatch):
-        # Six members plus the limit: each kernel's one pass serves its
-        # certificate, its sequence row and its lemma row.
-        calls = []
-        real = llap.kernels.inverse_symbol_gain
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if (name == "llap" or name.startswith("llap.")) and getattr(
-                mod, "inverse_symbol_gain", None
-            ) is real:
-                monkeypatch.setattr(mod, "inverse_symbol_gain", counted)
+        # Six members plus the limit: each kernel's one pass serves the
+        # admissibility check (limit) or the projector's residual check
+        # (members), then its certificate, its sequence row and its lemma row.
+        passes, nudft_sizes = _count_passes(monkeypatch)
         result = runner.invoke(main, ["sequence", str(CONFIGS / "reference.cfg"),
                                       "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
-        assert len(calls) == 7
+        assert len(passes) == 7
+        assert len({id(G) for G, _ in passes}) == 7
+        # Beside the 7 passes (10 points each in d = 1), only the projector
+        # calls the NUDFT: once per atom (2) and once per member (6).
+        assert sorted(nudft_sizes) == [2] * 8 + [10] * 7
 
     def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
         def violated(*args, **kwargs):
@@ -264,6 +326,15 @@ class TestSequenceCommand:
         cfg = _write(tmp_path, REFERENCE.replace("l = 0.1", "l = 1.0"))
         result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CERTIFICATE
+
+    def test_limit_failure_names_the_limit_kernel(self, tmp_path):
+        result = _llap(tmp_path, REFERENCE.replace("l = 0.1", "l = 1.0"), "sequence")
+        assert result.returncode == EXIT_CERTIFICATE
+        assert re.fullmatch(
+            r"certificate failure at the limit kernel: limit kernel fails the uniform "
+            r"certificate \(q = 2\.65651, residual = \d\.\d{3}e-\d\d\)\n",
+            result.stderr,
+        )
 
 
 class TestVerifyCommand:
@@ -288,22 +359,14 @@ class TestVerifyCommand:
     def test_one_diagnostics_pass_per_eta(self, runner, tmp_path, monkeypatch):
         # eta = 0.05 is the dichotomy check's first eta, so its pass also
         # gives the grid gain of the sampled contraction check.
-        calls = []
-        real = llap.kernels.inverse_symbol_gain
-
-        def counted(*args, **kwargs):
-            calls.append(args[1].eta)
-            return real(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if (name == "llap" or name.startswith("llap.")) and getattr(
-                mod, "inverse_symbol_gain", None
-            ) is real:
-                monkeypatch.setattr(mod, "inverse_symbol_gain", counted)
+        # The projector makes the eta = 0.05 pass when the kernel is built.
+        passes, nudft_sizes = _count_passes(monkeypatch)
         result = runner.invoke(main, ["verify", str(CONFIGS / "projected_gaussian.cfg"),
                                       "-o", str(tmp_path / "out")])
         assert "na_dichotomy" in result.output
-        assert calls == [0.05, 0.025, 0.0125]
+        assert [eta for _, eta in passes] == [0.05, 0.025, 0.0125]
+        assert len({id(G) for G, _ in passes}) == 1
+        assert nudft_sizes.count(10) == 3
 
     def test_picard_operator_built_at_most_twice(self, runner, tmp_path, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,27 @@ class TestFourierTransform:
         assert nudft(f, np.empty((0, 1))).shape == (0,)
         with pytest.raises(ValueError, match="shape"):
             nudft(f, np.zeros((3, 2)))
+
+
+    def test_nudft_chunks_share_one_set_of_buffers(self):
+        # Five and a half chunks at d = 2 hold no more than one chunk does,
+        # apart from the larger output.
+        grid = make_grid(2, 10.0, 128)
+        rng = np.random.default_rng(3)
+        f = RealField(rng.normal(size=grid.shape), grid)
+        chunk = grid.n // 2
+        one = rng.uniform(-5.0, 5.0, size=(chunk, 2))
+        many = rng.uniform(-5.0, 5.0, size=(11 * chunk // 2, 2))
+        nudft(f, many)
+        peaks = []
+        for pts in (one, many):
+            tracemalloc.start()
+            try:
+                nudft(f, pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + many.shape[0] * 16
 
 
 def _brute_force_nudft(f: RealField, pts: np.ndarray) -> np.ndarray:

@@ -63,6 +63,17 @@ class TestMakeKernel:
         with pytest.raises(ValueError, match="family"):
             make_kernel("sinc", {}, grid1)
 
+    def test_difference_coefficient_overflow_refused(self, grid1):
+        # exp(3 e^(2 shift) / 2) overflows a double from shift ~ 3.1 on.
+        with pytest.raises(ValueError, match="second coefficient overflows at shift 4"):
+            make_kernel("difference", {"width1": 1.0, "width2": 2.0, "shift": 4.0}, grid1)
+
+    def test_overflowing_sum_of_squares_refused(self, grid1):
+        K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1e150}, grid1)
+        assert math.isfinite(norms(K.samples).l2)
+        with pytest.raises(ValueError, match=r"\|\|G\|\|_2 = inf.*square integrable"):
+            make_kernel("gaussian", {"width": 1.0, "amplitude": 1e160}, grid1)
+
     def test_bump_support(self, grid1):
         K = make_kernel("bump", {"radius": 2.0, "amplitude": 1.0}, grid1)
         outside = np.abs(grid1.axis_coords()) >= 2.0
@@ -243,6 +254,24 @@ class TestInverseSymbolGain:
     def test_divergence_indicator_small_for_admissible(self, diff_kernel):
         est = inverse_symbol_gain(diff_kernel, SymbolSpec(0.0, 0.05))
         assert est.divergence_indicator <= 1e-8
+
+    def test_one_pass_kept_per_spec(self, grid1):
+        K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, grid1)
+        first = inverse_symbol_gain(K, SymbolSpec(0.0, 0.05))
+        assert inverse_symbol_gain(K, SymbolSpec(0.0, 0.05)) is first
+        other = inverse_symbol_gain(K, SymbolSpec(0.0, 0.025))
+        assert other is not first and other.eta == 0.025
+        assert first.grid_hat is K.hat
+        fresh = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, grid1)
+        assert inverse_symbol_gain(fresh, SymbolSpec(0.0, 0.05)) is not first
+
+    def test_outer_ring_outside_band_rejected(self, gauss_kernel, grid1):
+        # The sphere sits just inside the Nyquist radius, the outer ring
+        # exp(2 eta) further out does not.
+        shift = math.log(0.999 * grid1.nyquist_radius)
+        assert hat_on_sphere(gauss_kernel, shift).residual >= 0.0
+        with pytest.raises(ValueError, match="outer ring radius .* lies outside the resolved"):
+            inverse_symbol_gain(gauss_kernel, SymbolSpec(shift, 0.01))
 
     def test_ring_contributes(self, gauss_kernel):
         # For the raw Gaussian the sup lives on the off-grid ring, not on

@@ -1,11 +1,13 @@
 import pytest
 
+import llap.kernels
 from llap.grid import RealField
 from llap.kernels import (
     KernelSequence,
     Schedule,
     _truncation_cutoff,
     kernel_from_field,
+    make_kernel,
     make_sequence,
 )
 from llap.nonlinearity import make_nonlinearity
@@ -165,3 +167,29 @@ class TestVerifyLemma:
         good = table.rows[0]
         assert good.admissible
         assert good.divergence_indicator < 1e-8
+
+
+def test_one_diagnostics_pass_per_kernel_through_the_chain(
+    grid1, spec1, sine_nonlinearity, monkeypatch
+):
+    # make_sequence measures the limit (admissibility) and every projected
+    # member (residual check); run_sequence and verify_lemmaA2 read those
+    # passes.  A fresh limit kernel: the session's kernels may keep passes.
+    passes = []
+    compute = llap.kernels._diagnostics_pass
+
+    def counted(G, spec):
+        passes.append((G, spec))
+        return compute(G, spec)
+
+    monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted)
+    G = make_kernel("difference", {"width1": 1.0, "width2": 2.0, "shift": 0.0}, grid1)
+    sched = Schedule(kind="truncate", members=6, r_start=6.0, r_stop=14.0, cutoff_width=2.0)
+    seq = make_sequence(G, sched, spec1, taper_width=0.5)
+    assert len(passes) == 7
+    study = run_sequence(seq, sine_nonlinearity, spec1, eps=0.1, tol=1e-10)
+    table = verify_lemmaA2(seq, spec1, lip=sine_nonlinearity.lip, eps=0.1)
+    assert len(passes) == 7
+    assert [id(K) for K, _ in passes] == [id(K) for K in (seq.limit, *seq.members)]
+    assert all(spec == spec1 for _, spec in passes)
+    assert table == study.lemma
