@@ -108,6 +108,7 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
 
 # (section, key) -> (accepts the parsed value, what the value must satisfy)
 _RANGES = {
+    ("symbol", "a"): (lambda v: np.isfinite(v), "must be finite"),
     ("symbol", "eps_user"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("solver", "tol"): (lambda v: v > 0.0, "must be positive"),
     ("solver", "max_iter"): (lambda v: v >= 1, "must be at least 1"),
@@ -229,7 +230,8 @@ class RunConfig:
                 raise ConfigError("gauss_bump offset needs amplitude >= 0 and width > 0")
             return sample(
                 grid,
-                lambda *xs: amp * np.exp(-sum((x - center) ** 2 for x in xs) / (2.0 * width**2)),
+                # Scaled before squaring: width**2 overflows from width ~ 1e154.
+                lambda *xs: amp * np.exp(-sum(((x - center) / width) ** 2 for x in xs) / 2.0),
             )
         if h_family == "file":
             path = self.get("nonlinearity", "h_path")

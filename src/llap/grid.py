@@ -32,10 +32,11 @@ Every operation here is a pure function of its inputs, and field values are
 frozen at construction, so grids, fields and spectra are safe to share
 across threads.
 
-Large real transforms (``_rfftn``) and the Picard step run in slabs on a pool
-of worker threads.  They run numpy's own 1-D transforms in numpy's axis
-order, so a transform equals numpy's n-D transform bit for bit, however many
-threads there are.
+Fields are transformed on the half spectrum by ``_rfftn`` and ``_irfftn``;
+``_half_ft`` is the quadrature above times (2 pi)^(d/2).  Large transforms
+and the Picard step run in slabs on a pool of worker threads, with numpy's
+own 1-D transforms in numpy's axis order, so a transform equals numpy's
+n-D real transform bit for bit, however many threads there are.
 """
 
 from __future__ import annotations
@@ -51,19 +52,12 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "RealField",
-    "SpectralField",
     "SymbolSpec",
     "Norms",
     "make_grid",
     "sample",
-    "forward_ft",
-    "inverse_ft",
-    "symbol_grid",
-    "reciprocal_grid",
     "default_eta",
     "norms",
-    "spectral_l2",
-    "periodic_convolution",
     "nudft",
     "boundary_decay",
 ]
@@ -102,10 +96,6 @@ class GridSpec:
         """Largest resolved frequency magnitude per axis, pi*n/(2L)."""
         return math.pi * self.n / (2.0 * self.L)
 
-    @property
-    def dc_index(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
     def axis_coords(self) -> np.ndarray:
         """Sample coordinates -L + j*h for one axis."""
         return -self.L + self.h * np.arange(self.n)
@@ -121,9 +111,6 @@ class GridSpec:
     def mode_axis(self) -> np.ndarray:
         """Frequency values (pi/L)*k for one axis in FFT ordering."""
         return self.mode_spacing * np.fft.fftfreq(self.n, d=1.0 / self.n)
-
-    def mode_radius_mesh(self) -> np.ndarray:
-        return _mode_radius(self)
 
     def radius_mesh(self) -> np.ndarray:
         """Euclidean |x| at every grid point."""
@@ -182,22 +169,6 @@ class RealField:
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients in FFT ordering, immutable."""
-
-    coeffs: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        if c.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "coeffs", _freeze(c))
-
-
-@dataclass(frozen=True)
 class SymbolSpec:
     """Location and regularization of the singular sphere of the symbol.
 
@@ -231,17 +202,11 @@ def sample(grid: GridSpec, fn: Callable[..., np.ndarray]) -> RealField:
     return RealField(np.asarray(fn(*grid.coord_meshes()), dtype=float), grid)
 
 
-def _phase(grid: GridSpec, last: int) -> np.ndarray:
+def _phase(grid: GridSpec) -> np.ndarray:
     # exp(+i pi k) = (-1)^k per axis relates samples on [-L, L) to the
-    # index-space DFT; the last axis keeps its first `last` modes.
+    # index-space DFT; the last axis keeps the half spectrum's n/2 + 1 modes.
     sign = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
-    return reduce(np.multiply.outer, [sign] * (grid.d - 1) + [sign[:last]])
-
-
-@lru_cache(maxsize=32)
-def _mode_radius(grid: GridSpec) -> np.ndarray:
-    meshes = np.meshgrid(*([grid.mode_axis()] * grid.d), indexing="ij")
-    return _freeze(np.sqrt(sum(m * m for m in meshes)))
+    return reduce(np.multiply.outer, [sign] * (grid.d - 1) + [sign[: grid.n // 2 + 1]])
 
 
 @lru_cache(maxsize=32)
@@ -374,62 +339,33 @@ def _rfftn(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def forward_ft(f: RealField) -> SpectralField:
-    """Quadrature approximation of the unitary Fourier transform."""
-    g = f.grid
-    pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
-    coeffs = pref * _phase(g, g.n) * np.fft.fftn(f.values)
-    return SpectralField(coeffs, g)
+def _irfftn(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.irfftn(spectrum, out.shape) over every axis, bit for bit, in slabs.
+
+    The mirror of _rfftn; spectrum is overwritten when d >= 2.
+    """
+    slabs = _slabs(out.shape, spectrum.shape)
+    if out.ndim > 1:
+        slabs.map(lambda cols: np.fft.ifft(spectrum[cols], axis=0, out=spectrum[cols]), slabs.cols)
+    slabs.map(lambda rows: _irfft_rows(spectrum[rows], out[rows]), slabs.rows)
+    return out
 
 
 def _half_ft(f: RealField) -> np.ndarray:
-    """(2 pi)^(d/2) forward_ft(f) on the half spectrum: h^d (-1)^k rfftn(f), read-only."""
+    """(2 pi)^(d/2) times the transform F of f on the half spectrum: h^d (-1)^k rfftn(f), read-only."""
     g = f.grid
     out = _rfftn(f.values)
-    np.multiply(out, g.h**g.d * _phase(g, g.n // 2 + 1), out=out)
+    np.multiply(out, g.h**g.d * _phase(g), out=out)
     return _freeze(out)
 
 
-def inverse_ft(F: SpectralField) -> RealField:
-    """Invert forward_ft; raises if the input is not conjugate-symmetric.
+def _convolution(fhat: np.ndarray, ghat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Periodic convolution h^d sum_m f(x_m) g(x_j - x_m) from _half_ft(f) and _half_ft(g).
 
-    A genuinely real field has conjugate-symmetric coefficients; an
-    imaginary residue above 1e-10 of the spectral norm signals misuse.
+    By the convolution theorem above, _half_ft(f * g) = fhat ghat.
     """
-    g = F.grid
-    pref = (g.mode_spacing**g.d / TWO_PI ** (g.d / 2.0)) * g.npoints
-    vals = pref * np.fft.ifftn(_phase(g, g.n) * F.coeffs)
-    scale = spectral_l2(F)
-    imag_max = float(np.max(np.abs(vals.imag))) if scale > 0 else 0.0
-    if imag_max > 1e-10 * scale:
-        raise ValueError(
-            "coefficients are not conjugate-symmetric: "
-            f"imaginary residue {imag_max:.3e} exceeds 1e-10 * {scale:.3e}"
-        )
-    return RealField(vals.real, g)
-
-
-def symbol_grid(grid: GridSpec, shift: float) -> np.ndarray:
-    """ln|p_k| - shift on all modes; -inf at the DC mode."""
-    r = grid.mode_radius_mesh()
-    with np.errstate(divide="ignore"):
-        return np.log(r) - shift
-
-
-def reciprocal_grid(grid: GridSpec, spec: SymbolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized reciprocal 1/(ln|p| - shift) on all modes.
-
-    Returns (values, masked).  The value is 0 on the annulus
-    |ln|p| - shift| < eta, which masked flags, and at the DC mode, where the
-    reciprocal tends to 0 continuously and masked is False.
-    """
-    t = symbol_grid(grid, spec.shift)
-    masked = np.abs(t) < spec.eta
-    masked[grid.dc_index] = False
-    values = np.zeros(grid.shape)
-    active = ~masked & np.isfinite(t)
-    values[active] = 1.0 / t[active]
-    return values, masked
+    spectrum = fhat * ghat * (_phase(grid) / grid.h**grid.d)
+    return _irfftn(spectrum, np.empty(grid.shape))
 
 
 class _HalfModes(NamedTuple):
@@ -448,14 +384,25 @@ class _HalfModes(NamedTuple):
     masked_modes: int  # modes of the full grid with |ln|p| - shift| < eta
 
 
+def _half_radius(grid: GridSpec) -> np.ndarray:
+    """|p| on the half spectrum."""
+    axes = [grid.mode_axis()] * (grid.d - 1) + [grid.mode_axis()[: grid.n // 2 + 1]]
+    return np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True)))
+
+
+def _half_weights(grid: GridSpec) -> np.ndarray:
+    """Each half-spectrum mode counted with its twin (see _HalfModes); a broadcast view."""
+    last = np.where(np.arange(grid.n // 2 + 1) % (grid.n // 2), 2.0, 1.0)
+    return np.broadcast_to(last, grid.shape[:-1] + last.shape)
+
+
 @lru_cache(maxsize=32)
 def _half_modes(grid: GridSpec, spec: SymbolSpec) -> _HalfModes:
-    axes = [grid.mode_axis()] * (grid.d - 1) + [grid.mode_axis()[: grid.n // 2 + 1]]
     with np.errstate(divide="ignore"):
-        t = np.log(np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))))
+        t = np.log(_half_radius(grid))
     t -= spec.shift
     active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-    weights = np.broadcast_to(np.where(np.arange(grid.n // 2 + 1) % (grid.n // 2), 2.0, 1.0), t.shape)
+    weights = _half_weights(grid)
     masked = int(np.sum(weights, where=np.abs(t) < spec.eta))
     symbol = _freeze(np.where(active, t, 0.0))
     return _HalfModes(symbol, _freeze(active), _freeze(~active), weights, masked)
@@ -471,21 +418,6 @@ def norms(f: RealField) -> Norms:
         l1=w * float(np.sum(a)),
         weighted_l1=w * float(np.sum(g.radius_mesh() * a)),
     )
-
-
-def spectral_l2(F: SpectralField) -> float:
-    """Quadrature L2 norm in frequency; equals norms(f).l2 by Parseval."""
-    g = F.grid
-    return math.sqrt(g.mode_spacing**g.d * float(np.sum(np.abs(F.coeffs) ** 2)))
-
-
-def periodic_convolution(f: RealField, g: RealField) -> RealField:
-    """Periodic convolution h^d sum_m f(x_m) g(x_j - x_m) on the box."""
-    if f.grid != g.grid:
-        raise ValueError("convolution operands live on different grids")
-    d = f.grid.d
-    chat = TWO_PI ** (d / 2.0) * forward_ft(f).coeffs * forward_ft(g).coeffs
-    return inverse_ft(SpectralField(chat, f.grid))
 
 
 def nudft(f: RealField, points: np.ndarray) -> np.ndarray:

@@ -4,10 +4,6 @@ The solvability theory for the nonlocal equation hinges on the behaviour of
 the kernel's Fourier transform near the sphere |p| = exp(shift) where the
 logarithmic symbol vanishes:
 
-* ``hat_on_sphere`` samples |G^(p)| on that sphere by direct nonuniform
-  quadrature; its maximum is the orthogonality residual.  Admissible kernels
-  have residual ~0, and only for those is the inverse-symbol gain stable
-  under refinement of the masked annulus.
 * ``Kernel.hat``, made when the kernel is built, is its one transform.
 * ``inverse_symbol_gain`` is the one diagnostics pass per kernel and symbol
   spec in a run: one NUDFT call over the sphere and four rings, made on
@@ -16,7 +12,10 @@ logarithmic symbol vanishes:
   rows and ``verify_lemmaA2`` all read the same record.  Its
   ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
   unmasked grid modes, refined by off-grid rings just outside the masked
-  annulus, and the orthogonality residual.  That residual divided by eta
+  annulus, and the orthogonality residual: the maximum of |G^| sampled on
+  the sphere by direct nonuniform quadrature.  Admissible kernels have
+  residual ~0, and only for those is the inverse-symbol gain stable under
+  refinement of the masked annulus.  That residual divided by eta
   accompanies the gain as a divergence indicator: on a fixed grid the sup is
   always finite, and only that indicator distinguishes a genuinely bounded
   ratio from a 1/eta divergence.
@@ -41,17 +40,18 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
+    _convolution,
     _half_ft,
     _half_modes,
+    _half_radius,
+    _half_weights,
     _HalfModes,
     norms,
     nudft,
-    periodic_convolution,
 )
 
 __all__ = [
     "Kernel",
-    "OrthogonalityReport",
     "KernelDiagnostics",
     "BoundCheck",
     "Schedule",
@@ -59,7 +59,6 @@ __all__ = [
     "make_kernel",
     "kernel_from_field",
     "sphere_points",
-    "hat_on_sphere",
     "project_orthogonal",
     "inverse_symbol_gain",
     "symbol_ratio_distance",
@@ -98,16 +97,6 @@ class Kernel:
     @property
     def grid(self) -> GridSpec:
         return self.samples.grid
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """|G^| sampled on the singular sphere; residual = max of the samples."""
-
-    shift: float
-    points: np.ndarray
-    values: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -270,42 +259,25 @@ def sphere_points(d: int, radius: float) -> np.ndarray:
     return radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _check_resolved(grid: GridSpec, radius: float, what: str = "sphere radius") -> None:
-    if radius >= grid.nyquist_radius:
-        raise ValueError(
-            f"{what} {radius:.6g} lies outside the resolved frequency band "
-            f"(Nyquist {grid.nyquist_radius:.6g}); raise n or shrink L"
-        )
-
-
 def _check_band(grid: GridSpec, spec: SymbolSpec) -> None:
     """Refuse a spec whose sphere or outermost diagnostics ring is unresolved.
 
     The diagnostics pass samples G^ out to exp(shift + 2 eta), so every
     later reader of it needs that radius below the grid's Nyquist radius.
+    The radii are compared by their logarithms, which stay finite where a
+    radius overflows.
     """
-    radius = spec.sphere_radius
-    _check_resolved(grid, radius)
-    _check_resolved(grid, radius * math.exp(2.0 * spec.eta), "outer ring radius exp(a + 2 eta) =")
-
-
-def hat_on_sphere(G: Kernel, shift: float) -> OrthogonalityReport:
-    """Sample |G^| on the singular sphere by nonuniform quadrature.
-
-    The transform is evaluated at off-grid points directly from the samples,
-    so the report reflects the quadrature convention exactly rather than an
-    interpolation of the DFT.
-    """
-    radius = math.exp(shift)
-    _check_resolved(G.grid, radius)
-    pts = sphere_points(G.grid.d, radius)
-    vals = np.abs(nudft(G.samples, pts))
-    return OrthogonalityReport(
-        shift=shift,
-        points=pts,
-        values=vals,
-        residual=float(vals.max()),
-    )
+    for what, log_radius in (
+        ("sphere radius", spec.shift),
+        ("outer ring radius exp(a + 2 eta) =", spec.shift + 2.0 * spec.eta),
+    ):
+        if log_radius >= math.log(grid.nyquist_radius):
+            with np.errstate(over="ignore"):
+                radius = np.exp(log_radius)
+            raise ValueError(
+                f"{what} {radius:.6g} lies outside the resolved frequency band "
+                f"(Nyquist {grid.nyquist_radius:.6g}); raise n or shrink L"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +456,7 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
     radius = spec.sphere_radius
     nominal = taper_width * radius / 2.0
     sigma = max(nominal, _ENVELOPE_FLOOR[grid.d] / grid.L)
-    pr = grid.mode_radius_mesh()
-    affected = int(np.count_nonzero(np.abs(pr - radius) <= nominal))
+    affected = int(np.sum(_half_weights(grid), where=np.abs(_half_radius(grid) - radius) <= nominal))
     if affected < 2:
         raise ValueError(
             f"taper too narrow for the grid: only {affected} modes within "
@@ -589,8 +560,8 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
     excluded contribution would have.
 
     The grid modes are read from the kernel's hat, and one NUDFT call covers
-    the singular sphere and the four rings; the sphere part is what
-    hat_on_sphere samples, so the residual equals its maximum.  The pass is
+    the singular sphere and the four rings; the residual is the maximum of
+    |G^| over the sphere part.  The pass is
     made once per (kernel, spec) and kept on the kernel: later calls return
     the same record.
     """
@@ -719,7 +690,8 @@ def _member_samples(G: Kernel, schedule: Schedule, m: int) -> RealField:
         R = float(np.linspace(schedule.r_start, schedule.r_stop, schedule.members)[m - 1])
         cut = _truncation_cutoff(grid.radius_mesh(), R, schedule.cutoff_width)
         return RealField(cut * G.samples.values, grid)
-    return periodic_convolution(G.samples, _unit_mass_gaussian_field(grid, schedule.moll_scale / m))
+    gauss = _unit_mass_gaussian_field(grid, schedule.moll_scale / m)
+    return RealField(_convolution(G.hat, _half_ft(gauss), grid), grid)
 
 
 def make_sequence(

@@ -205,18 +205,18 @@ def _certificate(
 class _PicardOperator:
     """The Picard map of one (kernel, spec) pair on the half spectrum (see grid._HalfModes).
 
-    Spectra handed in and out are raw rfftn outputs.  The transform's
-    prefactors cancel in the step (irfftn(multiplier * rfftn(w)) equals
-    inverse_ft of multiplier * forward_ft(w) in exact arithmetic), and its
-    unit-modulus phase (-1)^k cancels in every modulus, so only the norms
-    carry the scale.
+    Spectra handed in and out are raw rfftn outputs.  The prefactors of the
+    transform quadratures (see grid) cancel in the step: in exact arithmetic
+    irfftn(multiplier * rfftn(w)) is the inverse quadrature of multiplier
+    times the forward quadrature of w.  The phase (-1)^k has unit modulus
+    and cancels in every modulus, so only the norms carry the scale.
     """
 
     grid: GridSpec
     multiplier: np.ndarray  # (2 pi)^(d/2) G^ / (ln|p| - shift), zero off the active modes
     rhs: np.ndarray  # the kernel's hat, (2 pi)^(d/2) G^ with its phase (-1)^k
     modes: _HalfModes
-    scale: float  # (pi/L)^d times the squared forward_ft prefactor
+    scale: float  # (pi/L)^d times the squared forward prefactor h^d (2 pi)^(-d/2)
 
     def apply(self, N: Nonlinearity, v: RealField) -> RealField:
         """One Picard step from v."""
@@ -382,7 +382,7 @@ def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = 
     2, 3), which make_sequence always builds; the atoms also count for any
     command whose kernel is projected.  Traced with tracemalloc, a
     certify-and-solve run peaks at 12.8 to 13.5 real fields at d = 1, 2 and
-    3, ft_selftest at 12.0 to 13.2, against about 14 here; verify at 19.9
+    3, ft_selftest at 7.0 to 8.0, against about 14 here; verify at 19.9
     (d = 2, n = 256) and 20.0 (d = 3, n = 48) against 21.1 and 21.3; a
     six-member sequence at 28.6 and 29.6 against 30.1 and 32.5.  The
     interpreter and its modules come on top.

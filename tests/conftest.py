@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ from llap.grid import (
     RealField,
     SymbolSpec,
     default_eta,
-    forward_ft,
     make_grid,
     norms,
-    reciprocal_grid,
+    nudft,
     sample,
 )
-from llap.kernels import make_kernel
+from llap.kernels import make_kernel, sphere_points
 from llap.nonlinearity import make_nonlinearity
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -59,10 +59,60 @@ def zero_offset_nonlinearity(grid1):
     return make_nonlinearity("saturating_sine", lip=0.1, offset=RealField.zeros(grid1))
 
 
+# An independent full-spectrum oracle, on numpy's complex n-D transforms,
+# for the half-spectrum transforms the library runs.
+
+
+def _phase(grid) -> np.ndarray:
+    sign = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
+    return reduce(np.multiply.outer, [sign] * grid.d)
+
+
+def ft(f: RealField) -> np.ndarray:
+    """The quadrature F(p_k) of the unitary transform on every grid mode, in FFT ordering."""
+    g = f.grid
+    return g.h**g.d / TWO_PI ** (g.d / 2.0) * _phase(g) * np.fft.fftn(f.values)
+
+
+def ift(coeffs: np.ndarray, grid) -> RealField:
+    """The inverse quadrature of conjugate-symmetric coefficients on every grid mode."""
+    pref = grid.mode_spacing**grid.d / TWO_PI ** (grid.d / 2.0) * grid.npoints
+    vals = pref * np.fft.ifftn(_phase(grid) * coeffs)
+    assert np.max(np.abs(vals.imag)) <= 1e-10 * max(np.max(np.abs(vals)), 1e-300)
+    return RealField(vals.real, grid)
+
+
+def mode_radius(grid) -> np.ndarray:
+    """|p_k| on every grid mode."""
+    return np.sqrt(sum(m * m for m in np.meshgrid(*([grid.mode_axis()] * grid.d), indexing="ij")))
+
+
+def symbol(grid, shift: float) -> np.ndarray:
+    """ln|p_k| - shift on every grid mode; -inf at the DC mode."""
+    with np.errstate(divide="ignore"):
+        return np.log(mode_radius(grid)) - shift
+
+
+def reciprocal(grid, spec) -> tuple[np.ndarray, np.ndarray]:
+    """(1/(ln|p| - shift) with 0 on the masked annulus and at DC, the annulus mask)."""
+    t = symbol(grid, spec.shift)
+    masked = np.abs(t) < spec.eta
+    masked[(0,) * grid.d] = False
+    values = np.zeros(grid.shape)
+    active = ~masked & np.isfinite(t)
+    values[active] = 1.0 / t[active]
+    return values, masked
+
+
+def sphere_residual(K, shift: float) -> float:
+    """max |G^| over the sphere |p| = exp(shift), by nonuniform quadrature."""
+    return float(np.max(np.abs(nudft(K.samples, sphere_points(K.grid.d, math.exp(shift))))))
+
+
 def full_multiplier(K, spec) -> np.ndarray:
-    """The Picard multiplier (2 pi)^(d/2) G^ / (ln|p| - shift) on the full grid, from forward_ft."""
-    recip, _ = reciprocal_grid(K.grid, spec)
-    return TWO_PI ** (K.grid.d / 2.0) * forward_ft(K.samples).coeffs * recip
+    """The Picard multiplier (2 pi)^(d/2) G^ / (ln|p| - shift) on the full grid, from ft."""
+    recip, _ = reciprocal(K.grid, spec)
+    return TWO_PI ** (K.grid.d / 2.0) * ft(K.samples) * recip
 
 
 def l2_gap(a: RealField, b: RealField) -> float:

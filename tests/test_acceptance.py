@@ -11,16 +11,14 @@ from click.testing import CliRunner
 
 from llap.grid import (
     RealField,
-    SpectralField,
     SymbolSpec,
+    _half_ft,
+    _half_radius,
+    _half_weights,
     default_eta,
-    forward_ft,
-    inverse_ft,
     make_grid,
     norms,
     sample,
-    spectral_l2,
-    symbol_grid,
 )
 from llap.kernels import (
     KernelSequence,
@@ -44,7 +42,7 @@ from llap.solver import (
 from llap.sequence import run_sequence, verify_lemmaA2
 from llap.cli import EXIT_CERTIFICATE, main
 
-from conftest import SQRT_2PI, full_multiplier, l2_gap
+from conftest import SQRT_2PI, ft, full_multiplier, ift, l2_gap, symbol
 
 EXP_HALF = math.exp(-0.5)
 
@@ -58,12 +56,13 @@ class TestAcceptance:
     def test_1_ft_fidelity(self, grid1):
         t0 = time.perf_counter()
         f = sample(grid1, lambda x: np.exp(-(x**2) / 2.0))
-        F = forward_ft(f)
-        p = grid1.mode_axis()
-        gauss_err = float(np.max(np.abs(F.coeffs - np.exp(-(p**2) / 2.0))))
+        F = _half_ft(f) / SQRT_2PI
+        p = _half_radius(grid1)
+        gauss_err = float(np.max(np.abs(F - np.exp(-(p**2) / 2.0))))
         rng = np.random.default_rng(0)
         g = RealField(rng.normal(size=grid1.shape), grid1)
-        par_err = abs(spectral_l2(forward_ft(g)) - norms(g).l2) / norms(g).l2
+        energy = float(np.sum(_half_weights(grid1) * np.abs(_half_ft(g) / SQRT_2PI) ** 2))
+        par_err = abs(math.sqrt(grid1.mode_spacing * energy) - norms(g).l2) / norms(g).l2
         elapsed = time.perf_counter() - t0
         _verdict(
             1,
@@ -172,8 +171,8 @@ class TestAcceptance:
         )
         report = picard_solve(diff_kernel, N, spec1, tol=1e-13, max_iter=400)
         M = full_multiplier(diff_kernel, spec1)
-        hhat = forward_ft(bump_offset).coeffs
-        direct = inverse_ft(SpectralField(M * hhat / (1.0 - lip * M), grid1))
+        hhat = ft(bump_offset)
+        direct = ift(M * hhat / (1.0 - lip * M), grid1)
         gap = l2_gap(report.final, direct)
         _verdict(6, f"linear oracle: Picard vs direct solution {gap:.2e} <= 1e-10", gap <= 1e-10)
 
@@ -225,9 +224,9 @@ class TestAcceptance:
         rep1 = picard_solve(diff_kernel, sine_nonlinearity, spec1, tol=1e-10)
         nontrivial_ok = frac1 > 0.0 and norms(rep1.final).l2 > 1e-12
 
-        t = symbol_grid(grid1, spec1.shift)
+        t = symbol(grid1, spec1.shift)
         coeffs = np.where(np.isfinite(t) & (np.abs(t) < spec1.eta), 1.0, 0.0).astype(complex)
-        annulus = kernel_from_field(inverse_ft(SpectralField(coeffs, grid1)), "annulus")
+        annulus = kernel_from_field(ift(coeffs, grid1), "annulus")
         frac2 = triviality_indicator(annulus, sine_nonlinearity, spec1, tau=1e-8)
         rng = np.random.default_rng(3)
         image = apply_picard_map(

@@ -157,6 +157,21 @@ RING_BEYOND_NYQUIST = (
             "config error: difference kernel's second coefficient overflows at shift 4 "
             "(widths 1, 2); lower the shift or bring the widths closer",
         ),
+        # exp(-inf) made the default eta divide by zero.
+        pytest.param(
+            "reference", "a = 0.0", "a = -inf", "config error: line 8: a must be finite, got -inf",
+            id="a-minus-inf",
+        ),
+        # The default eta of two mode spacings, 2 pi / L, puts the outer ring
+        # at exp(1.3e13): compared in logarithms, not overflowing.
+        pytest.param(
+            "reference",
+            "L = 20.0",
+            "L = 1e-12",
+            "config error: outer ring radius exp(a + 2 eta) = inf lies outside the resolved "
+            "frequency band (Nyquist 1.6085e+15); raise n or shrink L",
+            id="L-1e-12",
+        ),
         # ||G||_1 is finite, its sum of squares is not.
         (
             "reference",
@@ -174,6 +189,15 @@ def test_unusable_symbol_or_kernel_refused_in_one_line(tmp_path, command, kernel
     assert result.returncode == EXIT_CONFIG
     assert result.stderr.splitlines() == [line]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_huge_offset_width_runs(tmp_path, command):
+    # width**2 overflowed (exit 1 and a traceback); the offset is now the
+    # constant h_amplitude, whose transform lives on the inactive DC mode.
+    result = _llap(tmp_path, REFERENCE.replace("h_width = 1.0", "h_width = 1e300"), command)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 class TestOutOfRangeSettings:

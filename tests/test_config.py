@@ -84,6 +84,9 @@ class TestParsing:
             ("eps_user = 0.1", "eps_user = 0.0"),
             ("eps_user = 0.1", "eps_user = 1.0"),
             ("eps_user = 0.1", "eps_user = nan"),
+            ("a = 0.0", "a = -inf"),
+            ("a = 0.0", "a = inf"),
+            ("a = 0.0", "a = nan"),
             ("tol = 1e-10", "tol = -1e-10"),
             ("tol = 1e-10", "tol = nan"),
             ("max_iter = 200", "max_iter = 0"),
@@ -180,6 +183,12 @@ class TestBuilders:
         cfg = parse_config(text)
         h = cfg.offset_field(cfg.grid())
         assert np.all(h.values == 0.25)
+
+    def test_huge_offset_width_is_a_constant_offset(self):
+        # width**2 overflowed here; (x / width)**2 underflows to 0 instead.
+        cfg = parse_config(REFERENCE.replace("h_width = 1.0", "h_width = 1e300"))
+        h = cfg.offset_field(cfg.grid())
+        assert np.all(h.values == 0.3)
 
     def test_file_kernel_with_sidecar(self, tmp_path):
         cfg0 = parse_config(REFERENCE)

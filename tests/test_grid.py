@@ -7,20 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 from llap.grid import (
     RealField,
-    SpectralField,
     SymbolSpec,
-    forward_ft,
-    inverse_ft,
+    _convolution,
+    _half_ft,
+    _half_modes,
+    _half_radius,
+    _half_weights,
+    _irfftn,
+    _rfftn,
     make_grid,
     norms,
     nudft,
-    periodic_convolution,
-    reciprocal_grid,
     sample,
-    spectral_l2,
-    symbol_grid,
 )
-from conftest import SQRT_2PI, l2_gap
+from conftest import SQRT_2PI, ft, ift, l2_gap, symbol
+
+
+def _roundtrip(f: RealField) -> RealField:
+    return RealField(_irfftn(_rfftn(f.values), np.empty(f.grid.shape)), f.grid)
+
+
+def _spectral_l2(f: RealField) -> float:
+    """The quadrature L2 norm of F over every grid mode, from the weighted half spectrum."""
+    g = f.grid
+    energy = float(np.sum(_half_weights(g) * np.abs(_half_ft(f)) ** 2))
+    return math.sqrt(g.mode_spacing**g.d * energy) / (2.0 * math.pi) ** (g.d / 2.0)
 
 
 class TestMakeGrid:
@@ -66,59 +77,58 @@ class TestFourierTransform:
         # Unit-width Gaussian is its own transform under the unitary
         # convention: closed-form integral, evaluated analytically.
         f = sample(grid1, lambda x: np.exp(-(x**2) / 2.0))
-        F = forward_ft(f)
-        p = grid1.mode_axis()
-        assert np.max(np.abs(F.coeffs - np.exp(-(p**2) / 2.0))) <= 1e-8
+        F = _half_ft(f) / SQRT_2PI
+        p = _half_radius(grid1)
+        assert np.max(np.abs(F - np.exp(-(p**2) / 2.0))) <= 1e-8
 
     def test_gaussian_inverse_oracle(self, grid1):
         p = grid1.mode_axis()
-        F = SpectralField(np.exp(-(p**2) / 2.0).astype(complex), grid1)
-        f = inverse_ft(F)
+        f = ift(np.exp(-(p**2) / 2.0).astype(complex), grid1)
         x = grid1.axis_coords()
         assert np.max(np.abs(f.values - np.exp(-(x**2) / 2.0))) <= 1e-8
 
     def test_zero_field(self, grid1):
-        F = forward_ft(RealField.zeros(grid1))
-        assert np.all(F.coeffs == 0)
-        assert np.all(inverse_ft(F).values == 0)
+        assert np.all(_half_ft(RealField.zeros(grid1)) == 0)
+        assert np.all(_roundtrip(RealField.zeros(grid1)).values == 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_roundtrip_random(self, grid1, seed):
         rng = np.random.default_rng(seed)
         f = RealField(rng.normal(size=grid1.shape), grid1)
-        back = inverse_ft(forward_ft(f))
+        back = _roundtrip(f)
         assert l2_gap(back, f) <= 1e-12 * norms(f).l2
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_parseval(self, grid1, seed):
         rng = np.random.default_rng(seed)
         f = RealField(rng.normal(size=grid1.shape), grid1)
-        assert spectral_l2(forward_ft(f)) == pytest.approx(norms(f).l2, rel=1e-12)
+        assert _spectral_l2(f) == pytest.approx(norms(f).l2, rel=1e-12)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_roundtrip_higher_dims(self, d, n):
         g = make_grid(d, 5.0, n)
         rng = np.random.default_rng(5)
         f = RealField(rng.normal(size=g.shape), g)
-        assert l2_gap(inverse_ft(forward_ft(f)), f) <= 1e-12 * norms(f).l2
-        assert spectral_l2(forward_ft(f)) == pytest.approx(norms(f).l2, rel=1e-12)
+        assert l2_gap(_roundtrip(f), f) <= 1e-12 * norms(f).l2
+        assert _spectral_l2(f) == pytest.approx(norms(f).l2, rel=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
+    def test_half_spectrum_is_the_oracle_on_half_the_modes(self, d, n):
+        g = make_grid(d, 5.0, n)
+        f = RealField(np.random.default_rng(d).normal(size=g.shape), g)
+        full = (2.0 * math.pi) ** (d / 2.0) * ft(f)
+        assert np.max(np.abs(_half_ft(f) - full[..., : n // 2 + 1])) <= 1e-13 * np.max(np.abs(full))
 
     def test_single_mode_pair_gives_cosine(self, grid1):
         k0 = 12
         coeffs = np.zeros(grid1.shape, dtype=complex)
         coeffs[k0] = 1.0
         coeffs[-k0] = 1.0
-        f = inverse_ft(SpectralField(coeffs, grid1))
+        f = ift(coeffs, grid1)
         p0 = grid1.mode_axis()[k0]
         x = grid1.axis_coords()
         expected = grid1.mode_spacing / SQRT_2PI * 2.0 * np.cos(p0 * x)
         assert np.max(np.abs(f.values - expected)) <= 1e-12
-
-    def test_nonsymmetric_input_rejected(self, grid1):
-        coeffs = np.zeros(grid1.shape, dtype=complex)
-        coeffs[3] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            inverse_ft(SpectralField(coeffs, grid1))
 
     def test_nonfinite_field_rejected(self, grid1):
         vals = np.zeros(grid1.shape)
@@ -135,10 +145,10 @@ class TestFourierTransform:
         ]
         for grid, ks in cases:
             f = RealField(rng.normal(size=grid.shape), grid)
-            F = forward_ft(f)
+            F = ft(f)
             pts = np.array([[grid.mode_axis()[k] for k in idx] for idx in ks])
             vals = nudft(f, pts)
-            ref = np.array([F.coeffs[idx] for idx in ks])
+            ref = np.array([F[idx] for idx in ks])
             assert np.max(np.abs(vals - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_nudft_empty_and_bad_points(self, grid1):
@@ -212,47 +222,49 @@ def _first_mode_at(radius: float):
 
 
 class TestSymbol:
+    """The symbol ln|p| - shift on the half spectrum, as _half_modes keeps it."""
+
     def test_zero_at_unit_radius(self):
         g = _first_mode_at(1.0)
         assert g.mode_axis()[1] == 1.0
-        assert symbol_grid(g, 0.0)[1] == 0.0
+        modes = _half_modes(g, SymbolSpec(0.0, 1e-300))
+        assert modes.inactive[1] and modes.masked_modes == 2
 
     def test_zero_at_shifted_radius(self):
-        g = _first_mode_at(math.e)
-        assert symbol_grid(g, 1.0)[1] == pytest.approx(0.0, abs=1e-15)
+        modes = _half_modes(_first_mode_at(math.e), SymbolSpec(1.0, 1e-15))
+        assert modes.inactive[1] and modes.masked_modes == 2
 
     def test_dc_sentinel(self):
-        t1 = symbol_grid(_first_mode_at(1.0), 0.0)
-        assert t1[0] == -math.inf
-        t3 = symbol_grid(make_grid(3, 5.0, 8), 5.0)
-        assert t3[0, 0, 0] == -math.inf
-        assert np.count_nonzero(np.isinf(t3)) == 1
+        modes = _half_modes(make_grid(3, 5.0, 8), SymbolSpec(5.0, 0.01))
+        assert modes.inactive[0, 0, 0] and modes.symbol[0, 0, 0] == 0.0
+        assert np.count_nonzero(modes.inactive) == 1
 
     def test_reciprocal_outside_annulus(self):
-        values, masked = reciprocal_grid(_first_mode_at(math.e**2), SymbolSpec(0.0, 0.1))
-        assert values[1] == pytest.approx(0.5)
-        assert not masked[1]
+        modes = _half_modes(_first_mode_at(math.e**2), SymbolSpec(0.0, 0.1))
+        assert 1.0 / modes.symbol[1] == pytest.approx(0.5)
+        assert modes.active[1]
 
     def test_reciprocal_masked(self):
-        values, masked = reciprocal_grid(_first_mode_at(1.0001), SymbolSpec(0.0, 0.01))
-        assert values[1] == 0.0
-        assert masked[1]
+        modes = _half_modes(_first_mode_at(1.0001), SymbolSpec(0.0, 0.01))
+        assert modes.symbol[1] == 0.0
+        assert modes.inactive[1] and modes.masked_modes == 2
 
     def test_reciprocal_dc(self):
-        values, masked = reciprocal_grid(_first_mode_at(1.0), SymbolSpec(0.0, 0.01))
-        assert values[0] == 0.0
-        assert not masked[0]
+        # DC is left out of the active modes without counting as masked.
+        modes = _half_modes(_first_mode_at(1.0), SymbolSpec(0.0, 0.01))
+        assert modes.symbol[0] == 0.0 and modes.inactive[0]
+        assert modes.masked_modes == 2
 
     def test_reciprocal_grid_matches_symbol(self, grid1):
         spec = SymbolSpec(0.0, 0.05)
-        recip, masked = reciprocal_grid(grid1, spec)
-        t = symbol_grid(grid1, 0.0)
-        active = np.isfinite(t) & ~masked
-        active[grid1.dc_index] = False
-        assert np.allclose(recip[active] * t[active], 1.0, rtol=1e-15)
-        assert np.all(recip[masked] == 0.0)
-        assert recip[grid1.dc_index] == 0.0
-        assert np.all(np.abs(t[masked]) < spec.eta)
+        modes = _half_modes(grid1, spec)
+        t = symbol(grid1, 0.0)
+        half = t[: grid1.n // 2 + 1]
+        active = np.isfinite(half) & (np.abs(half) >= spec.eta)
+        assert np.array_equal(modes.active, active)
+        assert np.array_equal(modes.symbol[active], half[active])
+        assert np.all(modes.symbol[~active] == 0.0)
+        assert modes.masked_modes == np.count_nonzero(np.abs(t) < spec.eta)
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -296,14 +308,9 @@ class TestConvolution:
             direct[j] = np.sum(fv * h.values[shifted])
         direct_field = RealField(g.h**g.d * direct.reshape(g.shape), g)
 
-        conv = periodic_convolution(f, h)
+        conv = RealField(_convolution(_half_ft(f), _half_ft(h), g), g)
         assert l2_gap(conv, direct_field) <= 1e-10 * norms(direct_field).l2
 
-        lhs = forward_ft(direct_field).coeffs
-        rhs = (2.0 * math.pi) ** (g.d / 2.0) * forward_ft(f).coeffs * forward_ft(h).coeffs
+        lhs = ft(direct_field)
+        rhs = (2.0 * math.pi) ** (g.d / 2.0) * ft(f) * ft(h)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
-
-    def test_grid_mismatch_rejected(self, grid1):
-        other = make_grid(1, 20.0, 512)
-        with pytest.raises(ValueError, match="grid"):
-            periodic_convolution(RealField.zeros(grid1), RealField.zeros(other))

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llap.grid import RealField, SymbolSpec, default_eta, forward_ft, make_grid, norms
+from llap.grid import RealField, SymbolSpec, default_eta, make_grid, norms
 from llap.kernels import (
     Schedule,
     difference_coefficient,
-    hat_on_sphere,
     inverse_symbol_gain,
     kernel_from_field,
     make_kernel,
@@ -24,7 +23,8 @@ from llap.kernels import (
     verify_hat_bound,
 )
 from llap import kernels
-from conftest import SQRT_2PI
+from llap.checks import _direct_convolution
+from conftest import SQRT_2PI, ft, mode_radius, sphere_residual
 
 EXP_HALF = math.exp(-0.5)  # |G^| of the unit Gaussian on the unit sphere
 
@@ -50,8 +50,7 @@ class TestMakeKernel:
         assert 1.0 * math.exp(-0.5) == pytest.approx(c2 * math.exp(-2.0))
 
     def test_difference_admissible(self, diff_kernel):
-        rep = hat_on_sphere(diff_kernel, 0.0)
-        assert rep.residual <= 1e-8
+        assert sphere_residual(diff_kernel, 0.0) <= 1e-8
 
     def test_invalid_params(self, grid1):
         with pytest.raises(ValueError):
@@ -82,28 +81,32 @@ class TestMakeKernel:
 
 
 class TestHatOnSphere:
+    """|G^| on the singular sphere: the orthogonality residual of the diagnostics pass."""
+
     def test_gaussian_residual_closed_form(self, gauss_kernel):
-        rep = hat_on_sphere(gauss_kernel, 0.0)
-        assert rep.residual == pytest.approx(EXP_HALF, abs=1e-6)
-        assert np.allclose(np.linalg.norm(rep.points, axis=1), 1.0, rtol=1e-12)
+        assert inverse_symbol_gain(gauss_kernel, SymbolSpec(0.0, 0.05)).orth_residual == (
+            pytest.approx(EXP_HALF, abs=1e-6)
+        )
+        assert np.allclose(np.linalg.norm(sphere_points(1, 1.0), axis=1), 1.0, rtol=1e-12)
 
     def test_gaussian_residual_d2(self):
         g = make_grid(2, 12.0, 128)
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, g)
-        assert hat_on_sphere(K, 0.0).residual == pytest.approx(EXP_HALF, abs=1e-6)
+        assert inverse_symbol_gain(K, SymbolSpec(0.0, 0.05)).orth_residual == pytest.approx(
+            EXP_HALF, abs=1e-6
+        )
 
     def test_zero_kernel(self, grid1):
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.0}, grid1)
-        assert hat_on_sphere(K, 0.0).residual == 0.0
+        assert inverse_symbol_gain(K, SymbolSpec(0.0, 0.05)).orth_residual == 0.0
 
-    def test_d1_two_points(self, gauss_kernel):
-        rep = hat_on_sphere(gauss_kernel, 0.5)
+    def test_d1_two_points(self):
         r = math.exp(0.5)
-        assert rep.points.tolist() == [[r], [-r]]
+        assert sphere_points(1, r).tolist() == [[r], [-r]]
 
     def test_sphere_outside_band_rejected(self, gauss_kernel):
-        with pytest.raises(ValueError, match="resolved"):
-            hat_on_sphere(gauss_kernel, math.log(100.0))
+        with pytest.raises(ValueError, match="sphere radius 100 lies outside the resolved"):
+            inverse_symbol_gain(gauss_kernel, SymbolSpec(math.log(100.0), 0.01))
 
     def test_sphere_points_on_sphere(self):
         for d in (2, 3):
@@ -116,8 +119,8 @@ class TestProjection:
     def test_gaussian_residual_drops(self, gauss_kernel, grid1):
         spec = SymbolSpec(0.0, 0.05)
         proj = project_orthogonal(gauss_kernel, spec, taper_width=0.25)
-        before = hat_on_sphere(gauss_kernel, 0.0).residual
-        after = hat_on_sphere(proj, 0.0).residual
+        before = sphere_residual(gauss_kernel, 0.0)
+        after = sphere_residual(proj, 0.0)
         assert before == pytest.approx(EXP_HALF, abs=1e-6)
         assert after <= 1e-10 * gauss_kernel.l1
 
@@ -137,8 +140,8 @@ class TestProjection:
         )
         # Bounded by the kernel's spectral mass in the taper band; for an
         # already-admissible kernel the change tracks its tiny residual.
-        band = np.abs(np.abs(grid1.mode_radius_mesh()) - 1.0) <= 0.25
-        ghat = np.abs(forward_ft(diff_kernel.samples).coeffs)
+        band = np.abs(np.abs(mode_radius(grid1)) - 1.0) <= 0.25
+        ghat = np.abs(ft(diff_kernel.samples))
         band_energy = math.sqrt(float(np.sum(ghat[band] ** 2) / np.sum(ghat**2)))
         assert rel_change <= band_energy
         assert rel_change <= 1e-8
@@ -160,13 +163,13 @@ class TestProjection:
         g = make_grid(2, 20.0, 128)
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, g)
         proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.25)
-        assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
+        assert sphere_residual(proj, 0.0) <= 1e-10 * K.l1
 
     def test_projection_d3_cubic(self):
         g = make_grid(3, 12.0, 32)
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 1.0}, g)
         proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.5)
-        assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
+        assert sphere_residual(proj, 0.0) <= 1e-10 * K.l1
 
     def test_projection_nonradial_d1(self, grid1):
         # Off-center kernels have complex G^ on the sphere; both parts go.
@@ -174,7 +177,7 @@ class TestProjection:
         vals = np.exp(-((x - 1.5) ** 2) / 2.0)
         K = kernel_from_field(RealField(vals, grid1), "shifted")
         proj = project_orthogonal(K, SymbolSpec(0.0, 0.05), taper_width=0.25)
-        assert hat_on_sphere(proj, 0.0).residual <= 1e-10 * K.l1
+        assert sphere_residual(proj, 0.0) <= 1e-10 * K.l1
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +248,7 @@ class TestInverseSymbolGain:
     def test_raw_gaussian_diverges_like_residual_over_eta(self, gauss_kernel):
         # Near the sphere |G^(p)| / |ln r| ~ residual / eta, so gain * eta
         # tracks the residual within 20% as eta halves.
-        residual = hat_on_sphere(gauss_kernel, 0.0).residual
+        residual = sphere_residual(gauss_kernel, 0.0)
         for eta in (0.1, 0.05, 0.025):
             est = inverse_symbol_gain(gauss_kernel, SymbolSpec(0.0, eta))
             assert 0.8 * residual <= est.gain * eta <= 1.25 * residual
@@ -269,7 +272,7 @@ class TestInverseSymbolGain:
         # The sphere sits just inside the Nyquist radius, the outer ring
         # exp(2 eta) further out does not.
         shift = math.log(0.999 * grid1.nyquist_radius)
-        assert hat_on_sphere(gauss_kernel, shift).residual >= 0.0
+        assert inverse_symbol_gain(gauss_kernel, SymbolSpec(shift, 1e-6)).orth_residual >= 0.0
         with pytest.raises(ValueError, match="outer ring radius .* lies outside the resolved"):
             inverse_symbol_gain(gauss_kernel, SymbolSpec(shift, 0.01))
 
@@ -362,7 +365,7 @@ class TestSequences:
 
     def test_members_admissible(self, truncate_seq, spec1):
         for member in truncate_seq.members:
-            assert hat_on_sphere(member, spec1.shift).residual <= 1e-8 * max(1.0, member.l1)
+            assert sphere_residual(member, spec1.shift) <= 1e-8 * max(1.0, member.l1)
 
     def test_distances_recomputable(self, truncate_seq):
         g = truncate_seq.limit.grid
@@ -376,10 +379,10 @@ class TestSequences:
         # Member residuals plus the L1 gap control the limit's residual.
         d = truncate_seq.limit.grid.d
         rho = max(
-            hat_on_sphere(m, spec1.shift).residual for m in truncate_seq.members
+            sphere_residual(m, spec1.shift) for m in truncate_seq.members
         )
         min_l1 = min(dd[0] for dd in truncate_seq.distances)
-        limit_res = hat_on_sphere(truncate_seq.limit, spec1.shift).residual
+        limit_res = sphere_residual(truncate_seq.limit, spec1.shift)
         assert limit_res <= rho + min_l1 / (2.0 * math.pi) ** (d / 2.0)
 
     def test_single_member(self, diff_kernel, spec1):
@@ -393,6 +396,19 @@ class TestSequences:
         seq = make_sequence(diff_kernel, sched, spec1, taper_width=0.5)
         l1 = [d[0] for d in seq.distances]
         assert all(b < a for a, b in zip(l1, l1[1:]))
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 32)])
+    def test_mollified_members_are_direct_convolutions(self, d, n):
+        # Each mollified member is the limit convolved with its unit-mass
+        # Gaussian, checked against the O(n^2d) direct sum.
+        grid = make_grid(d, 8.0, n)
+        G = make_kernel("difference", {"width1": 1.0, "width2": 2.0, "shift": 0.0}, grid)
+        sched = Schedule(kind="mollify", members=3, moll_scale=0.5)
+        for m in range(1, sched.members + 1):
+            member = kernels._member_samples(G, sched, m)
+            gauss = kernels._unit_mass_gaussian_field(grid, sched.moll_scale / m)
+            ref = _direct_convolution(G.samples, gauss)
+            assert norms(RealField(member.values - ref.values, grid)).l2 <= 1e-10 * norms(ref).l2
 
     def test_zero_kernel_schedule(self, grid1, spec1):
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.0}, grid1)

@@ -23,7 +23,7 @@ from llap.grid import RealField, SymbolSpec, make_grid, sample
 from llap.kernels import make_kernel
 from llap.nonlinearity import Nonlinearity, make_nonlinearity
 from llap.solver import ConsistencyError, apply_picard_map, certify, equation_residual, picard_solve
-from llap.cli import EXIT_INCONSISTENT, main
+from llap.cli import EXIT_CHECK_FAILED, EXIT_INCONSISTENT, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,7 +91,10 @@ def test_transforms_match_numpy(pool_on, d, half, seed):
     n = 2 * min(half, 8 if d == 3 else 12)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n,) * d)
-    assert np.array_equal(grid_mod._rfftn(a), np.fft.rfftn(a))
+    spectrum = np.fft.rfftn(a)
+    assert np.array_equal(grid_mod._rfftn(a), spectrum)
+    expected = np.fft.irfftn(spectrum, a.shape, axes=range(d))
+    assert np.array_equal(grid_mod._irfftn(spectrum, np.empty(a.shape)), expected)
 
 
 @pytest.mark.parametrize("parts", [2, 4])
@@ -210,6 +213,37 @@ def test_cli_exits_6_on_nonfinite_intermediate(pool_on, tmp_path, monkeypatch):
         "internal consistency check failed: "
         "non-finite spectral intermediate; certificate is unsound"
     )
+
+
+def _drop_the_axis_1_stage(a, out):
+    np.fft.irfft(a, n=out.shape[-1], axis=-1, out=out)
+
+
+def _drop_the_last_row_slab(shape, spectrum, slabs=grid_mod._slabs):
+    cover = slabs(shape, spectrum)
+    return cover._replace(rows=cover.rows[:-1]) if len(cover.rows) > 1 else cover
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [(None, None), ("_irfft_rows", _drop_the_axis_1_stage), ("_slabs", _drop_the_last_row_slab)],
+)
+def test_ft_selftest_runs_the_solver_transforms(tmp_path, monkeypatch, name, broken):
+    # d = 3, n = 84 is a two-slab grid on two workers; a broken inner stage
+    # of the inverse transform, or a slab cover that misses rows, must fail
+    # the self-test.
+    monkeypatch.setattr(grid_mod, "_worker_count", lambda: 2)
+    assert len(grid_mod._slabs((84,) * 3, (84, 84, 43)).rows) == 2
+    if name is not None:
+        monkeypatch.setattr(grid_mod, name, broken)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_3D.replace("n = 16", "n = 84"))
+    result = CliRunner().invoke(main, ["ft-selftest", str(cfg), "-o", str(tmp_path / "out")])
+    if name is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert "FAIL  ft_roundtrip" in result.output
 
 
 def test_one_dimensional_solve_never_starts_the_pool(tmp_path):
