@@ -96,7 +96,12 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
     par = abs(math.sqrt(grid.mode_spacing**grid.d * energy) / pref - l2) / l2
     results.append(CheckResult("ft_parseval", par <= 1e-12, par, "relative Parseval defect"))
 
-    width = max(grid.L / 8.0, 4.0 * grid.h)
+    # The closed form is the transform on R^d.  The grid's transform differs
+    # from it by the Gaussian's periodization, about exp(-L^2 / (2 width^2)),
+    # and by its aliasing, about exp(-(pi width / h)^2 / 2).  Width L/8 puts
+    # the first at exp(-32); on grids coarser than n = 128/pi, where the
+    # second is then larger, width sqrt(L h / pi) makes both exp(-pi n / 4).
+    width = max(grid.L / 8.0, math.sqrt(grid.L * grid.h / math.pi))
     gauss = sample(grid, lambda *xs: np.exp(-sum(x * x for x in xs) / (2.0 * width**2)))
     oracle = width**grid.d * np.exp(-(width * _half_radius(grid)) ** 2 / 2.0)
     gerr = float(np.max(np.abs(_half_ft(gauss) / pref - oracle)))

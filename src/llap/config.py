@@ -23,6 +23,8 @@ Sections and keys:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,14 +108,26 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
     },
 }
 
-# (section, key) -> (accepts the parsed value, what the value must satisfy)
+# e^a is the sphere radius and e^-a a factor of the default eta.
+_MAX_SHIFT = math.log(sys.float_info.max)
+
+# (section, key) -> rules (accepts the parsed value, what the value must
+# satisfy), checked in order.
 _RANGES = {
-    ("symbol", "a"): (lambda v: np.isfinite(v), "must be finite"),
-    ("symbol", "eps_user"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    ("solver", "tol"): (lambda v: v > 0.0, "must be positive"),
-    ("solver", "max_iter"): (lambda v: v >= 1, "must be at least 1"),
-    ("solver", "v0_scale"): (lambda v: np.isfinite(v) and v >= 0.0, "must be finite and non-negative"),
-    ("solver", "seed"): (lambda v: v >= 0, "must be non-negative"),
+    ("symbol", "a"): (
+        (lambda v: np.isfinite(v), "must be finite"),
+        (
+            lambda v: abs(v) <= _MAX_SHIFT,
+            f"must lie in [-{_MAX_SHIFT:.2f}, {_MAX_SHIFT:.2f}], where e^a and e^-a are finite",
+        ),
+    ),
+    ("symbol", "eps_user"): ((lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),),
+    ("solver", "tol"): ((lambda v: v > 0.0, "must be positive"),),
+    ("solver", "max_iter"): ((lambda v: v >= 1, "must be at least 1"),),
+    ("solver", "v0_scale"): (
+        (lambda v: np.isfinite(v) and v >= 0.0, "must be finite and non-negative"),
+    ),
+    ("solver", "seed"): ((lambda v: v >= 0, "must be non-negative"),),
 }
 
 _REQUIRED = {
@@ -303,9 +317,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             parsed = schema[key](value)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {e}", lineno) from None
-        rule = _RANGES.get((current, key))
-        if rule is not None and not rule[0](parsed):
-            raise ConfigError(f"{key} {rule[1]}, got {value}", lineno)
+        for accepts, what in _RANGES.get((current, key), ()):
+            if not accepts(parsed):
+                raise ConfigError(f"{key} {what}, got {value}", lineno)
         sections[current][key] = parsed
     for section, keys in _REQUIRED.items():
         if section not in sections:

@@ -167,6 +167,18 @@ class RealField:
     def zeros(cls, grid: GridSpec) -> "RealField":
         return cls(np.zeros(grid.shape), grid)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, grid: GridSpec) -> "RealField":
+        """A field that takes over values, frozen in place rather than copied.
+
+        values must be a finite float array of the grid's shape that nothing
+        else writes to; the caller has checked it.
+        """
+        field = object.__new__(cls)
+        object.__setattr__(field, "values", _freeze(values))
+        object.__setattr__(field, "grid", grid)
+        return field
+
 
 @dataclass(frozen=True)
 class SymbolSpec:

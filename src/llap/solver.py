@@ -18,6 +18,11 @@ The Picard step is computed in one place, _Iterate.step, which picard_solve,
 the map and the residual all use: one irfftn, one rfftn and every pointwise
 pass of an iteration, fused into slabs that run on worker threads when the
 grid is large (grid._slabs) and give the same bits however they are split.
+Between steps a solve carries q = (2 pi)^(d/2) G^ w^, the right side of the
+linear problem, and the operator holds the real reciprocal of the symbol
+rather than the complex multiplier; a solve then lives in four buffers, two
+real fields and two half spectra, and hands its last iterate to the report
+without a copy.
 """
 
 from __future__ import annotations
@@ -207,13 +212,13 @@ class _PicardOperator:
 
     Spectra handed in and out are raw rfftn outputs.  The prefactors of the
     transform quadratures (see grid) cancel in the step: in exact arithmetic
-    irfftn(multiplier * rfftn(w)) is the inverse quadrature of multiplier
-    times the forward quadrature of w.  The phase (-1)^k has unit modulus
-    and cancels in every modulus, so only the norms carry the scale.
+    irfftn(recip * rhs * rfftn(w)) is the inverse quadrature of the Picard
+    multiplier times the forward quadrature of w.  The phase (-1)^k has unit
+    modulus and cancels in every modulus, so only the norms carry the scale.
     """
 
     grid: GridSpec
-    multiplier: np.ndarray  # (2 pi)^(d/2) G^ / (ln|p| - shift), zero off the active modes
+    recip: np.ndarray  # 1 / (ln|p| - shift), zero off the active modes
     rhs: np.ndarray  # the kernel's hat, (2 pi)^(d/2) G^ with its phase (-1)^k
     modes: _HalfModes
     scale: float  # (pi/L)^d times the squared forward prefactor h^d (2 pi)^(-d/2)
@@ -221,33 +226,36 @@ class _PicardOperator:
     def apply(self, N: Nonlinearity, v: RealField) -> RealField:
         """One Picard step from v."""
         it = _Iterate(self, N, v.values)
-        it.step()
-        return RealField(it.v, self.grid)
+        it.step(last=True)
+        return RealField._adopt(it.v, self.grid)
 
     def equation_residual(self, N: Nonlinearity, u: RealField) -> ResidualReport:
-        """Residual of u, from u^ and w^ = (F(u))^ (see equation_residual)."""
+        """Residual of u, from u^ and q = rhs (F(u))^ (see equation_residual)."""
         it = _Iterate(self, N, u.values)
-        _rfftn(u.values, out=it.uhat)
-        it.slabs.map(it.residual_terms, it.slabs.cols)
-        return it.residual()
+        uhat = _rfftn(u.values, out=it.work)
+        np.multiply(self.modes.symbol, uhat, out=uhat)
+        terms = it.terms_in(it.u)
+        it.slabs.map(lambda c: it.residual_terms(c, uhat, it.q, terms), it.slabs.cols)
+        return it.residual(terms)
 
 
 class _Iterate:
-    """The current iterate of one solve, its buffers and the fused Picard step.
+    """The current iterate of one solve, its four buffers and the fused Picard step.
 
     The calling thread allocates every buffer once, and the stages write into
     them through out=, so worker threads allocate nothing of field size:
     glibc gives each thread its own arena, and arrays freed there would
     raise the peak RSS.
 
-      v      the current iterate; within a step, scratch for the update
-             and then F(u)
-      u      the next iterate
-      what   w^ = (F(v))^ between steps; within a step, the inverse
-             transform's work space and then the forward transform of F(u)
-      uhat   multiplier * w^, then the residual's difference
-      spare  (2 pi)^(d/2) G^ w^ for the residual, whose squared moduli go to
-             its real part (terms); a field-shaped scratch for F
+      v     the current iterate; within a step, scratch for the update,
+            then F(u), then the residual's weighted squares (terms)
+      u     the next iterate
+      q     between steps, (2 pi)^(d/2) G^ w^ with w = F(v), the right side
+            of the linear problem; within a step, (ln|p| - shift) u^ and
+            then the residual's difference
+      work  within a step, u^ = recip q and the inverse transform's work
+            space, F's scratch, then the forward transform of F(u) and
+            (2 pi)^(d/2) G^ times it, the next step's q
     """
 
     def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray):
@@ -258,58 +266,60 @@ class _Iterate:
         self.slabs = _slabs(grid.shape, op.rhs.shape)
         self.v = np.array(v, dtype=float)
         self.u = np.empty(grid.shape)
-        self.what = np.empty(op.rhs.shape, dtype=complex)
-        self.uhat = np.empty_like(self.what)
-        self.spare = np.empty_like(self.what)
-        self.terms = self.spare.real
-        self.scratch = self.spare.reshape(-1).view(float)[: grid.npoints].reshape(grid.shape)
+        self.q = np.empty(op.rhs.shape, dtype=complex)
+        self.work = np.empty_like(self.q)
         loaded = self.slabs.map(
-            lambda rows: self._forward_rows(rows, self.v, self.u), self.slabs.rows
+            lambda rows: self._forward_rows(rows, self.v, self.u, self.q), self.slabs.rows
         )
         if not all(loaded):
             raise ValueError(_NONFINITE_F)
-        if grid.d > 1:
-            self.slabs.map(self._forward_cols, self.slabs.cols)
+        self.slabs.map(lambda c: self._forward_cols(c, self.q), self.slabs.cols)
 
-    def step(self) -> tuple[float, float, ResidualReport]:
+    def step(self, last: bool = False) -> tuple[float, float, ResidualReport] | None:
         """Advance v by one Picard step.
 
         Returns the sums of squares of the update and of the new iterate,
         each equal to np.sum over the whole field, and the new iterate's
-        equation residual.
+        equation residual.  With last, the step stops once v holds the new
+        iterate, skipping F, the forward transform and the residual, and
+        returns None.
         """
         slabs = self.slabs
         if not all(slabs.map(self._spectral_cols, slabs.cols)):
             raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
-        rows = slabs.map(self._physical_rows, slabs.rows)
+        rows = slabs.map(lambda r: self._physical_rows(r, last), slabs.rows)
         if not all(r[2] for r in rows):
             raise ValueError("field contains non-finite entries")
+        if last:
+            self.u, self.v = self.v, self.u
+            return None
         if not all(r[3] for r in rows):
             raise ValueError(_NONFINITE_F)
-        slabs.map(self._residual_cols, slabs.cols)
+        terms = self.terms_in(self.v)
+        slabs.map(lambda c: self._residual_cols(c, terms), slabs.cols)
+        res = self.residual(terms)
         self.u, self.v = self.v, self.u
-        return (
-            _pairwise_total([r[0] for r in rows]),
-            _pairwise_total([r[1] for r in rows]),
-            self.residual(),
-        )
+        self.q, self.work = self.work, self.q
+        return _pairwise_total([r[0] for r in rows]), _pairwise_total([r[1] for r in rows]), res
 
-    # Stage 1, on an axis-1 slab: u^ = multiplier * w^, then the axis-0
-    # stage of the inverse transform into what.
+    # Stage 1, on an axis-1 slab: u^ = recip * q into work, (ln|p| - shift) u^
+    # into q, then the axis-0 stage of the inverse transform in work.
     def _spectral_cols(self, c: tuple) -> bool:
-        uhat = np.multiply(self.op.multiplier[c], self.what[c], out=self.uhat[c])
+        uhat = np.multiply(self.op.recip[c], self.q[c], out=self.work[c])
         if not _all_finite(uhat):
             return False
+        np.multiply(self.op.modes.symbol[c], uhat, out=self.q[c])
         if uhat.ndim > 1:
-            np.fft.ifft(uhat, axis=0, out=self.what[c])
+            np.fft.ifft(uhat, axis=0, out=uhat)
         return True
 
     # Stage 2, on an axis-0 slab: the rest of the inverse transform into u,
-    # the update's and u's sums of squares, then F(u) and the inner stages of
-    # its forward transform.  Returns (update sum, u sum, u finite, F finite).
-    def _physical_rows(self, rows: slice) -> tuple[float, float, bool, bool]:
+    # the update's and u's sums of squares, then (unless last) F(u) and the
+    # inner stages of its forward transform.  Returns (update sum, u sum,
+    # u finite, F finite).
+    def _physical_rows(self, rows: slice, last: bool) -> tuple[float, float, bool, bool]:
         u, v = self.u[rows], self.v[rows]
-        _irfft_rows(self.what[rows] if u.ndim > 1 else self.uhat, u)
+        _irfft_rows(self.work[rows], u)
         if not _all_finite(u):
             return 0.0, 0.0, False, True
         np.subtract(u, v, out=v)
@@ -317,42 +327,56 @@ class _Iterate:
         update = float(np.sum(v))
         np.multiply(u, u, out=v)
         norm = float(np.sum(v))
-        return update, norm, True, self._forward_rows(rows, self.u, self.v)
+        return update, norm, True, last or self._forward_rows(rows, self.u, self.v, self.work)
 
-    def _forward_rows(self, rows: slice, field: np.ndarray, out: np.ndarray) -> bool:
-        """F(field) into out and the inner forward stages into what, on an axis-0 slab."""
-        _eval_F_into(self.N, field[rows], self.N.offset.values[rows], out[rows], self.scratch[rows])
-        if not _all_finite(out[rows]):
+    def _forward_rows(
+        self, rows: slice, field: np.ndarray, out: np.ndarray, spectrum: np.ndarray
+    ) -> bool:
+        """F(field) into out, then the inner forward stages into spectrum, on an axis-0 slab.
+
+        F's scratch is the slab of spectrum, which the transform then overwrites.
+        """
+        out, slab = out[rows], spectrum[rows]
+        scratch = slab.reshape(-1).view(float)[: out.size].reshape(out.shape)
+        _eval_F_into(self.N, field[rows], self.N.offset.values[rows], out, scratch)
+        if not _all_finite(out):
             return False
-        _rfft_rows(out[rows], self.what[rows])
+        _rfft_rows(out, slab)
         return True
 
-    def _forward_cols(self, c: tuple) -> None:
-        np.fft.fft(self.what[c], axis=0, out=self.what[c])
+    def _forward_cols(self, c: tuple, spectrum: np.ndarray) -> None:
+        """The axis-0 forward stage, then (2 pi)^(d/2) G^ times the transform, on an axis-1 slab."""
+        if spectrum.ndim > 1:
+            np.fft.fft(spectrum[c], axis=0, out=spectrum[c])
+        np.multiply(self.op.rhs[c], spectrum[c], out=spectrum[c])
 
-    # Stage 3, on an axis-1 slab: the axis-0 forward stage, then the
-    # residual's terms.
-    def _residual_cols(self, c: tuple) -> None:
-        if self.op.grid.d > 1:
-            self._forward_cols(c)
-        self.residual_terms(c)
+    # Stage 3, on an axis-1 slab: the right side of the next step into work,
+    # then the residual's terms.
+    def _residual_cols(self, c: tuple, terms: np.ndarray) -> None:
+        self._forward_cols(c, self.work)
+        self.residual_terms(c, self.q, self.work, terms)
 
-    def residual_terms(self, c: tuple) -> None:
-        """Weighted |ln|p| - shift) u^ - (2 pi)^(d/2) G^ w^|^2 into terms."""
-        op = self.op
-        diff = np.multiply(op.modes.symbol[c], self.uhat[c], out=self.uhat[c])
-        np.subtract(diff, np.multiply(op.rhs[c], self.what[c], out=self.spare[c]), out=diff)
-        sq = np.abs(diff, out=self.terms[c])
+    def terms_in(self, field: np.ndarray) -> np.ndarray:
+        """A spent real field buffer as a real array of the half spectrum's shape."""
+        return field.reshape(-1)[: self.q.size].reshape(self.q.shape)
+
+    def residual_terms(self, c: tuple, lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray) -> None:
+        """Weighted |lhs - rhs|^2 into terms, lhs = (ln|p| - shift) u^ and rhs = (2 pi)^(d/2) G^ w^.
+
+        The difference overwrites lhs.
+        """
+        diff = np.subtract(lhs[c], rhs[c], out=lhs[c])
+        sq = np.abs(diff, out=terms[c])
         np.multiply(sq, sq, out=sq)
-        np.multiply(sq, op.modes.weights[c], out=sq)
+        np.multiply(sq, self.op.modes.weights[c], out=sq)
 
-    def residual(self) -> ResidualReport:
+    def residual(self, terms: np.ndarray) -> ResidualReport:
         # np.sum with where= adds the sums of its unmasked stretches one after
         # another, so slab sums could not reproduce it; the active and masked
         # sums each run whole, one per thread.
         op = self.op
         active, masked = self.slabs.map(
-            lambda where: float(np.sum(self.terms, where=where)), (op.modes.active, op.modes.inactive)
+            lambda where: float(np.sum(terms, where=where)), (op.modes.active, op.modes.inactive)
         )
         return ResidualReport(
             value=math.sqrt(op.scale * active), masked_rhs_energy=math.sqrt(op.scale * masked)
@@ -371,25 +395,25 @@ def _all_finite(x: np.ndarray) -> bool:
 def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = False) -> int:
     """Estimated peak bytes of the arrays the CLI command holds on (d, n).
 
-    certify, solve and ft-selftest: seven real fields (kernel samples,
-    offset, starting field, cached |x| mesh, both iterates, the report's
-    final copy) and seven half spectra (the kernel's hat, the multiplier,
-    three iterate buffers, the symbol with its masks, and transients such as
-    numpy's FFT plans).  verify adds seven real fields: the property
-    suite's random pairs, their images and differences beside a map
-    application's buffers.  sequence adds, per member kernel, its samples
-    and its hat, and the projector's atoms (2, 4 or 6 real fields at d = 1,
-    2, 3), which make_sequence always builds; the atoms also count for any
-    command whose kernel is projected.  Traced with tracemalloc, a
-    certify-and-solve run peaks at 12.8 to 13.5 real fields at d = 1, 2 and
-    3, ft_selftest at 7.0 to 8.0, against about 14 here; verify at 19.9
-    (d = 2, n = 256) and 20.0 (d = 3, n = 48) against 21.1 and 21.3; a
-    six-member sequence at 28.6 and 29.6 against 30.1 and 32.5.  The
-    interpreter and its modules come on top.
+    certify, solve and ft-selftest: six real fields (kernel samples,
+    offset, starting field, cached |x| mesh, both iterates, the second of
+    which becomes the report's final field) and five half spectra (the
+    kernel's hat, the iterate spectra q and work, the symbol with the
+    operator's reciprocal, and the masks and transients such as numpy's FFT
+    plans).  verify adds seven real fields: the property suite's random
+    pairs, their images and differences beside a map application's
+    buffers.  sequence adds, per member kernel, its samples and its hat,
+    and the projector's atoms (2, 4 or 6 real fields at d = 1, 2, 3), which
+    make_sequence always builds; the atoms also count for any command whose
+    kernel is projected.  Traced with tracemalloc, a certify-and-solve run
+    peaks at 10.5 real fields at d = 2 (n = 256) and 3 (n = 48), against
+    11.0 and 11.2 here, and ft_selftest at 7.0 to 8.0; verify at 16.5
+    against 18.0 and 18.2; a six-member sequence at 25.4 and 26.3 against
+    27.1 and 29.5.  The interpreter and its modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
-    total = 7 * real + 7 * half
+    total = 6 * real + 5 * half
     if command == "verify":
         total += 7 * real
     if command == "sequence":
@@ -404,7 +428,7 @@ def _picard_operator(G: Kernel, spec: SymbolSpec) -> _PicardOperator:
     modes = _half_modes(grid, spec)
     recip = np.divide(1.0, modes.symbol, out=np.zeros(modes.symbol.shape), where=modes.active)
     pref = grid.h**grid.d / TWO_PI ** (grid.d / 2.0)
-    return _PicardOperator(grid, G.hat * recip, G.hat, modes, grid.mode_spacing**grid.d * pref * pref)
+    return _PicardOperator(grid, recip, G.hat, modes, grid.mode_spacing**grid.d * pref * pref)
 
 
 def apply_picard_map(v: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec) -> RealField:
@@ -525,7 +549,7 @@ def picard_solve(
         iterations=len(updates),
         update_norms=tuple(updates),
         contraction_ratios=ratios,
-        final=RealField(it.v, grid),
+        final=RealField._adopt(it.v, grid),
         residual=res.value,
         masked_rhs_energy=res.masked_rhs_energy,
         certificate=cert,

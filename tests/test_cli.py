@@ -162,6 +162,24 @@ RING_BEYOND_NYQUIST = (
             "reference", "a = 0.0", "a = -inf", "config error: line 8: a must be finite, got -inf",
             id="a-minus-inf",
         ),
+        # e^a overflowed in the default eta (exit 1 and a traceback).
+        pytest.param(
+            "reference",
+            "a = 0.0",
+            "a = 1000",
+            "config error: line 8: a must lie in [-709.78, 709.78], where e^a and e^-a are "
+            "finite, got 1000",
+            id="a-1000",
+        ),
+        # e^a underflowed to 0, and the default eta divided by it.
+        pytest.param(
+            "reference",
+            "a = 0.0",
+            "a = -1000",
+            "config error: line 8: a must lie in [-709.78, 709.78], where e^a and e^-a are "
+            "finite, got -1000",
+            id="a-minus-1000",
+        ),
         # The default eta of two mode spacings, 2 pi / L, puts the outer ring
         # at exp(1.3e13): compared in logarithms, not overflowing.
         pytest.param(
@@ -408,14 +426,14 @@ class TestVerifyCommand:
         assert 1 <= len(calls) <= 2
 
     def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
-        # A non-finite multiplier makes the map's spectrum non-finite.
+        # A non-finite reciprocal symbol makes the map's spectrum non-finite.
         build = llap.checks._picard_operator
 
         def poisoned(G, spec):
             op = build(G, spec)
-            multiplier = op.multiplier.copy()
-            multiplier[1] = np.nan
-            return type(op)(**{**vars(op), "multiplier": multiplier})
+            recip = op.recip.copy()
+            recip[1] = np.nan
+            return type(op)(**{**vars(op), "recip": recip})
 
         monkeypatch.setattr(llap.checks, "_picard_operator", poisoned)
         cfg = _write(tmp_path, REFERENCE)
@@ -437,16 +455,16 @@ class TestVerifyCommand:
 class TestMemoryPreflight:
     def test_estimate_arithmetic(self):
         # d=3, n=512: a real field is 2^30 bytes, a half spectrum
-        # 16 * 512^2 * 257 bytes; seven of each, seven more real fields for
-        # verify, and for sequence a real field and a half spectrum per
-        # member plus six atoms.
+        # 16 * 512^2 * 257 bytes; six real fields and five half spectra,
+        # seven more real fields for verify, and for sequence a real field
+        # and a half spectrum per member plus six atoms.
         real, half = 2**30, 16 * 512**2 * 257
-        assert llap.solver._peak_bytes(3, 512, "solve") == 7 * real + 7 * half
-        assert llap.solver._peak_bytes(3, 512, "certify") == 15_061_745_664
-        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 7 * 8 * 1024 + 7 * 16 * 513
-        assert llap.solver._peak_bytes(3, 512, "verify") == 14 * real + 7 * half
-        assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 13 * real + 7 * half
-        assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 19 * real + 13 * half
+        assert llap.solver._peak_bytes(3, 512, "solve") == 6 * real + 5 * half
+        assert llap.solver._peak_bytes(3, 512, "certify") == 11_832_131_584
+        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 6 * 8 * 1024 + 5 * 16 * 513
+        assert llap.solver._peak_bytes(3, 512, "verify") == 13 * real + 5 * half
+        assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 12 * real + 5 * half
+        assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 18 * real + 11 * half
         assert llap.solver._peak_bytes(2, 512, "sequence", members=2, project=True) == (
             llap.solver._peak_bytes(2, 512, "sequence", members=2)
         )
@@ -539,7 +557,7 @@ class TestMemoryPreflight:
         assert result.exit_code == EXIT_CONFIG
         # verify holds seven more real fields; sequence its six members'
         # samples and hats and the six d = 3 atoms.
-        need = {"verify": "21.0", "sequence": "32.1"}.get(command, "14.0")
+        need = {"verify": "18.0", "sequence": "29.0"}.get(command, "11.0")
         assert result.output.strip().splitlines() == [
             f"memory preflight: d=3, n=512 needs an estimated {need} GiB of arrays, "
             "more than the 1.0 GiB available"
@@ -561,6 +579,15 @@ class TestFtSelftest:
         cfg = _write(tmp_path, REFERENCE)
         result = runner.invoke(main, ["ft-selftest", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("n", [32, 40, 48])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coarse_grids_pass(self, d, n):
+        # The Gaussian oracle's old width max(L/8, 4h) put the Gaussian's
+        # periodization above the threshold here: ft_gaussian read 3.4e-3
+        # (d = 2) and 2.6e-2 (d = 3) at n = 32 on a correct transform.
+        results = llap.checks.ft_selftest(llap.make_grid(d, 20.0, n))
+        assert [r.name for r in results if not r.passed] == []
 
 
 class TestExitCodeContract:

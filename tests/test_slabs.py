@@ -146,6 +146,31 @@ def test_solve_identical_with_pool_on_and_off(monkeypatch, d, n):
     assert equation_residual(v0, K, N, spec) == residual_off
 
 
+@pytest.mark.parametrize("pool", [False, True])
+def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
+    # A map application transforms F(v) forward, once per row slab, and the
+    # new iterate back; F of the new iterate, its transform and the residual
+    # are left out, and the iterate is the one a full step computes.
+    if pool:
+        _force_pool(monkeypatch)
+    grid, spec, K, N = _problem(3, 16)
+    v = RealField(np.random.default_rng(3).normal(0.0, 0.5, grid.shape), grid)
+    op = llap.solver._picard_operator(K, spec)
+    full = llap.solver._Iterate(op, N, v.values)
+    full.step()
+    calls = []
+    rfft_rows = llap.solver._rfft_rows
+
+    def counted(a, out):
+        calls.append(a.shape)
+        rfft_rows(a, out)
+
+    monkeypatch.setattr(llap.solver, "_rfft_rows", counted)
+    mapped = op.apply(N, v)
+    assert len(calls) == len(grid_mod._slabs(grid.shape, op.rhs.shape).rows) == (2 if pool else 1)
+    assert np.array_equal(mapped.values, full.v)
+
+
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # Four slabs on four threads, switching every microsecond: a slab written
     # by two threads or sums combined out of order would change the bits.
@@ -174,7 +199,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_spectral_intermediate_in_worker(pool_on):
     # Finite F values whose sums overflow: the transform holds inf, and the
-    # worker's check of multiplier * w^ reports it.
+    # worker's check of u^ = recip * G^ w^ reports it.
     grid, spec, K, N = _problem(3, 16)
     cert = certify(K, N, spec, eps_user=0.1)
     huge = _linear(N, lambda u: np.full_like(u, 1e308))
@@ -200,9 +225,9 @@ def test_cli_exits_6_on_nonfinite_intermediate(pool_on, tmp_path, monkeypatch):
 
     def poisoned(G, spec):
         op = build(G, spec)
-        multiplier = op.multiplier.copy()
-        multiplier[1, 1, 1] = np.nan
-        return type(op)(**{**vars(op), "multiplier": multiplier})
+        recip = op.recip.copy()
+        recip[1, 1, 1] = np.nan
+        return type(op)(**{**vars(op), "recip": recip})
 
     monkeypatch.setattr(llap.solver, "_picard_operator", poisoned)
     cfg = tmp_path / "run.cfg"
