@@ -1,8 +1,8 @@
 """Command-line front end.
 
 One command per process, driving the run described by a config file (see
-``llap.config`` for the format).  Exit codes: 0 success, 2 config problem
-(including a grid whose estimated arrays exceed the available memory),
+``llap.config`` for the format).  Exit codes: 0 success, 2 usage or config
+problem (including a grid whose estimated arrays exceed the available memory),
 3 certificate failure, 4 non-convergence, 5 failed property checks (the
 ``verify`` suite, the transform self-tests, or the kernel-level limit checks
 of ``sequence``), 6 internal consistency check failed (a bound the theory
@@ -16,11 +16,12 @@ byte-identical tables.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Callable
 
-import click
 import numpy as np
 
 from . import fieldio
@@ -53,7 +54,7 @@ def _fmt(x) -> str:
 
 
 def _fail(code: int, what: str, e: Exception):
-    click.echo(f"{what}: {e}", err=True)
+    print(f"{what}: {e}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -100,10 +101,10 @@ def _preflight(cfg: RunConfig | None, grid, command: str) -> None:
     need = _peak_bytes(grid.d, grid.n, command, members, project)
     available = _available_bytes()
     if available is not None and need > available:
-        click.echo(
+        print(
             f"memory preflight: d={grid.d}, n={grid.n} needs an estimated "
             f"{need / 2**30:.1f} GiB of arrays, more than the {available / 2**30:.1f} GiB available",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(EXIT_CONFIG)
 
@@ -141,14 +142,67 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     fieldio.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-@click.group()
-def main():
-    """Spectral fixed-point solver with solvability certificates."""
+@dataclasses.dataclass
+class _Command:
+    """A subcommand: its name and the callback that runs it on (config, out_dir)."""
+
+    name: str
+    callback: Callable[[str | None, str], None]
+    config_required: bool = True
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out-dir", "-o", default="llap_out", show_default=True, help="Report directory")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # One line, as for every other failure; argparse would print the
+        # usage block first.
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
+class _Main:
+    """The ``llap`` entry point: parse the arguments, run one command.
+
+    ``commands`` maps each name to its ``_Command``, and a run calls the
+    command's callback through that record, so a rebound callback is the one
+    that runs.
+    """
+
+    def __init__(self):
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, config_required: bool = True):
+        def register(fn) -> _Command:
+            self.commands[name] = _Command(name, fn, config_required)
+            return self.commands[name]
+
+        return register
+
+    def __call__(self, args=None, prog_name: str = "llap", standalone_mode: bool = True) -> None:
+        """Run the command that args (default: sys.argv[1:]) name.
+
+        Returns on success and raises SystemExit with the command's exit code
+        otherwise; a usage error exits 2.  standalone_mode is accepted for
+        callers of click's calling convention and changes nothing.
+        """
+        parser = _Parser(
+            prog=prog_name, description="Spectral fixed-point solver with solvability certificates."
+        )
+        commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        for cmd in self.commands.values():
+            doc = cmd.callback.__doc__
+            sub = commands.add_parser(cmd.name, help=doc, description=doc)
+            sub.add_argument("config", metavar="CONFIG", nargs=None if cmd.config_required else "?")
+            sub.add_argument(
+                "--out-dir", "-o", default="llap_out", help="report directory (default: llap_out)"
+            )
+        ns = parser.parse_args(args)
+        self.commands[ns.command].callback(ns.config, ns.out_dir)
+
+
+main = _Main()
+
+
+@main.command("certify")
 def certify(config: str, out_dir: str):
     """Compute the contraction certificate; exit 0 only if it passes."""
     cfg = _load(config)
@@ -156,19 +210,17 @@ def certify(config: str, out_dir: str):
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
     fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
-    click.echo(
+    print(
         f"q = {cert.q:.6g}, orthogonality residual = {cert.orth_residual:.3e}, "
         f"divergence indicator = {cert.divergence_indicator:.3e}: "
         + ("PASS" if cert.passed else "FAIL")
     )
-    click.echo(f"wrote {out / 'certificate.txt'}")
+    print(f"wrote {out / 'certificate.txt'}")
     if not cert.passed:
         sys.exit(EXIT_CERTIFICATE)
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out-dir", "-o", default="llap_out", show_default=True, help="Report directory")
+@main.command("solve")
 def solve(config: str, out_dir: str):
     """Run the Picard iteration to its fixed point and write the report."""
     cfg = _load(config)
@@ -177,10 +229,10 @@ def solve(config: str, out_dir: str):
     out = _outdir(out_dir)
     fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
     if not cert.passed:
-        click.echo(
+        print(
             f"certificate failed (q = {cert.q:.6g}, residual = {cert.orth_residual:.3e}); "
             "solve refused",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(EXIT_CERTIFICATE)
     try:
@@ -212,18 +264,16 @@ def solve(config: str, out_dir: str):
     fieldio.atomic_write_text(out / "solve_summary.txt", "\n".join(summary))
     if cfg.get("solver", "dump_field", False):
         fieldio.dump_field(report.final, out / "field.llap")
-    click.echo(
+    print(
         f"{'converged' if report.converged else 'NOT converged'} in {report.iterations} "
         f"iterations, residual {report.residual:.3e}"
     )
-    click.echo(f"wrote {out / 'solve_summary.txt'}, {out / 'iterations.csv'}")
+    print(f"wrote {out / 'solve_summary.txt'}, {out / 'iterations.csv'}")
     if not report.converged:
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out-dir", "-o", default="llap_out", show_default=True, help="Report directory")
+@main.command("sequence")
 def sequence(config: str, out_dir: str):
     """Solve along a convergent kernel sequence and verify the limit claims."""
     cfg = _load(config)
@@ -239,7 +289,7 @@ def sequence(config: str, out_dir: str):
         )
     except MemberCertificateError as e:
         where = "the limit kernel" if e.member is None else f"member {e.member}"
-        click.echo(f"certificate failure at {where}: {e}", err=True)
+        print(f"certificate failure at {where}: {e}", file=sys.stderr)
         sys.exit(EXIT_CERTIFICATE)
     except ConsistencyError as e:
         _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
@@ -275,11 +325,11 @@ def sequence(config: str, out_dir: str):
         f"lemma_passed = {_fmt(table.passed)}",
     ]
     fieldio.atomic_write_text(out / "sequence_summary.txt", "\n".join(summary) + "\n")
-    click.echo(
+    print(
         f"{len(study.rows)} members, final solution distance {study.rows[-1].sol_dist:.3e}, "
         f"limit checks {'PASS' if table.passed else 'FAIL'}"
     )
-    click.echo(f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}")
+    print(f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}")
     if not table.passed:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -291,13 +341,11 @@ def _report_checks(results: list[CheckResult], out: Path, name: str) -> bool:
         [[r.name, r.passed, r.value, r.detail.replace(",", ";")] for r in results],
     )
     for r in results:
-        click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (value = {r.value:.6g})")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (value = {r.value:.6g})")
     return all(r.passed for r in results)
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out-dir", "-o", default="llap_out", show_default=True, help="Report directory")
+@main.command("verify")
 def verify(config: str, out_dir: str):
     """Run the full property suite for the configured problem."""
     cfg = _load(config)
@@ -316,9 +364,7 @@ def verify(config: str, out_dir: str):
         sys.exit(EXIT_CHECK_FAILED)
 
 
-@main.command("ft-selftest")
-@click.argument("config", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--out-dir", "-o", default="llap_out", show_default=True, help="Report directory")
+@main.command("ft-selftest", config_required=False)
 def ft_selftest_cmd(config: str | None, out_dir: str):
     """Transform self-tests on the configured grid (default d=1, L=20, n=1024)."""
     if config is not None:

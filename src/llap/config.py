@@ -31,7 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .grid import GridSpec, RealField, SymbolSpec, default_eta, make_grid, sample
+from .grid import (
+    GridSpec,
+    RealField,
+    SymbolSpec,
+    _SplitMix64,
+    default_eta,
+    make_grid,
+    norms,
+    sample,
+)
 from .kernels import (
     Kernel,
     Schedule,
@@ -242,11 +251,13 @@ class RunConfig:
             center = self.get("nonlinearity", "h_center", 0.0)
             if amp < 0 or width <= 0:
                 raise ConfigError("gauss_bump offset needs amplitude >= 0 and width > 0")
-            return sample(
-                grid,
-                # Scaled before squaring: width**2 overflows from width ~ 1e154.
-                lambda *xs: amp * np.exp(-sum(((x - center) / width) ** 2 for x in xs) / 2.0),
-            )
+            # Scaled before squaring: width**2 overflows from width ~ 1e154.  A
+            # width near 0 overflows the square, and the bump is 0 off its centre.
+            with np.errstate(over="ignore"):
+                return sample(
+                    grid,
+                    lambda *xs: amp * np.exp(-sum(((x - center) / width) ** 2 for x in xs) / 2.0),
+                )
         if h_family == "file":
             path = self.get("nonlinearity", "h_path")
             if path is None:
@@ -258,10 +269,18 @@ class RunConfig:
         raise ConfigError(f"unknown offset family {h_family!r}")
 
     def nonlinearity(self, grid: GridSpec) -> Nonlinearity:
+        offset = self.offset_field(grid)
+        with np.errstate(over="ignore"):
+            l2 = norms(offset).l2
+        if not math.isfinite(l2):
+            # The solve squares fields of the offset's size.
+            raise ConfigError(
+                f"offset norm overflows (||h||_2 = {l2:.3g}); h must be square integrable"
+            )
         return make_nonlinearity(
             family=self.get("nonlinearity", "family"),
             lip=self.get("nonlinearity", "l"),
-            offset=self.offset_field(grid),
+            offset=offset,
             growth=self.get("nonlinearity", "k"),
             amplitude=self.get("nonlinearity", "amplitude"),
             knee=self.get("nonlinearity", "knee", 1.0),
@@ -278,7 +297,7 @@ class RunConfig:
         if v0 == "zero":
             return None
         if v0 == "random":
-            rng = np.random.default_rng(self.seed)
+            rng = _SplitMix64(self.seed)
             scale = self.get("solver", "v0_scale", 1.0)
             return RealField(rng.normal(0.0, scale, grid.shape), grid)
         raise ConfigError(f"unknown starting field {v0!r} (expected zero or random)")

@@ -138,6 +138,11 @@ def make_grid(d: int, L: float, n: int) -> GridSpec:
         raise ValueError(f"need at least 8 points per axis, got {n}")
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"box half-width must be positive and finite, got {L}")
+    nyquist = math.pi * n / (2.0 * L)
+    if not math.isfinite(d * nyquist * nyquist):
+        raise ValueError(
+            f"box half-width {L} is too small for n = {n}: squared frequencies overflow"
+        )
     return GridSpec(d=int(d), L=float(L), n=int(n))
 
 
@@ -212,6 +217,94 @@ def default_eta(grid: GridSpec, shift: float) -> float:
 def sample(grid: GridSpec, fn: Callable[..., np.ndarray]) -> RealField:
     """Sample fn(x1, ..., xd) on the grid."""
     return RealField(np.asarray(fn(*grid.coord_meshes()), dtype=float), grid)
+
+
+# SplitMix64 (Steele, Lea and Flood 2014): draw i of the stream seeded with s
+# is the finalizer below applied to s + (i + 1) * _GOLDEN mod 2^64.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+# Draws per chunk: a field-sized draw holds its output and a few chunks of
+# scratch (256 KiB each), never a second field.
+_DRAW_CHUNK = 2**15
+
+
+class _SplitMix64:
+    """The seeded generator behind every sampled check and the random start.
+
+    Counter-based: each call takes the next draws of the stream, and draw i
+    depends only on the seed and i, so the values do not depend on how the
+    output is split into chunks.  Uniforms are the top 53 bits times 2^-53,
+    in [0, 1); normals come from Box-Muller on two uniforms each; integers
+    are a 64-bit draw modulo the range.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = int(seed) % 2**64
+        self._used = 0
+
+    def _bits(self, count: int) -> np.ndarray:
+        z = np.arange(self._used + 1, self._used + count + 1, dtype=np.uint64)
+        self._used += count
+        z *= _GOLDEN
+        z += self._seed
+        for shift, mult in zip((30, 27), _MIX):
+            z ^= z >> shift
+            z *= mult
+        z ^= z >> 31
+        return z
+
+    def _draw(self, size, per: int, fill, dtype=float) -> np.ndarray:
+        """An array of shape size, each entry made by fill from per draws."""
+        out = np.empty(size, dtype=dtype)
+        flat = out.reshape(-1)
+        step = max(_DRAW_CHUNK // per, 1)
+        for lo in range(0, flat.size, step):
+            chunk = flat[lo : lo + step]
+            fill(self._bits(per * chunk.size), chunk)
+        return out
+
+    @staticmethod
+    def _unit(bits: np.ndarray, out: np.ndarray) -> None:
+        bits >>= 11
+        np.multiply(bits, 2.0**-53, out=out)
+
+    @staticmethod
+    def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
+        bits >>= 11
+        u = bits * 2.0**-53
+        np.multiply(u[1::2], TWO_PI, out=out)
+        np.cos(out, out=out)
+        # 1 - u lies in (0, 1], so the logarithm is finite.
+        out *= np.sqrt(-2.0 * np.log1p(-u[0::2]))
+
+    def random(self, size=()) -> np.ndarray:
+        return self._draw(size, 1, self._unit)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=()) -> np.ndarray:
+        out = self.random(size)
+        out *= high - low
+        out += low
+        return out
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0, size=()) -> np.ndarray:
+        out = self._draw(size, 2, self._box_muller)
+        out *= scale
+        out += loc
+        return out
+
+    def integers(self, low: int, high: int, size=()) -> np.ndarray:
+        """Integers in [low, high), high - low < 2^63."""
+        span = int(high) - int(low)
+        if span < 1:
+            raise ValueError(f"empty range [{low}, {high})")
+
+        def fill(bits, out):
+            bits %= span
+            out[...] = bits
+
+        out = self._draw(size, 1, fill, dtype=np.int64)
+        out += low
+        return out
 
 
 def _phase(grid: GridSpec) -> np.ndarray:

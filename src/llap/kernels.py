@@ -40,6 +40,7 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
+    _SplitMix64,
     _convolution,
     _half_ft,
     _half_modes,
@@ -129,8 +130,13 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.members < 1:
             raise ValueError("schedule needs at least one member")
+        lengths = (self.r_start, self.r_stop, self.cutoff_width, self.moll_scale)
+        if not all(math.isfinite(x) for x in lengths):
+            raise ValueError("schedule radii and widths must be finite")
         if self.kind == "truncate" and not (0 < self.r_start <= self.r_stop):
             raise ValueError("truncation radii must satisfy 0 < r_start <= r_stop")
+        if self.kind == "truncate" and self.cutoff_width <= 0:
+            raise ValueError("cutoff width must be positive")
         if self.kind == "mollify" and self.moll_scale <= 0:
             raise ValueError("mollifier scale must be positive")
 
@@ -198,8 +204,9 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
         c = float(params.get("amplitude", 1.0))
         if not (w > 0 and np.isfinite(w) and np.isfinite(c)):
             raise ValueError(f"gaussian kernel needs positive width and finite amplitude, got {params}")
-        vals = c * np.exp(-(r * r) / (2.0 * w * w))
-        return _build(RealField(vals, grid), family, {"width": w, "amplitude": c})
+        with np.errstate(all="ignore"):  # a width near 0 overflows; refused in _sampled
+            vals = c * np.exp(-(r * r) / (2.0 * w * w))
+        return _build(_sampled(family, vals, grid), family, {"width": w, "amplitude": c})
     if family == "bump":
         R = float(params.get("radius", 1.0))
         c = float(params.get("amplitude", 1.0))
@@ -228,13 +235,21 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
                 f"difference kernel's second coefficient overflows at shift {shift:.6g} "
                 f"(widths {w1:.6g}, {w2:.6g}); lower the shift or bring the widths closer"
             )
-        vals = c1 * _unit_gaussian(r, w1, grid.d) - c2 * _unit_gaussian(r, w2, grid.d)
+        with np.errstate(all="ignore"):
+            vals = c1 * _unit_gaussian(r, w1, grid.d) - c2 * _unit_gaussian(r, w2, grid.d)
         return _build(
-            RealField(vals, grid),
+            _sampled(family, vals, grid),
             family,
             {"width1": w1, "width2": w2, "amplitude": c1, "shift": shift},
         )
     raise ValueError(f"unknown kernel family {family!r}")
+
+
+def _sampled(family: str, vals: np.ndarray, grid: GridSpec) -> RealField:
+    # min and max carry any nan or inf, without a mask the size of vals.
+    if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
+        raise ValueError(f"{family} kernel samples overflow; a width is too small to sample")
+    return RealField(vals, grid)
 
 
 def _unit_gaussian(r: np.ndarray, width: float, d: int) -> np.ndarray:
@@ -366,7 +381,8 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
     times |x|.
     """
     r = grid.radius_mesh()
-    env = np.exp(-(sigma * r) ** 2 / 2.0)
+    with np.errstate(over="ignore"):  # a wide taper's envelope underflows to 0
+        env = np.exp(-(sigma * r) ** 2 / 2.0)
     if grid.d == 1:
         x = grid.coord_meshes()[0]
         return np.stack([env * np.cos(radius * x), env * np.sin(radius * x)])
@@ -448,6 +464,8 @@ class _Projector:
 
 
 def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Projector:
+    if not math.isfinite(taper_width):
+        raise ValueError(f"taper_width must be finite, got {taper_width}")
     if taper_width < spec.eta:
         raise ValueError(
             f"taper_width {taper_width:.6g} is narrower than the masked annulus eta {spec.eta:.6g}"
@@ -632,7 +650,7 @@ def verify_derivative_bound(G: Kernel, seed: int = 0) -> BoundCheck:
     step, naxis, nrays, nradii = 1e-5, 96, 6, 48
     grid = G.grid
     bound = G.weighted_l1 / TWO_PI ** (grid.d / 2.0)
-    rng = np.random.default_rng(seed)
+    rng = _SplitMix64(seed)
     dirs = [np.eye(grid.d)[i] for i in range(grid.d)]
     for _ in range(nrays):
         v = rng.normal(size=grid.d)

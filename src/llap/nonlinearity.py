@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec, RealField
+from .grid import GridSpec, RealField, _SplitMix64
 
 __all__ = [
     "Nonlinearity",
@@ -149,12 +149,13 @@ def _eval_F_into(
     np.add(out, offset, out=out)
 
 
-def _sample_u(N: Nonlinearity, rng: np.random.Generator, count: int) -> np.ndarray:
+def _sample_u(N: Nonlinearity, rng: _SplitMix64, count: int) -> np.ndarray:
     # Wide range plus a dense band around 0 where the built-in families
-    # attain their Lipschitz suprema.
-    span = 10.0 / N.lip
-    wide = rng.uniform(-span, span, size=count // 2)
-    narrow = rng.normal(0.0, 0.1 / N.lip, size=count - count // 2)
+    # attain their Lipschitz suprema.  The floor on lip is estimate_lipschitz's,
+    # so that its gaps stay resolvable beside u.
+    lip = max(N.lip, 1e-30)
+    wide = rng.uniform(-10.0 / lip, 10.0 / lip, size=count // 2)
+    narrow = rng.normal(0.0, 0.1 / lip, size=count - count // 2)
     return np.concatenate([wide, narrow])
 
 
@@ -162,7 +163,7 @@ def verify_growth(N: Nonlinearity, trials: int, seed: int) -> GrowthReport:
     """Check |F(u, x)| <= growth * |u| + h(x) on random (u, x) pairs."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = _SplitMix64(seed)
     u = _sample_u(N, rng, trials)
     idx = rng.integers(0, N.grid.npoints, size=trials)
     h = N.offset.values.reshape(-1)[idx]
@@ -186,7 +187,7 @@ def estimate_lipschitz(N: Nonlinearity, trials: int, seed: int) -> float:
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    rng = np.random.default_rng(seed)
+    rng = _SplitMix64(seed)
     u1 = _sample_u(N, rng, trials)
     gap = rng.uniform(1e-7, 1.0, size=trials) / max(N.lip, 1e-30)
     u2 = u1 + np.where(rng.random(trials) < 0.5, gap, -gap)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -18,6 +21,48 @@ from llap.kernels import make_kernel, sphere_points
 from llap.nonlinearity import make_nonlinearity
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class Invocation:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in the order written
+    exception: SystemExit | None  # the SystemExit of a nonzero exit
+
+
+class _Tee(io.TextIOBase):
+    def __init__(self, *sinks):
+        self.sinks = sinks
+
+    def write(self, text):
+        for sink in self.sinks:
+            sink.write(text)
+        return len(text)
+
+
+class Runner:
+    """Runs an llap entry point in this process and captures what it prints."""
+
+    def invoke(self, main, args) -> Invocation:
+        out, err, both = io.StringIO(), io.StringIO(), io.StringIO()
+        exception = None
+        with contextlib.redirect_stdout(_Tee(out, both)), contextlib.redirect_stderr(
+            _Tee(err, both)
+        ):
+            try:
+                main(args)
+                code = 0
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else (0 if e.code is None else 1)
+                exception = e if code else None
+        return Invocation(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+@pytest.fixture()
+def runner():
+    return Runner()
 
 
 @pytest.fixture(scope="session")

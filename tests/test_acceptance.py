@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from llap.grid import (
     RealField,
@@ -240,7 +239,9 @@ class TestAcceptance:
             trivial_ok and nontrivial_ok and masked_ok,
         )
 
-    def test_9_negative_controls(self, diff_kernel, sine_nonlinearity, spec1, grid1, tmp_path):
+    def test_9_negative_controls(
+        self, diff_kernel, sine_nonlinearity, spec1, grid1, tmp_path, runner
+    ):
         sched = Schedule(kind="truncate", members=3, r_start=6.0, r_stop=10.0)
         seq = make_sequence(diff_kernel, sched, spec1, taper_width=0.5)
         cut = _truncation_cutoff(grid1.radius_mesh(), 4.0, 1.0)
@@ -266,7 +267,7 @@ class TestAcceptance:
         )
         path = tmp_path / "raw.cfg"
         path.write_text(raw_cfg)
-        result = CliRunner().invoke(main, ["solve", str(path), "-o", str(tmp_path / "out")])
+        result = runner.invoke(main, ["solve", str(path), "-o", str(tmp_path / "out")])
         refusal_ok = result.exit_code == EXIT_CERTIFICATE
         _verdict(
             9,

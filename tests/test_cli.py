@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import llap.checks
 import llap.cli
@@ -25,6 +26,7 @@ from llap.cli import (
     main,
 )
 from llap.solver import ConsistencyError
+from conftest import Runner
 from test_config import REFERENCE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -45,11 +47,6 @@ def _box(d, n, L, project=False):
             "family = gaussian\nwidth = 1.0\namplitude = 1.0\nproject = true\ntaper_width = 0.5",
         )
     return text
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def _count_passes(monkeypatch):
@@ -109,6 +106,15 @@ class TestCertifyCommand:
         assert "even" in result.output
 
 
+def _python(*args, cwd=None):
+    """Run python with args in a fresh process that imports this llap."""
+    src = str(Path(llap.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 def _llap(tmp_path, text, command):
     """Run one llap command on a config text in a fresh process.
 
@@ -116,14 +122,58 @@ def _llap(tmp_path, text, command):
     stderr as they do for a user rather than being raised by pytest.
     """
     cfg = _write(tmp_path, text)
-    src = str(Path(llap.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-m", "llap.cli", command, cfg, "-o", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
+    return _python("-m", "llap.cli", command, cfg, "-o", str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        pytest.param(
+            ["certify"], "usage error: the following arguments are required: CONFIG",
+            id="missing-config",
+        ),
+        pytest.param(
+            ["certify", "absent.cfg"],
+            "config error: [Errno 2] No such file or directory: 'absent.cfg'",
+            id="nonexistent-config",
+        ),
+        pytest.param(
+            ["certfy", "absent.cfg"],
+            "usage error: argument COMMAND: invalid choice: 'certfy' (choose from 'certify', "
+            "'solve', 'sequence', 'verify', 'ft-selftest')",
+            id="unknown-command",
+        ),
+        pytest.param(
+            ["certify", str(CONFIGS / "reference.cfg"), "--bogus"],
+            "usage error: unrecognized arguments: --bogus",
+            id="unknown-option",
+        ),
+        pytest.param([], "usage error: the following arguments are required: COMMAND", id="no-command"),
+    ],
+)
+def test_usage_error_in_one_line(tmp_path, args, line):
+    result = _python("-m", "llap.cli", *args, cwd=tmp_path)
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.splitlines() == [line]
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_commands_load_neither_click_nor_numpy_random(tmp_path):
+    # The sampled checks draw from grid._SplitMix64, and the front end is
+    # argparse; numpy loads numpy.random lazily, on first use.
+    code = (
+        "import sys, llap.cli\n"
+        "for command in ('certify', 'solve', 'sequence', 'verify'):\n"
+        "    try:\n"
+        "        llap.cli.main([command, sys.argv[1], '-o', sys.argv[2]])\n"
+        "    except SystemExit as e:\n"
+        "        assert not e.code, (command, e.code)\n"
+        "print(sorted(m for m in sys.modules if m == 'click' or m.startswith('numpy.random')))\n"
     )
+    result = _python("-c", code, str(CONFIGS / "reference.cfg"), str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify"])
@@ -580,14 +630,19 @@ class TestFtSelftest:
         result = runner.invoke(main, ["ft-selftest", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
 
-    @pytest.mark.parametrize("n", [32, 40, 48])
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40, 48])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_coarse_grids_pass(self, d, n):
-        # The Gaussian oracle's old width max(L/8, 4h) put the Gaussian's
-        # periodization above the threshold here: ft_gaussian read 3.4e-3
-        # (d = 2) and 2.6e-2 (d = 3) at n = 32 on a correct transform.
+        # The Gaussian oracle compared with the transform on R^d failed a
+        # correct transform on coarse grids: ft_gaussian read 3.4e-3 (d = 2)
+        # and 2.6e-2 (d = 3) at n = 32 with width max(L/8, 4h), and still
+        # 1.1e-5, 4.3e-5 and 1.8e-4 (d = 1, 2, 3) at n = 16 with the width
+        # that balanced periodization against aliasing.  The periodized and
+        # aliased closed form is exact on any grid.
         results = llap.checks.ft_selftest(llap.make_grid(d, 20.0, n))
         assert [r.name for r in results if not r.passed] == []
+        gaussian = next(r for r in results if r.name == "ft_gaussian")
+        assert gaussian.value <= 1e-13
 
 
 class TestExitCodeContract:
@@ -630,3 +685,113 @@ def test_projected_2d_sequence_is_deterministic(runner, tmp_path):
     assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# CLI totality: the shipped configs on a 128-point grid, with one or two
+# values replaced by an extreme.
+_SHIPPED = {
+    name: (CONFIGS / f"{name}.cfg").read_text().replace("n = 1024", "n = 128")
+    for name in ("reference", "raw_gaussian", "projected_gaussian")
+}
+_EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+
+
+def _mutated(name, edits):
+    """The shipped config with the value of its value line k replaced, per (k, value)."""
+    lines = _SHIPPED[name].splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+    for k, value in edits:
+        i = keyed[k % len(keyed)]
+        lines[i] = f"{lines[i].split('=')[0].strip()} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_SHIPPED)),
+    command=st.sampled_from(["certify", "solve", "sequence", "verify"]),
+    edits=st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from(_EXTREMES)), min_size=1, max_size=2
+    ),
+)
+def test_every_mutated_config_ends_in_a_documented_exit(name, command, edits):
+    # In process, where numpy's floating-point warnings raise: a warning
+    # would have been a further stderr line.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_mutated(name, edits))
+        result = Runner().invoke(main, [command, str(cfg), "-o", str(Path(tmp) / "out")])
+    assert result.exit_code in (0, 2, 3, 4, 5, 6)
+    assert len(result.stderr.splitlines()) <= 1
+
+
+@pytest.mark.parametrize(
+    "name, command, key, value, code, line",
+    [
+        # r^2 / (2 w^2) and the unit-mass factor overflowed (RuntimeWarnings).
+        pytest.param(
+            "reference", "certify", "width1", "1e-300", EXIT_CONFIG,
+            "config error: difference kernel samples overflow; a width is too small to sample",
+            id="width1-1e-300",
+        ),
+        pytest.param(
+            "raw_gaussian", "solve", "width", "1e-300", EXIT_CONFIG,
+            "config error: gaussian kernel samples overflow; a width is too small to sample",
+            id="width-1e-300",
+        ),
+        # The sampled fields' scale 1/l underflowed, and the contraction
+        # sampling divided by a zero norm (ZeroDivisionError, exit 1).  Now
+        # lipschitz_estimate fails: the rounding of the sampled quotients
+        # exceeds its absolute 1e-12 slack.
+        pytest.param("reference", "verify", "l", "1e300", EXIT_CHECK_FAILED, None, id="l-1e300"),
+        # estimate_lipschitz floored l at 1e-30 for its gaps but not for u,
+        # and divided 0 by 0 (RuntimeWarning).
+        pytest.param("reference", "certify", "l", "1e-300", 0, None, id="l-1e-300"),
+        # The solve squared fields near 1e300 (RuntimeWarning).
+        pytest.param(
+            "reference", "solve", "h_amplitude", "1e300", EXIT_CONFIG,
+            "config error: offset norm overflows (||h||_2 = inf); h must be square integrable",
+            id="h_amplitude-1e300",
+        ),
+        # ((x - c) / width)^2 overflowed (RuntimeWarning); the bump is 0.3 at x = 0.
+        pytest.param("reference", "certify", "h_width", "1e-300", 0, None, id="h_width-1e-300"),
+        pytest.param(
+            "reference", "sequence", "r_stop", "inf", EXIT_CONFIG,
+            "config error: schedule radii and widths must be finite", id="r_stop-inf",
+        ),
+        pytest.param(
+            "reference", "sequence", "cutoff_width", "0", EXIT_CONFIG,
+            "config error: cutoff width must be positive", id="cutoff_width-0",
+        ),
+        pytest.param(
+            "reference", "sequence", "cutoff_width", "nan", EXIT_CONFIG,
+            "config error: schedule radii and widths must be finite", id="cutoff_width-nan",
+        ),
+        # The squared mode radii overflowed (RuntimeWarning).
+        pytest.param(
+            "projected_gaussian", "certify", "L", "1e-300", EXIT_CONFIG,
+            "config error: box half-width 1e-300 is too small for n = 128: squared "
+            "frequencies overflow",
+            id="L-1e-300",
+        ),
+        pytest.param(
+            "projected_gaussian", "certify", "taper_width", "inf", EXIT_CONFIG,
+            "config error: taper_width must be finite, got inf", id="taper_width-inf",
+        ),
+        # The atoms' envelope overflowed its square (RuntimeWarning); it is
+        # now 0 off the origin, and the floor envelope still projects.
+        pytest.param(
+            "projected_gaussian", "certify", "taper_width", "1e300", 0, None,
+            id="taper_width-1e300",
+        ),
+    ],
+)
+def test_extreme_value_found_by_the_totality_property(
+    runner, tmp_path, name, command, key, value, code, line
+):
+    text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", _SHIPPED[name])
+    assert count == 1
+    cfg = _write(tmp_path, text)
+    result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
+    assert result.exit_code == code
+    assert result.stderr.splitlines() == ([] if line is None else [line])

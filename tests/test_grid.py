@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import llap.grid as grid_mod
 from llap.grid import (
     RealField,
     SymbolSpec,
+    _SplitMix64,
     _convolution,
     _half_ft,
     _half_modes,
@@ -314,3 +317,87 @@ class TestConvolution:
         lhs = ft(direct_field)
         rhs = (2.0 * math.pi) ** (g.d / 2.0) * ft(f) * ft(h)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def _splitmix64(seed: int, count: int) -> list[int]:
+    """The reference SplitMix64 stream, one Python int at a time."""
+    mask, state, out = 2**64 - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+    def test_matches_the_reference_stream(self, seed):
+        rng = _SplitMix64(seed)
+        first, rest = rng._bits(3), rng._bits(97)
+        assert [int(z) for z in np.concatenate([first, rest])] == _splitmix64(seed, 100)
+        # The published first output for seed 1234567.
+        if seed == 1234567:
+            assert int(first[0]) == 6457827717110365317
+
+    @pytest.mark.parametrize("method, args", [
+        ("random", ()), ("uniform", (-2.0, 3.0)), ("normal", (1.0, 0.5)), ("integers", (3, 10)),
+    ])
+    def test_same_seed_same_draws(self, method, args):
+        a = getattr(_SplitMix64(7), method)(*args, size=(40, 25))
+        b = getattr(_SplitMix64(7), method)(*args, size=(40, 25))
+        c = getattr(_SplitMix64(8), method)(*args, size=(40, 25))
+        assert a.shape == (40, 25)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1000])
+    def test_values_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        def draws():
+            rng = _SplitMix64(11)
+            return [rng.normal(size=4099), rng.uniform(-1.0, 1.0, 4097), rng.integers(0, 5, 33),
+                    rng.random(1)]
+
+        expected = draws()
+        monkeypatch.setattr(grid_mod, "_DRAW_CHUNK", chunk)
+        for a, b in zip(draws(), expected):
+            assert np.array_equal(a, b)
+
+    def test_ranges(self):
+        rng = _SplitMix64(5)
+        u = rng.random(100_000)
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 0.005
+        v = rng.uniform(-3.0, -1.0, 100_000)
+        assert -3.0 <= v.min() and v.max() < -1.0
+        k = rng.integers(-2, 5, 100_000)
+        assert k.dtype == np.int64
+        assert set(np.unique(k)) == set(range(-2, 5))
+
+    def test_normal_moments(self):
+        z = _SplitMix64(2).normal(1.5, 2.0, 100_000)
+        # Five standard errors: 2 / sqrt(1e5) for the mean, and about
+        # 4 sqrt(2 / 1e5) for the variance.
+        assert abs(z.mean() - 1.5) < 5 * 2.0 / math.sqrt(1e5)
+        assert abs(z.var() - 4.0) < 5 * 4.0 * math.sqrt(2.0 / 1e5)
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 2**63, 2**64 - 1):
+                rng = _SplitMix64(seed)
+                rng.normal(size=70_000)
+                rng.uniform(0.0, 1.0, 10)
+                rng.integers(0, 2**62, 10)
+                rng.random(())
+
+    def test_field_sized_draw_holds_its_output_and_chunk_scratch(self):
+        size = 2**20
+        _SplitMix64(0).normal(size=1000)  # warm up
+        tracemalloc.start()
+        try:
+            z = _SplitMix64(0).normal(size=size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + 2**20, (peak - z.nbytes) / 2**20

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import llap
@@ -220,7 +219,7 @@ def test_nonfinite_F_in_worker(pool_on, start):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_exits_6_on_nonfinite_intermediate(pool_on, tmp_path, monkeypatch):
+def test_cli_exits_6_on_nonfinite_intermediate(pool_on, tmp_path, monkeypatch, runner):
     build = llap.solver._picard_operator
 
     def poisoned(G, spec):
@@ -232,7 +231,7 @@ def test_cli_exits_6_on_nonfinite_intermediate(pool_on, tmp_path, monkeypatch):
     monkeypatch.setattr(llap.solver, "_picard_operator", poisoned)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_3D)
-    result = CliRunner().invoke(main, ["solve", str(cfg), "-o", str(tmp_path / "out")])
+    result = runner.invoke(main, ["solve", str(cfg), "-o", str(tmp_path / "out")])
     assert result.exit_code == EXIT_INCONSISTENT
     assert result.output.strip().splitlines()[-1] == (
         "internal consistency check failed: "
@@ -253,7 +252,7 @@ def _drop_the_last_row_slab(shape, spectrum, slabs=grid_mod._slabs):
     "name, broken",
     [(None, None), ("_irfft_rows", _drop_the_axis_1_stage), ("_slabs", _drop_the_last_row_slab)],
 )
-def test_ft_selftest_runs_the_solver_transforms(tmp_path, monkeypatch, name, broken):
+def test_ft_selftest_runs_the_solver_transforms(tmp_path, monkeypatch, name, broken, runner):
     # d = 3, n = 84 is a two-slab grid on two workers; a broken inner stage
     # of the inverse transform, or a slab cover that misses rows, must fail
     # the self-test.
@@ -263,7 +262,7 @@ def test_ft_selftest_runs_the_solver_transforms(tmp_path, monkeypatch, name, bro
         monkeypatch.setattr(grid_mod, name, broken)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_3D.replace("n = 16", "n = 84"))
-    result = CliRunner().invoke(main, ["ft-selftest", str(cfg), "-o", str(tmp_path / "out")])
+    result = runner.invoke(main, ["ft-selftest", str(cfg), "-o", str(tmp_path / "out")])
     if name is None:
         assert result.exit_code == 0, result.output
     else:
