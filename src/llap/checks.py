@@ -21,7 +21,6 @@ from functools import reduce
 
 import numpy as np
 
-from .config import RunConfig
 from .grid import (
     RealField,
     SymbolSpec,
@@ -38,11 +37,12 @@ from .grid import (
 )
 from .kernels import (
     ADMISSIBLE_RTOL,
+    Kernel,
     inverse_symbol_gain,
     verify_derivative_bound,
     verify_hat_bound,
 )
-from .nonlinearity import estimate_lipschitz, eval_F, verify_growth
+from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F, verify_growth
 from .solver import _picard_operator, triviality_indicator
 
 __all__ = ["CheckResult", "run_property_suite", "ft_selftest"]
@@ -159,12 +159,11 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
     )
 
 
-def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
-    grid = cfg.grid()
-    spec = cfg.symbol_spec(grid)
-    K = cfg.kernel(grid, spec)
-    N = cfg.nonlinearity(grid)
-    seed = cfg.seed
+def run_property_suite(
+    K: Kernel, N: Nonlinearity, spec: SymbolSpec, seed: int, tau: float
+) -> list[CheckResult]:
+    """The verify suite for kernel K, nonlinearity N and symbol spec on K's grid."""
+    grid = K.grid
     rng = _SplitMix64(seed + 1)
 
     results = ft_selftest(grid, seed)
@@ -234,7 +233,7 @@ def run_property_suite(cfg: RunConfig) -> list[CheckResult]:
         )
     )
 
-    frac = triviality_indicator(K, N, spec, cfg.tau)
+    frac = triviality_indicator(K, N, spec, tau)
     first_step = op.apply(N, RealField.zeros(grid))
     step_nontrivial = norms(first_step).l2 > 1e-12
     results.append(

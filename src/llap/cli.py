@@ -29,7 +29,7 @@ from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import ConfigError, RunConfig, load_config
 from .grid import make_grid, norms
 from .kernels import make_sequence
-from .sequence import MemberCertificateError, run_sequence
+from .sequence import LemmaRow, MemberCertificateError, SequenceRow, run_sequence
 from .solver import (
     ConsistencyError,
     ContractionCertificate,
@@ -136,10 +136,16 @@ def _certificate_text(cert: ContractionCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
     fieldio.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_rows(path: Path, row_type: type, rows) -> None:
+    """A table of dataclass rows, one column per field in field order."""
+    header = [f.name for f in dataclasses.fields(row_type)]
+    _write_csv(path, header, [dataclasses.astuple(row) for row in rows])
 
 
 @dataclasses.dataclass
@@ -295,27 +301,13 @@ def sequence(config: str, out_dir: str):
         _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
     table = study.lemma
     out = _outdir(out_dir)
-    _write_csv(
-        out / "sequence_rows.csv",
-        ["m", "l1_dist", "wl1_dist", "ratio_dist", "gain", "q", "sol_dist", "bound_rhs", "bound_ok"],
-        [
-            [r.m, r.l1_dist, r.wl1_dist, r.ratio_dist, r.gain, r.q, r.sol_dist, r.bound_rhs, r.bound_ok]
-            for r in study.rows
-        ],
-    )
-    _write_csv(
-        out / "lemma_checks.csv",
-        ["m", "ratio_dist", "gain", "orth_residual", "divergence_indicator", "admissible", "cert_ok"],
-        [
-            [r.m, r.ratio_dist, r.gain, r.orth_residual, r.divergence_indicator, r.admissible, r.cert_ok]
-            for r in table.rows
-        ],
-    )
+    _write_rows(out / "sequence_rows.csv", SequenceRow, study.rows)
+    _write_rows(out / "lemma_checks.csv", LemmaRow, table.rows)
     summary = [
         "[sequence]",
         f"members = {len(study.rows)}",
         f"rhs_scale = {_fmt(study.rhs_scale)}",
-        f"limit_gain = {_fmt(study.limit_gain)}",
+        f"limit_gain = {_fmt(table.limit_gain)}",
         f"limit_iterations = {study.limit_report.iterations}",
         f"all_bounds_ok = {_fmt(all(r.bound_ok for r in study.rows))}",
         f"ratio_vanishes = {_fmt(table.ratio_vanishes)}",
@@ -349,12 +341,12 @@ def _report_checks(results: list[CheckResult], out: Path, name: str) -> bool:
 def verify(config: str, out_dir: str):
     """Run the full property suite for the configured problem."""
     cfg = _load(config)
+    grid, spec, kernel, nonlin = _build_run(cfg, "verify")
     try:
-        _preflight(cfg, cfg.grid(), "verify")
         # An overflow ends in ConsistencyError or a failed check; numpy's
         # floating-point warnings would only repeat it on stderr.
         with np.errstate(all="ignore"):
-            results = run_property_suite(cfg)
+            results = run_property_suite(kernel, nonlin, spec, cfg.seed, cfg.tau)
     except ConsistencyError as e:
         _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
     except (ConfigError, ValueError, OSError) as e:

@@ -13,9 +13,10 @@ so every row must come out bound_ok; a failure indicates a bug, not noise.
 The kernel-level limit statements form a LemmaTable: the symbol-ratio
 distance vanishes along the sequence, the gains converge, the per-member
 admissibility (without which the gains diverge as the annulus shrinks), and
-persistence of the uniform certificate in the limit.  ``run_sequence`` fills
-it from the same diagnostics pass per kernel that its certificates use;
-``verify_lemmaA2`` builds it without solving.  Both read the passes the
+persistence of the uniform certificate in the limit.  ``verify_lemmaA2``
+builds it without solving, and ``run_sequence`` reads it: the study first
+certifies the limit and every member, refusing at the first failure before
+any solve, and only then solves.  Both read the diagnostics passes the
 kernels keep (``make_sequence`` made them), so neither computes a NUDFT.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grid import RealField, SymbolSpec, TWO_PI, norms
-from .kernels import ADMISSIBLE_RTOL, Kernel, KernelDiagnostics, KernelSequence, inverse_symbol_gain
+from .kernels import ADMISSIBLE_RTOL, KernelSequence, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
     LIP_TRIALS,
@@ -71,9 +72,7 @@ class SequenceRow:
 class SequenceStudy:
     rows: tuple[SequenceRow, ...]
     limit_report: SolveReport
-    limit_gain: float
     rhs_scale: float  # ||F(u, .)||_2 of the limit solution
-    eps: float
     lemma: LemmaTable  # the kernel-level checks, from the same diagnostics
 
 
@@ -92,7 +91,6 @@ class LemmaRow:
 class LemmaTable:
     rows: tuple[LemmaRow, ...]
     limit_gain: float
-    limit_residual: float
     scale: float
     ratio_vanishes: bool
     gains_converge: bool
@@ -117,63 +115,51 @@ def run_sequence(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> SequenceStudy:
-    """Solve the limit problem and every member problem; fill both tables.
+    """Certify the limit and every member, then solve them all.
 
-    Refuses with the offending member index as soon as any certificate
-    fails the uniform bound.  The limit problem is solved first because the
-    rows reference ||F(u, .)||_2 of its solution.  Each kernel's one
-    diagnostics pass, kept on the kernel, serves its certificate, its row
-    and its LemmaTable row (the table verify_lemmaA2 returns for N.lip and
-    eps).
+    Refuses with the offending member index (None for the limit) at the
+    first kernel, limit first, whose certificate fails the uniform bound;
+    nothing is solved then.  The limit problem is solved first because the
+    rows reference ||F(u, .)||_2 of its solution.  The rows' ratio
+    distances are the LemmaTable's (verify_lemmaA2 for N.lip and eps).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    grid = seq.limit.grid
+    lemma = verify_lemmaA2(seq, spec, N.lip, eps)
     lip_sampled = estimate_lipschitz(N, LIP_TRIALS, 0)
+    certs = []
+    for m, kernel in enumerate((seq.limit, *seq.members)):
+        cert = _certificate(kernel, N, spec, eps, inverse_symbol_gain(kernel, spec), lip_sampled)
+        if not cert.passed:
+            where = f"member {m}" if m else "limit kernel"
+            raise MemberCertificateError(
+                f"{where} fails the uniform certificate (q = {cert.q:.6g}, "
+                f"residual = {cert.orth_residual:.3e})",
+                member=m or None,
+            )
+        certs.append(cert)
 
-    diag_limit = inverse_symbol_gain(seq.limit, spec)
-    cert_limit = _certificate(seq.limit, N, spec, eps, diag_limit, lip_sampled)
-    if not cert_limit.passed:
-        raise MemberCertificateError(
-            f"limit kernel fails the uniform certificate (q = {cert_limit.q:.6g}, "
-            f"residual = {cert_limit.orth_residual:.3e})",
-            member=None,
-        )
+    grid = seq.limit.grid
     limit_report = picard_solve(
-        seq.limit, N, spec, tol=tol, max_iter=max_iter, certificate=cert_limit
+        seq.limit, N, spec, tol=tol, max_iter=max_iter, certificate=certs[0]
     )
     rhs_scale = norms(eval_F(N, limit_report.final)).l2
     pref = TWO_PI ** (grid.d / 2.0)
-
     rows: list[SequenceRow] = []
-    lemma_rows: list[LemmaRow] = []
-    floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
-    for i, member in enumerate(seq.members):
-        m = i + 1
-        diag_m = inverse_symbol_gain(member, spec)
-        cert_m = _certificate(member, N, spec, eps, diag_m, lip_sampled)
-        if not cert_m.passed:
-            raise MemberCertificateError(
-                f"member {m} fails the uniform certificate (q = {cert_m.q:.6g}, "
-                f"residual = {cert_m.orth_residual:.3e})",
-                member=m,
-            )
-        report_m = picard_solve(member, N, spec, tol=tol, max_iter=max_iter, certificate=cert_m)
-        sol_dist = norms(
-            RealField(report_m.final.values - limit_report.final.values, grid)
-        ).l2
-        lemma_rows.append(_lemma_row(m, member, diag_m, diag_limit, N.lip, eps))
-        ratio = lemma_rows[-1].ratio_dist
-        bound_rhs = pref / eps * ratio * rhs_scale
-        l1_dist, wl1_dist = seq.distances[i]
+    for member, cert, lemma_row, (l1_dist, wl1_dist) in zip(
+        seq.members, certs[1:], lemma.rows, seq.distances
+    ):
+        report = picard_solve(member, N, spec, tol=tol, max_iter=max_iter, certificate=cert)
+        sol_dist = norms(RealField(report.final.values - limit_report.final.values, grid)).l2
+        bound_rhs = pref / eps * lemma_row.ratio_dist * rhs_scale
         rows.append(
             SequenceRow(
-                m=m,
+                m=lemma_row.m,
                 l1_dist=l1_dist,
                 wl1_dist=wl1_dist,
-                ratio_dist=ratio,
-                gain=cert_m.gain,
-                q=cert_m.q,
+                ratio_dist=lemma_row.ratio_dist,
+                gain=cert.gain,
+                q=cert.q,
                 sol_dist=sol_dist,
                 bound_rhs=bound_rhs,
                 bound_ok=bool(sol_dist <= bound_rhs + 1e-10),
@@ -186,6 +172,7 @@ def run_sequence(
                 f"member {row.m} violates the convergence bound: "
                 f"sol_dist {row.sol_dist:.3e} > bound {row.bound_rhs:.3e}"
             )
+    floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
     for prev, cur in zip(rows, rows[1:]):
         # Diagnostic, not a theorem claim: distances may wobble once they
         # hit the solver tolerance floor.
@@ -195,12 +182,7 @@ def run_sequence(
                 f"{prev.sol_dist:.3e} -> {cur.sol_dist:.3e}"
             )
     return SequenceStudy(
-        rows=tuple(rows),
-        limit_report=limit_report,
-        limit_gain=cert_limit.gain,
-        rhs_scale=rhs_scale,
-        eps=eps,
-        lemma=_lemma_table(seq, diag_limit, lemma_rows, N.lip, eps),
+        rows=tuple(rows), limit_report=limit_report, rhs_scale=rhs_scale, lemma=lemma
     )
 
 
@@ -215,48 +197,22 @@ def verify_lemmaA2(seq: KernelSequence, spec: SymbolSpec, lip: float, eps: float
     divergence indicator.
     """
     limit = inverse_symbol_gain(seq.limit, spec)
-    rows = [
-        _lemma_row(m, member, inverse_symbol_gain(member, spec), limit, lip, eps)
-        for m, member in enumerate(seq.members, start=1)
-    ]
-    return _lemma_table(seq, limit, rows, lip, eps)
-
-
-def _lemma_row(
-    m: int,
-    member: Kernel,
-    diag: KernelDiagnostics,
-    limit: KernelDiagnostics,
-    lip: float,
-    eps: float,
-) -> LemmaRow:
-    """Member m's LemmaRow from its diagnostics pass and the limit's.
-
-    Callers build each row as soon as the member's pass is made, so the
-    member's diagnostics can be dropped before the next pass.
-    """
-    pref = TWO_PI ** (member.grid.d / 2.0)
-    return LemmaRow(
-        m=m,
-        ratio_dist=diag.ratio_distance(limit),
-        gain=diag.gain,
-        orth_residual=diag.orth_residual,
-        divergence_indicator=diag.divergence_indicator,
-        admissible=bool(diag.orth_residual <= ADMISSIBLE_RTOL * max(1.0, member.l1)),
-        cert_ok=bool(pref * diag.gain * lip <= 1.0 - eps),
-    )
-
-
-def _lemma_table(
-    seq: KernelSequence,
-    limit: KernelDiagnostics,
-    rows: list[LemmaRow],
-    lip: float,
-    eps: float,
-) -> LemmaTable:
-    """The LemmaTable of seq from its member rows and the limit's pass."""
     pref = TWO_PI ** (seq.limit.grid.d / 2.0)
     scale = seq.limit.l1 / pref
+    rows = []
+    for m, member in enumerate(seq.members, start=1):
+        diag = inverse_symbol_gain(member, spec)
+        rows.append(
+            LemmaRow(
+                m=m,
+                ratio_dist=diag.ratio_distance(limit),
+                gain=diag.gain,
+                orth_residual=diag.orth_residual,
+                divergence_indicator=diag.divergence_indicator,
+                admissible=bool(diag.orth_residual <= ADMISSIBLE_RTOL * max(1.0, member.l1)),
+                cert_ok=bool(pref * diag.gain * lip <= 1.0 - eps),
+            )
+        )
 
     tiny = 1e-14 * max(1.0, scale)
     ratio_vanishes = bool(
@@ -279,7 +235,6 @@ def _lemma_table(
     return LemmaTable(
         rows=tuple(rows),
         limit_gain=limit.gain,
-        limit_residual=limit.orth_residual,
         scale=scale,
         ratio_vanishes=ratio_vanishes,
         gains_converge=gains_converge,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from llap.grid import (
     nudft,
     sample,
 )
+import llap.sequence
 from llap.kernels import make_kernel, sphere_points
 from llap.nonlinearity import make_nonlinearity
 
@@ -162,3 +164,26 @@ def full_multiplier(K, spec) -> np.ndarray:
 
 def l2_gap(a: RealField, b: RealField) -> float:
     return norms(RealField(a.values - b.values, a.grid)).l2
+
+
+def solves_of_run_sequence(monkeypatch, member=None, move=None) -> list:
+    """Count run_sequence's solves; optionally move one member's solution.
+
+    Returns the list of kernels solved for, in call order (the limit's solve
+    is the first).  With member (1-based) and move, that member's solution
+    u_m is replaced by move(u_m, u), u the limit's solution, both as arrays.
+    """
+    solve = llap.sequence.picard_solve
+    kernels, finals = [], []
+
+    def counted(K, *args, **kwargs):
+        report = solve(K, *args, **kwargs)
+        kernels.append(K)
+        finals.append(report.final)
+        if member is not None and len(kernels) == member + 1:
+            moved = move(report.final.values, finals[0].values)
+            report = dataclasses.replace(report, final=RealField(moved, report.final.grid))
+        return report
+
+    monkeypatch.setattr(llap.sequence, "picard_solve", counted)
+    return kernels

@@ -197,7 +197,7 @@ class TestAcceptance:
         sol_dec = all(b.sol_dist < a.sol_dist for a, b in zip(rows, rows[1:]))
         small = rows[-1].ratio_dist <= 1e-6 * scale and rows[-1].sol_dist <= 1e-6 * scale
         gain_gap_ok = all(
-            abs(r.gain - study.limit_gain) <= r.ratio_dist + 1e-12 for r in rows
+            abs(r.gain - study.lemma.limit_gain) <= r.ratio_dist + 1e-12 for r in rows
         )
         return (
             bounds_ok and ratio_dec and sol_dec and small and gain_gap_ok and elapsed < budget,

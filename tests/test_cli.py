@@ -26,7 +26,7 @@ from llap.cli import (
     main,
 )
 from llap.solver import ConsistencyError
-from conftest import Runner
+from conftest import Runner, solves_of_run_sequence
 from test_config import REFERENCE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -414,6 +414,42 @@ class TestSequenceCommand:
         assert isinstance(result.exception, SystemExit)
         assert "internal consistency check failed: member 2" in result.output
 
+    @pytest.mark.parametrize(
+        "member, move, line",
+        [
+            pytest.param(
+                3, lambda um, u: um + 1.0,
+                r"member 3 violates the convergence bound: "
+                r"sol_dist \d\.\d{3}e\+00 > bound 2\.472e-05",
+                id="bound",
+            ),
+            pytest.param(
+                1, lambda um, u: u,
+                r"solution distances increase from member 1 to 2: 0\.000e\+00 -> 5\.971e-05",
+                id="increasing",
+            ),
+        ],
+    )
+    def test_moved_solution_exit_code(self, runner, tmp_path, monkeypatch, member, move, line):
+        solves_of_run_sequence(monkeypatch, member=member, move=move)
+        cfg = _write(tmp_path, REFERENCE)
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_INCONSISTENT
+        assert re.fullmatch(f"internal consistency check failed: {line}\n", result.stderr)
+
+    def test_member_failure_refused_before_any_solve(self, runner, tmp_path, monkeypatch):
+        # At l = 0.3385 the limit certifies (q = 0.8992 <= 0.9); member 1 does not.
+        solved = solves_of_run_sequence(monkeypatch)
+        cfg = _write(tmp_path, REFERENCE.replace("l = 0.1", "l = 0.3385"))
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_CERTIFICATE
+        assert re.fullmatch(
+            r"certificate failure at member 1: member 1 fails the uniform "
+            r"certificate \(q = 0\.900255, residual = \d\.\d{3}e-\d\d\)\n",
+            result.stderr,
+        )
+        assert solved == []
+
     def test_member_failure_exit_code(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE.replace("l = 0.1", "l = 1.0"))
         result = runner.invoke(main, ["sequence", cfg, "-o", str(tmp_path / "out")])
@@ -545,6 +581,13 @@ class TestMemoryPreflight:
         study = llap.run_sequence(seq, cfg.nonlinearity(grid), spec, eps=0.1, tol=1e-10, max_iter=200)
         assert study.lemma.passed
 
+    @classmethod
+    def _verify(cls, d, n, L):
+        # What the verify command builds and holds: the run, then the suite.
+        cfg = llap.config.parse_config(_box(d, n, L))
+        grid, spec, K, N = llap.cli._build_run(cfg, "verify")
+        llap.checks.run_property_suite(K, N, spec, cfg.seed, cfg.tau)
+
     @pytest.mark.parametrize("d,n", [(2, 256), (3, 48)])
     def test_estimate_bounds_a_traced_run(self, d, n):
         # A small run first imports every module, so that only arrays are
@@ -576,9 +619,7 @@ class TestMemoryPreflight:
             run = lambda n, L: self._sequence(d, n, L)  # noqa: E731
         else:
             L = 17.0
-            run = lambda n, L: llap.checks.run_property_suite(  # noqa: E731
-                llap.config.parse_config(_box(d, n, L))
-            )
+            run = lambda n, L: self._verify(d, n, L)  # noqa: E731
         run(*warm)
         tracemalloc.start()
         try:

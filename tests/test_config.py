@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from llap.config import ConfigError, parse_config
+from llap.cli import EXIT_CONFIG, main
+from llap.config import ConfigError, load_config, parse_config
 from llap.fieldio import dump_field, dump_sidecar
+from llap.grid import RealField
 from llap.kernels import make_kernel
+from conftest import Runner
 
 REFERENCE = """
 [grid]
@@ -219,3 +222,95 @@ class TestBuilders:
         cfg = parse_config(text)
         with pytest.raises(ConfigError, match="match"):
             cfg.kernel(cfg0.grid(), cfg0.symbol_spec(cfg0.grid()))
+
+
+DIFFERENCE = "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0"
+BUMP = "h_family = gauss_bump\nh_amplitude = 0.3\nh_width = 1.0"
+
+
+class TestFileInputs:
+    """Kernels and offsets read from field dumps."""
+
+    @staticmethod
+    def _dumps(directory):
+        # A Gaussian kernel and a bump offset on the REFERENCE grid.
+        grid = parse_config(REFERENCE).grid()
+        K = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.5}, grid)
+        h = RealField(0.3 * np.exp(-grid.radius_mesh() ** 2 / 2.0), grid)
+        dump_field(K.samples, directory / "kern.llap")
+        dump_field(h, directory / "h.llap")
+        return K, h
+
+    def test_file_offset_loads(self, tmp_path):
+        _, h = self._dumps(tmp_path)
+        text = REFERENCE.replace(BUMP, f"h_family = file\nh_path = {tmp_path / 'h.llap'}")
+        cfg = parse_config(text)
+        assert np.array_equal(cfg.offset_field(cfg.grid()).values, h.values)
+
+    def test_file_kernel_without_sidecar(self, tmp_path):
+        K, _ = self._dumps(tmp_path)
+        text = REFERENCE.replace(DIFFERENCE, f"family = file\npath = {tmp_path / 'kern.llap'}")
+        cfg = parse_config(text)
+        grid = cfg.grid()
+        loaded = cfg.kernel(grid, cfg.symbol_spec(grid))
+        assert loaded.family == "file"
+        assert loaded.params == {}
+        assert np.array_equal(loaded.samples.values, K.samples.values)
+
+    def test_relative_paths_resolve_against_the_config_directory(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        K, h = self._dumps(run_dir)
+        text = REFERENCE.replace(DIFFERENCE, "family = file\npath = kern.llap").replace(
+            BUMP, "h_family = file\nh_path = h.llap"
+        )
+        (run_dir / "run.cfg").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config("run/run.cfg")
+        grid = cfg.grid()
+        loaded = cfg.kernel(grid, cfg.symbol_spec(grid))
+        assert np.array_equal(loaded.samples.values, K.samples.values)
+        assert np.array_equal(cfg.offset_field(grid).values, h.values)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        pytest.param(
+            BUMP, "h_family = file\nh_path = coarse.llap",
+            "offset file grid does not match the [grid] section",
+            id="offset-file-grid-mismatch",
+        ),
+        pytest.param(
+            BUMP, "h_family = constant\nh_value = -0.5",
+            "constant offset must be nonnegative",
+            id="negative-constant-offset",
+        ),
+        pytest.param(
+            DIFFERENCE, "family = file", "kernel family 'file' needs a path",
+            id="file-kernel-without-path",
+        ),
+        pytest.param(
+            "cutoff_width = 2.0\n", "cutoff_width = 2.0\n\n[grid]\nd = 2\n",
+            "line 36: duplicate section [grid]",
+            id="duplicate-section",
+        ),
+        pytest.param(
+            DIFFERENCE, "family = file\npath = short.llap",
+            "{dir}/short.llap: truncated field dump",
+            id="dump-shorter-than-header",
+        ),
+    ],
+)
+def test_refused_in_one_line(tmp_path, old, new, line):
+    coarse = parse_config(REFERENCE.replace("n = 1024", "n = 512")).grid()
+    dump_field(RealField.zeros(coarse), tmp_path / "coarse.llap")
+    (tmp_path / "short.llap").write_bytes(b"LLAP" + bytes(8))
+    assert old in REFERENCE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(REFERENCE.replace(old, new))
+    result = Runner().invoke(main, ["certify", str(cfg), "-o", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stderr == f"config error: {line.format(dir=tmp_path)}\n"
+    assert result.stdout == ""
+

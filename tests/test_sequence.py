@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import llap.kernels
@@ -12,7 +14,8 @@ from llap.kernels import (
 )
 from llap.nonlinearity import make_nonlinearity
 from llap.sequence import MemberCertificateError, run_sequence, verify_lemmaA2
-from conftest import SQRT_2PI
+from llap.solver import ConsistencyError
+from conftest import SQRT_2PI, solves_of_run_sequence
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +52,7 @@ class TestRunSequence:
 
     def test_gain_gap_bounded_by_ratio_dist(self, study):
         for row in study.rows:
-            assert abs(row.gain - study.limit_gain) <= row.ratio_dist + 1e-12
+            assert abs(row.gain - study.lemma.limit_gain) <= row.ratio_dist + 1e-12
 
     def test_uniform_certificate(self, study):
         assert all(row.q <= 0.9 for row in study.rows)
@@ -100,6 +103,55 @@ class TestRunSequence:
             run_sequence(seq, sine_nonlinearity, spec1, eps=0.1, tol=1e-10)
         assert info.value.member == 3
 
+    @pytest.mark.parametrize("bad", [None, 1, 6], ids=["limit", "m1", "m6"])
+    def test_refused_before_any_solve(
+        self, truncate_seq, diff_kernel, sine_nonlinearity, spec1, grid1, monkeypatch, bad
+    ):
+        # Every kernel is certified before the first solve; the first failure,
+        # limit first, is the one reported.
+        raw = _raw_truncation(diff_kernel, grid1, radius=4.0)
+        members = list(truncate_seq.members)
+        if bad is not None:
+            members[bad - 1] = raw
+        seq = KernelSequence(
+            members=tuple(members),
+            limit=truncate_seq.limit if bad is not None else raw,
+            distances=truncate_seq.distances,
+        )
+        solved = solves_of_run_sequence(monkeypatch)
+        with pytest.raises(MemberCertificateError) as info:
+            run_sequence(seq, sine_nonlinearity, spec1, eps=0.1, tol=1e-10)
+        assert info.value.member == bad
+        assert solved == []
+
+    def test_bound_violation_raises(
+        self, study, truncate_seq, sine_nonlinearity, spec1, monkeypatch
+    ):
+        # Member 3's solution moved far from the limit's: the bound check,
+        # which runs before the monotonicity check, names it.
+        solves_of_run_sequence(monkeypatch, member=3, move=lambda um, u: um + 1.0)
+        with pytest.raises(ConsistencyError) as info:
+            run_sequence(truncate_seq, sine_nonlinearity, spec1, eps=0.1, tol=1e-10)
+        bound = study.rows[2].bound_rhs
+        assert re.fullmatch(
+            r"member 3 violates the convergence bound: "
+            rf"sol_dist \d\.\d{{3}}e\+00 > bound {bound:.3e}",
+            str(info.value),
+        )
+
+    def test_increasing_distances_raise(
+        self, study, truncate_seq, sine_nonlinearity, spec1, monkeypatch
+    ):
+        # Member 1's solution set to the limit's: distance 0 then member 2's,
+        # which still satisfies its bound.
+        solves_of_run_sequence(monkeypatch, member=1, move=lambda um, u: u)
+        with pytest.raises(ConsistencyError) as info:
+            run_sequence(truncate_seq, sine_nonlinearity, spec1, eps=0.1, tol=1e-10)
+        assert str(info.value) == (
+            "solution distances increase from member 1 to 2: "
+            f"0.000e+00 -> {study.rows[1].sol_dist:.3e}"
+        )
+
     def test_eps_validation(self, truncate_seq, sine_nonlinearity, spec1):
         with pytest.raises(ValueError):
             run_sequence(truncate_seq, sine_nonlinearity, spec1, eps=1.5)
@@ -112,7 +164,7 @@ def _raw_truncation(K, grid, radius):
 
 class TestVerifyLemma:
     def test_run_sequence_table_matches(self, study, truncate_seq, sine_nonlinearity, spec1):
-        # run_sequence builds the table from its own diagnostics pass.
+        # run_sequence's table is verify_lemmaA2's for N.lip and eps.
         table = verify_lemmaA2(truncate_seq, spec1, lip=sine_nonlinearity.lip, eps=0.1)
         assert study.lemma == table
         assert table.passed

@@ -1,8 +1,11 @@
-"""The package's public surface: the names llap exports and each module's __all__."""
+"""The package's public surface: the names llap exports, each module's __all__
+and which modules import which."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,27 @@ def test_top_level_exports_are_what_callers_use():
 def test_every_name_in_all_exists(name):
     module = importlib.import_module(f"llap.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _relative_imports(module: str) -> set[str]:
+    """The llap modules that llap.<module> imports, from its source."""
+    tree = ast.parse((Path(llap.__path__[0]) / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                imported |= {alias.name for alias in node.names}  # from . import x
+            else:
+                imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_layering():
+    # The library below the CLI takes built objects, not configs: the
+    # config layer and the CLI sit on top of it.
+    modules = ["__init__", *(m.name for m in pkgutil.iter_modules(llap.__path__))]
+    imports = {name: _relative_imports(name) for name in modules}
+    assert imports["sequence"] >= {"solver", "kernels"}  # the parse finds imports
+    for module in ("checks", "sequence"):
+        assert imports[module] & {"config", "cli"} == set(), module
+    assert [m for m, names in imports.items() if "cli" in names] == []
