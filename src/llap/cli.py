@@ -2,12 +2,14 @@
 
 One command per process, driving the run described by a config file (see
 ``llap.config`` for the format).  Exit codes: 0 success, 2 usage or config
-problem (including a grid whose estimated arrays exceed the available memory),
-3 certificate failure, 4 non-convergence, 5 failed property checks (the
-``verify`` suite, the transform self-tests, or the kernel-level limit checks
-of ``sequence``), 6 internal consistency check failed (a bound the theory
-makes unconditional was violated, or a spectral intermediate went
-non-finite); every failure prints a one-line message, never a traceback.
+problem (including a grid whose estimated arrays exceed the available memory,
+and an out-dir that cannot be made), 3 certificate failure, 4 non-convergence,
+5 failed property checks (the ``verify`` suite, the transform self-tests, or
+the kernel-level limit checks of ``sequence``), 6 internal consistency check
+failed (a bound the theory makes unconditional was violated, or a spectral
+intermediate went non-finite); every failure prints a one-line message, never
+a traceback.  The commands raise, and ``_Main.__call__`` alone maps each
+failure type to its exit code.
 
 All output files are written atomically (temp file + rename) with LF line
 endings and 17 significant digits, so identical configs and seeds produce
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import fieldio
 from .checks import CheckResult, ft_selftest, run_property_suite
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .grid import make_grid, norms
 from .kernels import make_sequence
 from .sequence import LemmaRow, MemberCertificateError, SequenceRow, run_sequence
@@ -56,13 +58,6 @@ def _fmt(x) -> str:
 def _fail(code: int, what: str, e: Exception):
     print(f"{what}: {e}", file=sys.stderr)
     sys.exit(code)
-
-
-def _load(config_path: str) -> RunConfig:
-    try:
-        return load_config(config_path)
-    except (ConfigError, ValueError, OSError) as e:
-        _fail(EXIT_CONFIG, "config error", e)
 
 
 def _available_bytes() -> int | None:
@@ -110,18 +105,10 @@ def _preflight(cfg: RunConfig | None, grid, command: str) -> None:
 
 
 def _build_run(cfg: RunConfig, command: str):
-    try:
-        grid = cfg.grid()
-        _preflight(cfg, grid, command)
-    except (ConfigError, ValueError, OSError) as e:
-        _fail(EXIT_CONFIG, "config error", e)
-    try:
-        spec = cfg.symbol_spec(grid)
-        kernel = cfg.kernel(grid, spec)
-        nonlin = cfg.nonlinearity(grid)
-    except (ConfigError, ValueError, OSError) as e:
-        _fail(EXIT_CONFIG, "config error", e)
-    return grid, spec, kernel, nonlin
+    grid = cfg.grid()
+    _preflight(cfg, grid, command)
+    spec = cfg.symbol_spec(grid)
+    return grid, spec, cfg.kernel(grid, spec), cfg.nonlinearity(grid)
 
 
 def _outdir(out_dir: str) -> Path:
@@ -202,7 +189,15 @@ class _Main:
                 "--out-dir", "-o", default="llap_out", help="report directory (default: llap_out)"
             )
         ns = parser.parse_args(args)
-        self.commands[ns.command].callback(ns.config, ns.out_dir)
+        try:
+            self.commands[ns.command].callback(ns.config, ns.out_dir)
+        except MemberCertificateError as e:
+            where = "the limit kernel" if e.member is None else f"member {e.member}"
+            _fail(EXIT_CERTIFICATE, f"certificate failure at {where}", e)
+        except ConsistencyError as e:
+            _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
+        except (ValueError, OSError) as e:  # ConfigError is a ValueError
+            _fail(EXIT_CONFIG, "config error", e)
 
 
 main = _Main()
@@ -211,7 +206,7 @@ main = _Main()
 @main.command("certify")
 def certify(config: str, out_dir: str):
     """Compute the contraction certificate; exit 0 only if it passes."""
-    cfg = _load(config)
+    cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "certify")
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
@@ -229,7 +224,7 @@ def certify(config: str, out_dir: str):
 @main.command("solve")
 def solve(config: str, out_dir: str):
     """Run the Picard iteration to its fixed point and write the report."""
-    cfg = _load(config)
+    cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "solve")
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
@@ -241,16 +236,10 @@ def solve(config: str, out_dir: str):
             file=sys.stderr,
         )
         sys.exit(EXIT_CERTIFICATE)
-    try:
-        v0 = cfg.starting_field(grid)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, "config error", e)
-    try:
-        report = picard_solve(
-            kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert
-        )
-    except ConsistencyError as e:
-        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
+    v0 = cfg.starting_field(grid)
+    report = picard_solve(
+        kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert
+    )
     rows = []
     for k in range(report.iterations):
         ratio = report.contraction_ratios[k - 1] if k >= 1 else ""
@@ -282,23 +271,10 @@ def solve(config: str, out_dir: str):
 @main.command("sequence")
 def sequence(config: str, out_dir: str):
     """Solve along a convergent kernel sequence and verify the limit claims."""
-    cfg = _load(config)
+    cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "sequence")
-    try:
-        schedule = cfg.schedule()
-        seq = make_sequence(kernel, schedule, spec, taper_width=cfg.taper_width)
-    except (ConfigError, ValueError) as e:
-        _fail(EXIT_CONFIG, "config error", e)
-    try:
-        study = run_sequence(
-            seq, nonlin, spec, eps=cfg.eps_user, tol=cfg.tol, max_iter=cfg.max_iter
-        )
-    except MemberCertificateError as e:
-        where = "the limit kernel" if e.member is None else f"member {e.member}"
-        print(f"certificate failure at {where}: {e}", file=sys.stderr)
-        sys.exit(EXIT_CERTIFICATE)
-    except ConsistencyError as e:
-        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
+    seq = make_sequence(kernel, cfg.schedule(), spec, taper_width=cfg.taper_width)
+    study = run_sequence(seq, nonlin, spec, eps=cfg.eps_user, tol=cfg.tol, max_iter=cfg.max_iter)
     table = study.lemma
     out = _outdir(out_dir)
     _write_rows(out / "sequence_rows.csv", SequenceRow, study.rows)
@@ -340,17 +316,12 @@ def _report_checks(results: list[CheckResult], out: Path, name: str) -> bool:
 @main.command("verify")
 def verify(config: str, out_dir: str):
     """Run the full property suite for the configured problem."""
-    cfg = _load(config)
+    cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "verify")
-    try:
-        # An overflow ends in ConsistencyError or a failed check; numpy's
-        # floating-point warnings would only repeat it on stderr.
-        with np.errstate(all="ignore"):
-            results = run_property_suite(kernel, nonlin, spec, cfg.seed, cfg.tau)
-    except ConsistencyError as e:
-        _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
-    except (ConfigError, ValueError, OSError) as e:
-        _fail(EXIT_CONFIG, "config error", e)
+    # An overflow ends in ConsistencyError or a failed check; numpy's
+    # floating-point warnings would only repeat it on stderr.
+    with np.errstate(all="ignore"):
+        results = run_property_suite(kernel, nonlin, spec, cfg.seed, cfg.tau)
     ok = _report_checks(results, _outdir(out_dir), "verify_report.csv")
     if not ok:
         sys.exit(EXIT_CHECK_FAILED)
@@ -360,11 +331,8 @@ def verify(config: str, out_dir: str):
 def ft_selftest_cmd(config: str | None, out_dir: str):
     """Transform self-tests on the configured grid (default d=1, L=20, n=1024)."""
     if config is not None:
-        cfg = _load(config)
-        try:
-            grid, seed = cfg.grid(), cfg.seed
-        except (ConfigError, ValueError) as e:
-            _fail(EXIT_CONFIG, "config error", e)
+        cfg = load_config(config)
+        grid, seed = cfg.grid(), cfg.seed
         _preflight(None, grid, "ft-selftest")
     else:
         grid = make_grid(1, 20.0, 1024)

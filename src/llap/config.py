@@ -13,8 +13,9 @@ Sections and keys:
     [kernel]        family (gaussian|bump|difference|file), width, amplitude,
                     radius, width1, width2, path, project, taper_width
     [nonlinearity]  family (saturating_sine|rational|clipped_linear), l, k,
-                    amplitude, knee, h_family (zero|constant|gauss_bump|file),
-                    h_value, h_amplitude, h_width, h_center, h_path
+                    amplitude (<= l), knee, h_family
+                    (zero|constant|gauss_bump|file), h_value, h_amplitude,
+                    h_width, h_center, h_path
     [solver]        tol (> 0), max_iter (>= 1), v0 (zero|random), v0_scale
                     (finite, >= 0), seed (>= 0), dump_field, tau
     [sequence]      kind (truncate|mollify), members, r_start, r_stop,
@@ -297,9 +298,16 @@ class RunConfig:
         if v0 == "zero":
             return None
         if v0 == "random":
-            rng = _SplitMix64(self.seed)
             scale = self.get("solver", "v0_scale", 1.0)
-            return RealField(rng.normal(0.0, scale, grid.shape), grid)
+            # As for the offset: the solve squares fields of v0's size.
+            with np.errstate(over="ignore"):
+                values = _SplitMix64(self.seed).normal(0.0, scale, grid.shape)
+                l2 = math.sqrt(grid.h**grid.d * float(np.sum(values * values)))
+            if not math.isfinite(l2):
+                raise ConfigError(
+                    f"starting field norm overflows (||v0||_2 = {l2:.3g}); lower v0_scale"
+                )
+            return RealField(values, grid)
         raise ConfigError(f"unknown starting field {v0!r} (expected zero or random)")
 
 

@@ -105,12 +105,18 @@ def make_nonlinearity(
 ) -> Nonlinearity:
     """Build a built-in family; amplitude defaults to the declared lip.
 
-    Setting amplitude below lip gives a degenerate family whose true
-    Lipschitz constant is the amplitude (amplitude 0 makes F constant in u).
+    The family's true Lipschitz constant is its amplitude, and certificates
+    rest on the declared lip, so an amplitude above lip is refused.  Setting
+    amplitude below lip gives a degenerate family (amplitude 0 makes F
+    constant in u).
     """
     gain = lip if amplitude is None else amplitude
     if not (np.isfinite(gain) and gain >= 0):
         raise ValueError(f"family amplitude must be nonnegative, got {gain}")
+    if gain > lip:
+        raise ValueError(
+            f"family amplitude {gain:g} exceeds the declared Lipschitz constant l = {lip:g}"
+        )
     if knee <= 0:
         raise ValueError(f"clip knee must be positive, got {knee}")
     if family not in FAMILIES:

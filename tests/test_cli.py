@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import re
@@ -698,6 +699,16 @@ class TestExitCodeContract:
         assert len(codes) == 5
         assert 0 not in codes
 
+    def test_commands_contain_no_try(self):
+        # _Main.__call__ is the one exit table: a command that caught its own
+        # failures would decide an exit code in a second place.
+        tree = ast.parse(Path(llap.cli.__file__).read_text())
+        names = {cmd.callback.__name__ for cmd in main.commands.values()}
+        commands = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
+        assert {f.name for f in commands} == names
+        for f in commands:
+            assert not [n for n in ast.walk(f) if type(n).__name__ in ("Try", "TryStar")], f.name
+
 
 def test_reference_run_is_deterministic(runner, tmp_path):
     # Two runs of every command on the shipped reference config give
@@ -836,3 +847,109 @@ def test_extreme_value_found_by_the_totality_property(
     result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
     assert result.exit_code == code
     assert result.stderr.splitlines() == ([] if line is None else [line])
+
+
+def _missing_keys(name):
+    """The (section, key) pairs of config._SCHEMA that a shipped config leaves out."""
+    sections = llap.config.parse_config(_SHIPPED[name]).sections
+    return [
+        (section, key)
+        for section, keys in llap.config._SCHEMA.items()
+        for key in keys
+        if key not in sections.get(section, {})
+    ]
+
+
+_MISSING = [(name, section, key) for name in sorted(_SHIPPED) for section, key in _missing_keys(name)]
+
+
+def _inserted(name, section, key, value):
+    """The shipped config with key = value first in its section, appended if absent.
+
+    v0_scale comes with v0 = random, the start that reads it.
+    """
+    line = f"{key} = {value}" + ("\nv0 = random" if key == "v0_scale" else "")
+    text = _SHIPPED[name]
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return f"{text}\n[{section}]\n{line}\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    missing=st.sampled_from(_MISSING),
+    value=st.sampled_from(_EXTREMES),
+    command=st.sampled_from(["certify", "solve", "sequence", "verify"]),
+)
+def test_every_missing_key_at_an_extreme_ends_in_a_documented_exit(missing, value, command):
+    # The keys the shipped configs leave to their defaults, which the
+    # property above never reaches.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_inserted(*missing, value))
+        result = Runner().invoke(main, [command, str(cfg), "-o", str(Path(tmp) / "out")])
+    assert result.exit_code in (0, 2, 3, 4, 5, 6)
+    assert len(result.stderr.splitlines()) <= 1
+
+
+AMPLITUDE_ABOVE_L = "config error: family amplitude {} exceeds the declared Lipschitz constant l = 0.1"
+V0_NORM_OVERFLOWS = (
+    "config error: starting field norm overflows (||v0||_2 = inf); lower v0_scale"
+)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, line",
+    [
+        # A certificate from l = 0.1 passed (q = 0.27 for amplitude 5, whose
+        # true q is 13); solve and sequence then failed the a-priori bound
+        # (exit 6) and verify its growth and Lipschitz checks (exit 5).
+        *[
+            pytest.param(
+                command, "amplitude", value, AMPLITUDE_ABOVE_L.format(shown),
+                id=f"amplitude-{value}-{command}",
+            )
+            for value, shown in (("0.2", "0.2"), ("5", "5"), ("1e300", "1e+300"))
+            for command in ("certify", "solve", "sequence", "verify")
+        ],
+        # Draws of 1e308 overflowed to inf (ValueError, exit 1); at 1e300 the
+        # norm overflowed and the iteration estimate took the log of nan
+        # (math domain error, exit 1).
+        pytest.param("solve", "v0_scale", "1e308", V0_NORM_OVERFLOWS, id="v0_scale-1e308"),
+        pytest.param("solve", "v0_scale", "1e300", V0_NORM_OVERFLOWS, id="v0_scale-1e300"),
+    ],
+)
+def test_refused_where_it_enters(runner, tmp_path, command, key, value, line):
+    section = "solver" if key == "v0_scale" else "nonlinearity"
+    cfg = _write(tmp_path, _inserted("reference", section, key, value))
+    result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stderr.splitlines() == [line]
+    assert result.stdout == ""
+
+
+def test_large_random_start_still_converges(runner, tmp_path):
+    text = REFERENCE.replace("seed = 0", "seed = 0\nv0 = random\nv0_scale = 1e150")
+    result = runner.invoke(main, ["solve", _write(tmp_path, text), "-o", str(tmp_path / "out")])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("converged in 17 iterations")
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "sequence", "verify", "ft-selftest"])
+@pytest.mark.parametrize(
+    "below, error",
+    [("", "[Errno 17] File exists: '{}'"), ("sub", "[Errno 20] Not a directory: '{}'")],
+    ids=["existing-file", "below-a-file"],
+)
+def test_unusable_out_dir_in_one_line(runner, tmp_path, command, below, error):
+    # FileExistsError and NotADirectoryError from mkdir ended in tracebacks
+    # (exit 1).
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / below if below else taken
+    cfg = _write(tmp_path, _SHIPPED["reference"])
+    result = runner.invoke(main, [command, cfg, "-o", str(out)])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stderr.splitlines() == ["config error: " + error.format(out)]
+    assert result.stdout == ""
+    assert taken.read_text() == ""

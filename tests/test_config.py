@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llap.cli import EXIT_CONFIG, main
-from llap.config import ConfigError, load_config, parse_config
+from llap.config import ConfigError, RunConfig, load_config, parse_config
 from llap.fieldio import dump_field, dump_sidecar
 from llap.grid import RealField
 from llap.kernels import make_kernel
@@ -314,3 +316,31 @@ def test_refused_in_one_line(tmp_path, old, new, line):
     assert result.stderr == f"config error: {line.format(dir=tmp_path)}\n"
     assert result.stdout == ""
 
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_SHIPPED_TEXTS = [path.read_text() for path in sorted(_CONFIGS.glob("*.cfg"))]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    text=st.sampled_from(_SHIPPED_TEXTS),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "insert", "substitute"]),
+            st.integers(0, 2000),
+            st.one_of(st.sampled_from("[]=#\n .-+e019"), st.characters()),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_every_mutated_text_parses_or_is_refused(text, edits):
+    # Parser totality: no edit of a config text escapes as another exception.
+    for op, i, char in edits:
+        i %= len(text) + 1
+        text = text[:i] + ("" if op == "delete" else char) + text[i + (op != "insert") :]
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)

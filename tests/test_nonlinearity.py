@@ -49,6 +49,19 @@ class TestEval:
         with pytest.raises(ValueError, match="family"):
             make_nonlinearity("cubic", lip=0.1, offset=RealField.zeros(grid1))
 
+    def test_amplitude_above_lip_refused(self, grid1):
+        # The certificate rests on lip; a larger amplitude is the true constant.
+        for amplitude, shown in [(0.2, "0.2"), (5.0, "5"), (1e300, "1e\\+300")]:
+            with pytest.raises(ValueError, match=f"amplitude {shown} exceeds .* l = 0.1$"):
+                make_nonlinearity(
+                    "saturating_sine", lip=0.1, amplitude=amplitude, offset=RealField.zeros(grid1)
+                )
+        for amplitude in (0.0, 0.05, 0.1):
+            N = make_nonlinearity(
+                "saturating_sine", lip=0.1, amplitude=amplitude, offset=RealField.zeros(grid1)
+            )
+            assert N.lip == 0.1
+
 
 class TestGrowth:
     def test_sine_passes_with_k_equal_l(self, sine_nonlinearity):
