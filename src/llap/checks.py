@@ -36,8 +36,8 @@ from .grid import (
     norms,
 )
 from .kernels import (
-    ADMISSIBLE_RTOL,
     Kernel,
+    _admissible,
     inverse_symbol_gain,
     verify_derivative_bound,
     verify_hat_bound,
@@ -137,7 +137,7 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
     diagnostics = [inverse_symbol_gain(K, SymbolSpec(spec.shift, eta)) for eta in etas]
     residual = diagnostics[0].orth_residual
     gains = [diag.gain for diag in diagnostics]
-    if residual <= ADMISSIBLE_RTOL * max(1.0, K.l1):
+    if _admissible(K, SymbolSpec(spec.shift, eta0)):
         if max(gains) <= 1e-30:
             return CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
         spread = (max(gains) - min(gains)) / max(gains)

@@ -226,6 +226,7 @@ def solve(config: str, out_dir: str):
     """Run the Picard iteration to its fixed point and write the report."""
     cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "solve")
+    v0 = cfg.starting_field(grid)
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     out = _outdir(out_dir)
     fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
@@ -236,7 +237,6 @@ def solve(config: str, out_dir: str):
             file=sys.stderr,
         )
         sys.exit(EXIT_CERTIFICATE)
-    v0 = cfg.starting_field(grid)
     report = picard_solve(
         kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert
     )

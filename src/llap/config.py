@@ -212,18 +212,12 @@ class RunConfig:
             path = self.get("kernel", "path")
             if path is None:
                 raise ConfigError("kernel family 'file' needs a path")
-            path = self._resolve(path)
-            samples = fieldio.load_field(path)
+            samples = fieldio.load_field(self._resolve(path))
             if samples.grid != grid:
                 raise ConfigError(
                     f"kernel file grid {samples.grid} does not match the [grid] section {grid}"
                 )
-            meta = path.with_suffix(path.suffix + ".meta")
-            if meta.exists():
-                tag, params = fieldio.load_sidecar(meta)
-                K = kernel_from_field(samples, tag, params)
-            else:
-                K = kernel_from_field(samples)
+            K = kernel_from_field(samples)
         else:
             params = {
                 key: self.get("kernel", key)

@@ -1,4 +1,4 @@
-"""Binary field dumps and kernel sidecar metadata.
+"""Binary field dumps and atomic file writes.
 
 Dump layout (all little-endian):
 
@@ -8,9 +8,6 @@ Dump layout (all little-endian):
     n       u32
     L       f64
     payload n^d f64  row-major samples
-
-A kernel stored on disk is a field dump plus a sidecar text file of
-``key = value`` lines carrying the family tag and its parameters.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ __all__ = [
     "VERSION",
     "dump_field",
     "load_field",
-    "dump_sidecar",
-    "load_sidecar",
     "atomic_write_bytes",
     "atomic_write_text",
 ]
@@ -83,33 +78,3 @@ def load_field(path: str | Path) -> RealField:
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
     return RealField(values.astype(float), grid)
 
-
-def dump_sidecar(path: str | Path, family: str, params: dict[str, float]) -> None:
-    lines = [f"family = {family}"]
-    for key in sorted(params):
-        lines.append(f"{key} = {params[key]!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_sidecar(path: str | Path) -> tuple[str, dict[str, float]]:
-    family = None
-    params: dict[str, float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "family":
-            family = value
-        else:
-            try:
-                params[key] = float(value)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from e
-    if family is None:
-        raise ValueError(f"{path}: sidecar is missing the family tag")
-    return family, params

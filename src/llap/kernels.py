@@ -80,7 +80,7 @@ SPHERE_SAMPLES = 128
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel samples with their one transform, quadrature norms and an analytic tag.
+    """Kernel samples with their one transform and quadrature norms.
 
     The kernel also keeps its diagnostics passes, one per SymbolSpec, as
     inverse_symbol_gain makes them; a pass holds the hat by reference and
@@ -88,8 +88,6 @@ class Kernel:
     """
 
     samples: RealField
-    family: str
-    params: dict
     l1: float
     weighted_l1: float
     hat: np.ndarray  # (2 pi)^(d/2) G^ on the half spectrum, read-only
@@ -150,7 +148,8 @@ class KernelSequence:
     distances: tuple[tuple[float, float], ...]
 
 
-def _build(samples: RealField, family: str, params: dict) -> Kernel:
+def kernel_from_field(samples: RealField) -> Kernel:
+    """The kernel with these samples; refused if its norms overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         n = norms(samples)
     if not (math.isfinite(n.l1) and math.isfinite(n.weighted_l1)):
@@ -166,16 +165,10 @@ def _build(samples: RealField, family: str, params: dict) -> Kernel:
         )
     return Kernel(
         samples=samples,
-        family=family,
-        params=dict(params),
         l1=n.l1,
         weighted_l1=n.weighted_l1,
         hat=_half_ft(samples),
     )
-
-
-def kernel_from_field(samples: RealField, family: str = "file", params: dict | None = None) -> Kernel:
-    return _build(samples, family, params or {})
 
 
 def difference_coefficient(width1: float, width2: float, shift: float) -> float:
@@ -197,7 +190,6 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
     difference: amplitude * N(width1) - c2 * N(width2) with N(w) the unit-mass
                 Gaussian and c2 tuned so G^ vanishes on |p| = exp(shift)
     """
-    params = dict(params)
     r = grid.radius_mesh()
     if family == "gaussian":
         w = float(params.get("width", 1.0))
@@ -206,7 +198,7 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
             raise ValueError(f"gaussian kernel needs positive width and finite amplitude, got {params}")
         with np.errstate(all="ignore"):  # a width near 0 overflows; refused in _sampled
             vals = c * np.exp(-(r * r) / (2.0 * w * w))
-        return _build(_sampled(family, vals, grid), family, {"width": w, "amplitude": c})
+        return kernel_from_field(_sampled(family, vals, grid))
     if family == "bump":
         R = float(params.get("radius", 1.0))
         c = float(params.get("amplitude", 1.0))
@@ -216,7 +208,7 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
         inside = r < R
         s = r[inside] / R
         vals[inside] = c * np.exp(1.0 - 1.0 / (1.0 - s * s))
-        return _build(RealField(vals, grid), family, {"radius": R, "amplitude": c})
+        return kernel_from_field(RealField(vals, grid))
     if family == "difference":
         w1 = float(params.get("width1", 1.0))
         w2 = float(params.get("width2", 2.0))
@@ -237,11 +229,7 @@ def make_kernel(family: str, params: dict, grid: GridSpec) -> Kernel:
             )
         with np.errstate(all="ignore"):
             vals = c1 * _unit_gaussian(r, w1, grid.d) - c2 * _unit_gaussian(r, w2, grid.d)
-        return _build(
-            _sampled(family, vals, grid),
-            family,
-            {"width1": w1, "width2": w2, "amplitude": c1, "shift": shift},
-        )
+        return kernel_from_field(_sampled(family, vals, grid))
     raise ValueError(f"unknown kernel family {family!r}")
 
 
@@ -436,7 +424,6 @@ class _Projector:
     """
 
     spec: SymbolSpec
-    taper_width: float
     points: np.ndarray
     atoms: np.ndarray  # (atoms, *grid.shape)
     pinv: np.ndarray  # pseudo-inverse of the (2 * points, atoms) sphere system
@@ -448,11 +435,7 @@ class _Projector:
         coeffs = self.pinv @ np.concatenate([target.real, target.imag])
         vals = np.tensordot(coeffs, self.atoms, axes=1)
         np.subtract(G.samples.values, vals, out=vals)
-        projected = _build(
-            RealField(vals, G.grid),
-            f"projected:{G.family}",
-            {**G.params, "taper_width": self.taper_width, "shift": self.spec.shift},
-        )
+        projected = kernel_from_field(RealField(vals, G.grid))
         achieved = inverse_symbol_gain(projected, self.spec).orth_residual
         limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
         if achieved > limit:
@@ -488,7 +471,6 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
     rcond = np.finfo(float).eps * max(system.shape)
     return _Projector(
         spec=spec,
-        taper_width=taper_width,
         points=pts,
         atoms=atoms,
         pinv=np.linalg.pinv(system, rcond=rcond),
@@ -588,6 +570,11 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
         # setdefault keeps one record per spec should two threads race here.
         diag = G._diagnostics.setdefault(spec, _diagnostics_pass(G, spec))
     return diag
+
+
+def _admissible(G: Kernel, spec: SymbolSpec) -> bool:
+    """Whether G's sphere residual is at most ADMISSIBLE_RTOL * max(1, ||G||_1)."""
+    return inverse_symbol_gain(G, spec).orth_residual <= ADMISSIBLE_RTOL * max(1.0, G.l1)
 
 
 def _diagnostics_pass(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
@@ -728,8 +715,8 @@ def make_sequence(
     re-measured residuals read each kernel's diagnostics pass, which the
     kernels keep for run_sequence and verify_lemmaA2.
     """
-    residual = inverse_symbol_gain(G, spec).orth_residual
-    if residual > ADMISSIBLE_RTOL * max(1.0, G.l1):
+    if not _admissible(G, spec):
+        residual = inverse_symbol_gain(G, spec).orth_residual
         raise ValueError(
             f"limit kernel is inadmissible: orthogonality residual {residual:.3e} "
             f"exceeds {ADMISSIBLE_RTOL:.1e} * max(1, ||G||_1)"
@@ -739,9 +726,7 @@ def make_sequence(
     members = []
     distances = []
     for m in range(1, schedule.members + 1):
-        member = kernel_from_field(
-            _member_samples(G, schedule, m), family=f"{schedule.kind}:{G.family}", params={"m": m}
-        )
+        member = kernel_from_field(_member_samples(G, schedule, m))
         if member.l1 > 0:
             member = project(member)
         dn = norms(RealField(member.samples.values - G.samples.values, grid))

@@ -40,10 +40,10 @@ class Nonlinearity:
 
     lip is the declared Lipschitz constant in u, growth the constant k in
     |F(u, x)| <= k |u| + offset(x).  For the built-in families both equal the
-    family gain; a custom base callable may be supplied for internal tests.
+    family gain and base is a _Family, whose name selects the formula; a
+    custom base callable may be supplied for internal tests.
     """
 
-    family: str
     lip: float
     growth: float
     offset: RealField
@@ -122,7 +122,6 @@ def make_nonlinearity(
     if family not in FAMILIES:
         raise ValueError(f"unknown nonlinearity family {family!r}")
     return Nonlinearity(
-        family=family,
         lip=lip,
         growth=lip if growth is None else growth,
         offset=offset,

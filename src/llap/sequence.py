@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grid import RealField, SymbolSpec, TWO_PI, norms
-from .kernels import ADMISSIBLE_RTOL, KernelSequence, inverse_symbol_gain
+from .kernels import KernelSequence, _admissible, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
     LIP_TRIALS,
@@ -209,7 +209,7 @@ def verify_lemmaA2(seq: KernelSequence, spec: SymbolSpec, lip: float, eps: float
                 gain=diag.gain,
                 orth_residual=diag.orth_residual,
                 divergence_indicator=diag.divergence_indicator,
-                admissible=bool(diag.orth_residual <= ADMISSIBLE_RTOL * max(1.0, member.l1)),
+                admissible=_admissible(member, spec),
                 cert_ok=bool(pref * diag.gain * lip <= 1.0 - eps),
             )
         )

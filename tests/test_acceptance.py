@@ -162,7 +162,6 @@ class TestAcceptance:
     def test_6_linear_oracle(self, diff_kernel, spec1, grid1, bump_offset):
         lip = 0.1
         N = Nonlinearity(
-            family="linear-test",
             lip=lip,
             growth=lip,
             offset=bump_offset,
@@ -225,7 +224,7 @@ class TestAcceptance:
 
         t = symbol(grid1, spec1.shift)
         coeffs = np.where(np.isfinite(t) & (np.abs(t) < spec1.eta), 1.0, 0.0).astype(complex)
-        annulus = kernel_from_field(ift(coeffs, grid1), "annulus")
+        annulus = kernel_from_field(ift(coeffs, grid1))
         frac2 = triviality_indicator(annulus, sine_nonlinearity, spec1, tau=1e-8)
         rng = np.random.default_rng(3)
         image = apply_picard_map(
@@ -245,9 +244,7 @@ class TestAcceptance:
         sched = Schedule(kind="truncate", members=3, r_start=6.0, r_stop=10.0)
         seq = make_sequence(diff_kernel, sched, spec1, taper_width=0.5)
         cut = _truncation_cutoff(grid1.radius_mesh(), 4.0, 1.0)
-        raw = kernel_from_field(
-            RealField(cut * diff_kernel.samples.values, grid1), "raw-truncation"
-        )
+        raw = kernel_from_field(RealField(cut * diff_kernel.samples.values, grid1))
         members = list(seq.members)
         members[1] = raw
         tampered = KernelSequence(members=tuple(members), limit=seq.limit, distances=seq.distances)

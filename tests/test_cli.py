@@ -331,6 +331,7 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CONFIG
         assert "unknown starting field" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
         def violated(*args, **kwargs):
@@ -926,6 +927,7 @@ def test_refused_where_it_enters(runner, tmp_path, command, key, value, line):
     assert result.exit_code == EXIT_CONFIG
     assert result.stderr.splitlines() == [line]
     assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_large_random_start_still_converges(runner, tmp_path):

@@ -1,15 +1,17 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import llap.config
 from llap.cli import EXIT_CONFIG, main
 from llap.config import ConfigError, RunConfig, load_config, parse_config
-from llap.fieldio import dump_field, dump_sidecar
+from llap.fieldio import dump_field
 from llap.grid import RealField
-from llap.kernels import make_kernel
+from llap.kernels import inverse_symbol_gain, make_kernel
 from conftest import Runner
 
 REFERENCE = """
@@ -135,12 +137,13 @@ class TestParsing:
 
 class TestBuilders:
     def test_kernel_and_nonlinearity(self):
-        cfg = parse_config(REFERENCE)
+        # The difference kernel vanishes on the sphere |p| = e^a of the
+        # config's own shift; one tuned to a = 0 leaves a residual of 0.11.
+        cfg = parse_config(REFERENCE.replace("a = 0.0", "a = 0.3"))
         grid = cfg.grid()
         spec = cfg.symbol_spec(grid)
         K = cfg.kernel(grid, spec)
-        assert K.family == "difference"
-        assert K.params["shift"] == spec.shift
+        assert inverse_symbol_gain(K, spec).orth_residual <= 1e-12 * K.l1
         N = cfg.nonlinearity(grid)
         assert N.lip == 0.1
         assert N.growth == 0.1
@@ -155,7 +158,8 @@ class TestBuilders:
         grid = cfg.grid()
         spec = cfg.symbol_spec(grid)
         K = cfg.kernel(grid, spec)
-        assert K.family.startswith("projected:")
+        # The raw Gaussian's residual is 0.61.
+        assert inverse_symbol_gain(K, spec).orth_residual <= 1e-10 * K.l1
 
     def test_schedule(self):
         cfg = parse_config(REFERENCE)
@@ -195,21 +199,23 @@ class TestBuilders:
         h = cfg.offset_field(cfg.grid())
         assert np.all(h.values == 0.3)
 
-    def test_file_kernel_with_sidecar(self, tmp_path):
-        cfg0 = parse_config(REFERENCE)
-        grid = cfg0.grid()
-        K = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.5}, grid)
-        path = tmp_path / "kern.llap"
-        dump_field(K.samples, path)
-        dump_sidecar(tmp_path / "kern.llap.meta", "gaussian", K.params)
-        text = REFERENCE.replace(
-            "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0",
-            f"family = file\npath = {path}",
+    def test_file_kernel_with_sidecar(self, tmp_path, runner):
+        # A kernel file is its dump alone: a malformed kern.llap.meta beside
+        # it is not read and changes nothing.
+        grid = parse_config(REFERENCE).grid()
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid
         )
-        cfg = parse_config(text, source=str(tmp_path / "run.cfg"))
-        loaded = cfg.kernel(grid, cfg.symbol_spec(grid))
-        assert loaded.family == "gaussian"
-        assert loaded.l1 == pytest.approx(K.l1)
+        dump_field(K.samples, tmp_path / "kern.llap")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(REFERENCE.replace(DIFFERENCE, "family = file\npath = kern.llap"))
+        certificates = []
+        for name in ("alone", "with-sidecar"):
+            result = runner.invoke(main, ["certify", str(cfg), "-o", str(tmp_path / name)])
+            assert result.exit_code == 0
+            certificates.append((tmp_path / name / "certificate.txt").read_bytes())
+            (tmp_path / "kern.llap.meta").write_text("family = gaussian\nwidth 1.0\n")
+        assert certificates[0] == certificates[1]
 
     def test_file_kernel_grid_mismatch(self, tmp_path):
         cfg0 = parse_config(REFERENCE)
@@ -255,8 +261,6 @@ class TestFileInputs:
         cfg = parse_config(text)
         grid = cfg.grid()
         loaded = cfg.kernel(grid, cfg.symbol_spec(grid))
-        assert loaded.family == "file"
-        assert loaded.params == {}
         assert np.array_equal(loaded.samples.values, K.samples.values)
 
     def test_relative_paths_resolve_against_the_config_directory(self, tmp_path, monkeypatch):
@@ -344,3 +348,18 @@ def test_every_mutated_text_parses_or_is_refused(text, edits):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+def test_every_config_key_is_documented():
+    # Each section and key of the schema appears in its row of the README's
+    # config table, in backticks, and in its block of the module docstring.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {
+        line.split("|")[1].strip(): line for line in readme.splitlines() if line.startswith("| `[")
+    }
+    blocks = dict(re.findall(r"\[(\w+)\]([^[]*)", llap.config.__doc__))
+    for section, keys in llap.config._SCHEMA.items():
+        row, block = rows[f"`[{section}]`"], blocks[section]
+        for key in keys:
+            assert f"`{key}`" in row, (section, key)
+            assert re.search(rf"\b{key}\b", block), (section, key)

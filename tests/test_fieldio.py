@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from llap.grid import RealField, make_grid
-from llap.fieldio import MAGIC, dump_field, dump_sidecar, load_field, load_sidecar
+from llap.fieldio import MAGIC, dump_field, load_field
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
@@ -55,25 +55,3 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="size"):
         load_field(path)
-
-
-def test_sidecar_roundtrip(tmp_path):
-    path = tmp_path / "k.meta"
-    dump_sidecar(path, "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 0.5})
-    family, params = load_sidecar(path)
-    assert family == "difference"
-    assert params == {"width1": 1.0, "width2": 2.0, "amplitude": 0.5}
-
-
-def test_sidecar_requires_family(tmp_path):
-    path = tmp_path / "k.meta"
-    path.write_text("width = 1.0\n")
-    with pytest.raises(ValueError, match="family"):
-        load_sidecar(path)
-
-
-def test_sidecar_bad_line(tmp_path):
-    path = tmp_path / "k.meta"
-    path.write_text("family = gaussian\nwidth 1.0\n")
-    with pytest.raises(ValueError, match=":2:"):
-        load_sidecar(path)

@@ -159,7 +159,7 @@ class TestRunSequence:
 
 def _raw_truncation(K, grid, radius):
     cut = _truncation_cutoff(grid.radius_mesh(), radius, 1.0)
-    return kernel_from_field(RealField(cut * K.samples.values, grid), "raw-truncation")
+    return kernel_from_field(RealField(cut * K.samples.values, grid))
 
 
 class TestVerifyLemma:

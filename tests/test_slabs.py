@@ -79,7 +79,7 @@ def _problem(d, n):
 
 
 def _linear(N, base):
-    return Nonlinearity(family="test", lip=N.lip, growth=N.lip, offset=N.offset, base=base)
+    return Nonlinearity(lip=N.lip, growth=N.lip, offset=N.offset, base=base)
 
 
 @settings(

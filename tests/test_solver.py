@@ -36,7 +36,6 @@ def linear_nonlinearity(grid, lip, offset):
     """F(u, x) = lip * u + h(x); violates the growth family set on purpose
     and exists only as the independent oracle for the whole pipeline."""
     return Nonlinearity(
-        family="linear-test",
         lip=lip,
         growth=lip,
         offset=offset,
@@ -49,7 +48,7 @@ def annulus_kernel(grid, spec):
     t = symbol(grid, spec.shift)
     coeffs = np.where(np.isfinite(t) & (np.abs(t) < spec.eta), 1.0, 0.0).astype(complex)
     samples = ift(coeffs, grid)
-    return kernel_from_field(samples, family="annulus")
+    return kernel_from_field(samples)
 
 
 class TestCertify:
@@ -75,7 +74,7 @@ class TestCertify:
         coeffs = np.zeros(grid1.shape, dtype=complex)
         coeffs[k0] = 0.25
         coeffs[-k0] = 0.25
-        K = kernel_from_field(ift(coeffs, grid1), "single")
+        K = kernel_from_field(ift(coeffs, grid1))
         N = make_nonlinearity("saturating_sine", lip=0.1, offset=bump_offset)
         cert = certify(K, N, spec1, eps_user=0.1)
         assert cert.grid_gain == pytest.approx(0.25 / abs(math.log(p0)), rel=1e-12)
