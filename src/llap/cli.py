@@ -117,6 +117,14 @@ def _outdir(out_dir: str) -> Path:
     return path
 
 
+def _refuse_unusable_outdir(out_dir: str) -> None:
+    """Raise now, creating nothing, the error _outdir would raise for a non-directory
+    at out_dir (errno 17) or at its nearest existing ancestor (errno 20)."""
+    path = Path(out_dir)
+    if not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
+        path.mkdir()  # the mkdir _outdir tries first; here it fails and creates nothing
+
+
 def _certificate_text(cert: ContractionCertificate) -> str:
     lines = ["[certificate]"]
     lines += [f"{f.name} = {_fmt(getattr(cert, f.name))}" for f in dataclasses.fields(cert)]
@@ -190,6 +198,7 @@ class _Main:
             )
         ns = parser.parse_args(args)
         try:
+            _refuse_unusable_outdir(ns.out_dir)
             self.commands[ns.command].callback(ns.config, ns.out_dir)
         except MemberCertificateError as e:
             where = "the limit kernel" if e.member is None else f"member {e.member}"

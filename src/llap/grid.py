@@ -104,17 +104,13 @@ class GridSpec:
         x = self.axis_coords()
         return np.meshgrid(*([x] * self.d), indexing="ij")
 
-    def flat_coords(self) -> np.ndarray:
-        """All grid points as an (npoints, d) array, row-major."""
-        return np.stack([m.ravel() for m in self.coord_meshes()], axis=1)
-
     def mode_axis(self) -> np.ndarray:
         """Frequency values (pi/L)*k for one axis in FFT ordering."""
         return self.mode_spacing * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     def radius_mesh(self) -> np.ndarray:
-        """Euclidean |x| at every grid point."""
-        return _coord_radius(self)
+        """Euclidean |x| at every grid point, a new array on every call."""
+        return _radius([self.axis_coords()] * self.d)
 
 
 class Norms(NamedTuple):
@@ -314,12 +310,6 @@ def _phase(grid: GridSpec) -> np.ndarray:
     return reduce(np.multiply.outer, [sign] * (grid.d - 1) + [sign[: grid.n // 2 + 1]])
 
 
-@lru_cache(maxsize=32)
-def _coord_radius(grid: GridSpec) -> np.ndarray:
-    meshes = grid.coord_meshes()
-    return _freeze(np.sqrt(sum(m * m for m in meshes)))
-
-
 # Slabs go to worker threads only for arrays of at least this many points
 # with a second axis to split.  Below it the hand-off costs more than the
 # second core saves: at d=2, n=256 (65,536 points) a two-thread rfftn took
@@ -489,10 +479,15 @@ class _HalfModes(NamedTuple):
     masked_modes: int  # modes of the full grid with |ln|p| - shift| < eta
 
 
+def _radius(axes: list[np.ndarray]) -> np.ndarray:
+    """sqrt(a0^2 + a1^2 + ...) over the axes' outer grid, as one array from broadcast squares."""
+    r = sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))
+    return np.sqrt(r, out=r)
+
+
 def _half_radius(grid: GridSpec) -> np.ndarray:
     """|p| on the half spectrum."""
-    axes = [grid.mode_axis()] * (grid.d - 1) + [grid.mode_axis()[: grid.n // 2 + 1]]
-    return np.sqrt(sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True)))
+    return _radius([grid.mode_axis()] * (grid.d - 1) + [grid.mode_axis()[: grid.n // 2 + 1]])
 
 
 def _half_weights(grid: GridSpec) -> np.ndarray:
@@ -595,15 +590,9 @@ def boundary_decay(f: RealField) -> float:
     Diagnoses whether the box is large enough for the periodization to be
     harmless; values near 1 mean the field does not fit in the box.
     """
-    peak = float(np.max(np.abs(f.values)))
+    a = np.abs(f.values)
+    peak = float(np.max(a))
     if peak == 0.0:
         return 0.0
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for axis in range(f.grid.d):
-        sl_lo = [slice(None)] * f.grid.d
-        sl_lo[axis] = 0
-        mask[tuple(sl_lo)] = True
-        sl_hi = [slice(None)] * f.grid.d
-        sl_hi[axis] = f.grid.n - 1
-        mask[tuple(sl_hi)] = True
-    return float(np.max(np.abs(f.values[mask]))) / peak
+    edge = max(float(np.max(np.take(a, [0, -1], axis=axis))) for axis in range(f.grid.d))
+    return edge / peak

@@ -396,20 +396,20 @@ def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = 
     """Estimated peak bytes of the arrays the CLI command holds on (d, n).
 
     certify, solve and ft-selftest: six real fields (kernel samples,
-    offset, starting field, cached |x| mesh, both iterates, the second of
-    which becomes the report's final field) and five half spectra (the
-    kernel's hat, the iterate spectra q and work, the symbol with the
-    operator's reciprocal, and the masks and transients such as numpy's FFT
-    plans).  verify adds seven real fields: the property suite's random
-    pairs, their images and differences beside a map application's
-    buffers.  sequence adds, per member kernel, its samples and its hat,
-    and the projector's atoms (2, 4 or 6 real fields at d = 1, 2, 3), which
-    make_sequence always builds; the atoms also count for any command whose
-    kernel is projected.  Traced with tracemalloc, a certify-and-solve run
-    peaks at 10.5 real fields at d = 2 (n = 256) and 3 (n = 48), against
-    11.0 and 11.2 here, and ft_selftest at 7.0 to 8.0; verify at 16.5
-    against 18.0 and 18.2; a six-member sequence at 25.4 and 26.3 against
-    27.1 and 29.5.  The interpreter and its modules come on top.
+    offset, starting field, both iterates, the second of which becomes the
+    report's final field, and transients such as the |x| mesh that each
+    reader builds afresh) and five half spectra (the kernel's hat, q and
+    work, the symbol with the operator's reciprocal, and the masks and
+    transients such as numpy's FFT plans).  verify adds seven real fields:
+    the property suite's random pairs, their images and differences beside
+    a map application's buffers.  sequence adds, per member kernel, its
+    samples and hat, and the projector's atoms (2, 4 or 6 real fields at
+    d = 1, 2, 3), which make_sequence always builds; the atoms also count
+    for any command whose kernel is projected.  Traced with tracemalloc, a
+    certify-and-solve run peaks at 9.45 real fields at d = 2 (n = 256) and
+    9.47 at d = 3 (n = 48), against 11.0 and 11.2 here, ft_selftest at 5.6,
+    verify at 15.5 against 18.0 and 18.2, and a six-member sequence at 24.4
+    and 25.3 against 27.1 and 29.5.  The interpreter and modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)

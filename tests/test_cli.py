@@ -593,9 +593,9 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("d,n", [(2, 256), (3, 48)])
     def test_estimate_bounds_a_traced_run(self, d, n):
         # A small run first imports every module, so that only arrays are
-        # traced; the box sizes are used by no other test, so the grid's
-        # caches start empty.  The estimate must bound both traces without
-        # being loose.
+        # traced; the box sizes are used by no other test, so the symbol
+        # cache (grid._half_modes) starts empty.  The estimate must bound
+        # both traces without being loose.
         self._certify_and_solve(d, 32, 10.0)
         peaks = []
         for run in (
@@ -943,9 +943,15 @@ def test_large_random_start_still_converges(runner, tmp_path):
     [("", "[Errno 17] File exists: '{}'"), ("sub", "[Errno 20] Not a directory: '{}'")],
     ids=["existing-file", "below-a-file"],
 )
-def test_unusable_out_dir_in_one_line(runner, tmp_path, command, below, error):
+def test_unusable_out_dir_in_one_line(runner, tmp_path, monkeypatch, command, below, error):
     # FileExistsError and NotADirectoryError from mkdir ended in tracebacks
-    # (exit 1).
+    # (exit 1), and then came only after the command's whole computation.
+    # They are raised before any kernel or self-test is built.
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the out-dir was checked")
+
+    monkeypatch.setattr(llap.config.RunConfig, "kernel", never)
+    monkeypatch.setattr(llap.cli, "ft_selftest", never)
     taken = tmp_path / "taken"
     taken.write_text("")
     out = taken / below if below else taken

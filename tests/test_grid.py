@@ -18,11 +18,13 @@ from llap.grid import (
     _half_weights,
     _irfftn,
     _rfftn,
+    boundary_decay,
     make_grid,
     norms,
     nudft,
     sample,
 )
+from llap.kernels import make_kernel
 from conftest import SQRT_2PI, ft, ift, l2_gap, symbol
 
 
@@ -65,6 +67,33 @@ class TestMakeGrid:
     def test_unsupported_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             make_grid(4, 10.0, 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        half_n=st.integers(min_value=4, max_value=20),
+        L=st.floats(min_value=0.5, max_value=50.0),
+    )
+    def test_radius_mesh_is_the_dense_formula(self, d, half_n, L):
+        g = make_grid(d, L, 2 * half_n)
+        r = g.radius_mesh()
+        assert np.array_equal(r, np.sqrt(sum(m * m for m in g.coord_meshes())))
+        assert g.radius_mesh() is not r
+
+    def test_no_mesh_outlives_a_kernel_build(self):
+        # Nothing the build of a kernel makes stays alive once the kernel is
+        # dropped; a cached |x| mesh would keep one whole real field.
+        params = {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}
+        make_kernel("difference", params, make_grid(3, 5.0, 8))  # warm up
+        grid = make_grid(3, 7.25, 32)
+        tracemalloc.start()
+        try:
+            make_kernel("difference", params, grid)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        real = 8 * grid.npoints
+        assert current < real / 8, current / real
 
     def test_mode_layout(self):
         g = make_grid(1, 10.0, 64)
@@ -185,7 +214,8 @@ class TestFourierTransform:
 def _brute_force_nudft(f: RealField, pts: np.ndarray) -> np.ndarray:
     g = f.grid
     pref = g.h**g.d / (2.0 * math.pi) ** (g.d / 2.0)
-    return pref * (np.exp(-1j * (pts @ g.flat_coords().T)) @ f.values.ravel())
+    coords = np.stack([m.ravel() for m in g.coord_meshes()], axis=1)
+    return pref * (np.exp(-1j * (pts @ coords.T)) @ f.values.ravel())
 
 
 @st.composite
@@ -292,6 +322,21 @@ class TestNorms:
         # origin limits the quadrature to O(h^2) here.
         f = sample(grid1, lambda x: np.exp(-(x**2) / 2.0))
         assert norms(f).weighted_l1 == pytest.approx(2.0, abs=grid1.h**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_boundary_decay_is_the_outer_layer_over_the_whole(d, seed):
+    g = make_grid(d, 5.0, 8)
+    rng = np.random.default_rng(seed)
+    # Mostly zeros, so the outer layer's maximum is often on one face alone.
+    f = RealField(np.where(rng.random(g.shape) < 0.9, 0.0, rng.normal(size=g.shape)), g)
+    outer = np.zeros(g.shape, dtype=bool)
+    for axis in range(d):
+        np.moveaxis(outer, axis, 0)[[0, -1]] = True
+    a = np.abs(f.values)
+    expected = float(np.max(a[outer])) / float(np.max(a)) if np.any(a) else 0.0
+    assert boundary_decay(f) == expected
 
 
 class TestConvolution:
