@@ -10,7 +10,7 @@ field files) is imported from its module: ``llap.grid``, ``llap.kernels``,
 ``llap.config`` and ``llap.fieldio``.
 """
 
-from .grid import RealField, SymbolSpec, default_eta, make_grid, norms, sample
+from .grid import RealField, SymbolSpec, default_eta, make_grid, sample
 from .kernels import Schedule, make_kernel, make_sequence
 from .nonlinearity import make_nonlinearity
 from .solver import ContractionCertificate, certify, picard_solve

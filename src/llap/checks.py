@@ -33,7 +33,6 @@ from .grid import (
     _rfftn,
     boundary_decay,
     make_grid,
-    norms,
 )
 from .kernels import (
     Kernel,
@@ -87,7 +86,7 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
     pref = TWO_PI ** (grid.d / 2.0)
 
     f = RealField(rng.normal(size=grid.shape), grid)
-    l2 = norms(f).l2
+    l2 = f.l2_norm()
     back = _irfftn(_rfftn(f.values), np.empty(grid.shape))
     err = _relative_l2(back, f.values)
     results.append(CheckResult("ft_roundtrip", err <= 1e-12, err, "relative L2 roundtrip error"))
@@ -211,11 +210,11 @@ def run_property_suite(
         w = RealField(rng.normal(0.0, scale, grid.shape), grid)
         tv = op.apply(N, v)
         tw = op.apply(N, w)
-        gap = norms(RealField(tv.values - tw.values, grid)).l2
-        ref = norms(RealField(v.values - w.values, grid)).l2
+        gap = RealField(tv.values - tw.values, grid).l2_norm()
+        ref = RealField(v.values - w.values, grid).l2_norm()
         worst_ratio = max(worst_ratio, gap / ref)
-        bound = pref * grid_gain * norms(eval_F(N, v)).l2
-        worst_norm_excess = max(worst_norm_excess, norms(tv).l2 - bound)
+        bound = pref * grid_gain * eval_F(N, v).l2_norm()
+        worst_norm_excess = max(worst_norm_excess, tv.l2_norm() - bound)
     results.append(
         CheckResult(
             "contraction_sampling",
@@ -235,7 +234,7 @@ def run_property_suite(
 
     frac = triviality_indicator(K, N, spec, tau)
     first_step = op.apply(N, RealField.zeros(grid))
-    step_nontrivial = norms(first_step).l2 > 1e-12
+    step_nontrivial = first_step.l2_norm() > 1e-12
     results.append(
         CheckResult(
             "triviality_consistency",

@@ -29,7 +29,7 @@ import numpy as np
 from . import fieldio
 from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import RunConfig, load_config
-from .grid import make_grid, norms
+from .grid import make_grid
 from .kernels import make_sequence
 from .sequence import LemmaRow, MemberCertificateError, SequenceRow, run_sequence
 from .solver import (
@@ -261,7 +261,7 @@ def solve(config: str, out_dir: str):
         f"predicted_iterations = {report.predicted_iterations}",
         f"residual = {_fmt(report.residual)}",
         f"masked_rhs_energy = {_fmt(report.masked_rhs_energy)}",
-        f"solution_l2 = {_fmt(norms(report.final).l2)}",
+        f"solution_l2 = {_fmt(report.final.l2_norm())}",
         "",
         _certificate_text(report.certificate),
     ]

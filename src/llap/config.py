@@ -39,7 +39,6 @@ from .grid import (
     _SplitMix64,
     default_eta,
     make_grid,
-    norms,
     sample,
 )
 from .kernels import (
@@ -266,7 +265,7 @@ class RunConfig:
     def nonlinearity(self, grid: GridSpec) -> Nonlinearity:
         offset = self.offset_field(grid)
         with np.errstate(over="ignore"):
-            l2 = norms(offset).l2
+            l2 = offset.l2_norm()
         if not math.isfinite(l2):
             # The solve squares fields of the offset's size.
             raise ConfigError(

@@ -76,5 +76,5 @@ def load_field(path: str | Path) -> RealField:
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(raw)}"
         )
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
-    return RealField(values.astype(float), grid)
+    return RealField(values, grid)
 

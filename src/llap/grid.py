@@ -53,11 +53,9 @@ __all__ = [
     "GridSpec",
     "RealField",
     "SymbolSpec",
-    "Norms",
     "make_grid",
     "sample",
     "default_eta",
-    "norms",
     "nudft",
     "boundary_decay",
 ]
@@ -111,12 +109,6 @@ class GridSpec:
     def radius_mesh(self) -> np.ndarray:
         """Euclidean |x| at every grid point, a new array on every call."""
         return _radius([self.axis_coords()] * self.d)
-
-
-class Norms(NamedTuple):
-    l2: float
-    l1: float
-    weighted_l1: float
 
 
 def make_grid(d: int, L: float, n: int) -> GridSpec:
@@ -179,6 +171,11 @@ class RealField:
         object.__setattr__(field, "values", _freeze(values))
         object.__setattr__(field, "grid", grid)
         return field
+
+    def l2_norm(self) -> float:
+        """Quadrature L2 norm sqrt(h^d sum_j v_j^2)."""
+        v = self.values
+        return math.sqrt(self.grid.h**self.grid.d * float(np.sum(v * v)))
 
 
 @dataclass(frozen=True)
@@ -506,18 +503,6 @@ def _half_modes(grid: GridSpec, spec: SymbolSpec) -> _HalfModes:
     masked = int(np.sum(weights, where=np.abs(t) < spec.eta))
     symbol = _freeze(np.where(active, t, 0.0))
     return _HalfModes(symbol, _freeze(active), _freeze(~active), weights, masked)
-
-
-def norms(f: RealField) -> Norms:
-    """Quadrature L2, L1 and |x|-weighted L1 norms of a field."""
-    g = f.grid
-    w = g.h**g.d
-    a = np.abs(f.values)
-    return Norms(
-        l2=math.sqrt(w * float(np.sum(a * a))),
-        l1=w * float(np.sum(a)),
-        weighted_l1=w * float(np.sum(g.radius_mesh() * a)),
-    )
 
 
 def nudft(f: RealField, points: np.ndarray) -> np.ndarray:

@@ -47,7 +47,6 @@ from .grid import (
     _half_radius,
     _half_weights,
     _HalfModes,
-    norms,
     nudft,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "sphere_points",
     "project_orthogonal",
     "inverse_symbol_gain",
-    "symbol_ratio_distance",
     "verify_hat_bound",
     "verify_derivative_bound",
     "make_sequence",
@@ -148,27 +146,31 @@ class KernelSequence:
     distances: tuple[tuple[float, float], ...]
 
 
+def _kernel_norms(f: RealField) -> tuple[float, float]:
+    """Quadrature L1 and |x|-weighted L1 norms of a field."""
+    g = f.grid
+    w = g.h**g.d
+    a = np.abs(f.values)
+    return w * float(np.sum(a)), w * float(np.sum(g.radius_mesh() * a))
+
+
 def kernel_from_field(samples: RealField) -> Kernel:
     """The kernel with these samples; refused if its norms overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n = norms(samples)
-    if not (math.isfinite(n.l1) and math.isfinite(n.weighted_l1)):
+        l1, weighted_l1 = _kernel_norms(samples)
+        l2 = samples.l2_norm()
+    if not (math.isfinite(l1) and math.isfinite(weighted_l1)):
         raise ValueError(
-            f"kernel norms overflow (||G||_1 = {n.l1:.3g}, || |x| G ||_1 = {n.weighted_l1:.3g}); "
+            f"kernel norms overflow (||G||_1 = {l1:.3g}, || |x| G ||_1 = {weighted_l1:.3g}); "
             "G must be integrable"
         )
     # L2 norms of fields made from G (members, differences) square its values.
-    if not math.isfinite(n.l2):
+    if not math.isfinite(l2):
         raise ValueError(
-            f"kernel norms overflow (||G||_2 = {n.l2:.3g}, ||G||_1 = {n.l1:.3g}); "
+            f"kernel norms overflow (||G||_2 = {l2:.3g}, ||G||_1 = {l1:.3g}); "
             "G must be square integrable"
         )
-    return Kernel(
-        samples=samples,
-        l1=n.l1,
-        weighted_l1=n.weighted_l1,
-        hat=_half_ft(samples),
-    )
+    return Kernel(samples=samples, l1=l1, weighted_l1=weighted_l1, hat=_half_ft(samples))
 
 
 def difference_coefficient(width1: float, width2: float, shift: float) -> float:
@@ -596,13 +598,6 @@ def _diagnostics_pass(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
     )
 
 
-def symbol_ratio_distance(G1: Kernel, G2: Kernel, spec: SymbolSpec) -> float:
-    """sup |G1^(p) - G2^(p)| / |ln|p| - shift| over the gain evaluation set."""
-    if G1.grid != G2.grid:
-        raise ValueError("kernels live on different grids")
-    return inverse_symbol_gain(G1, spec).ratio_distance(inverse_symbol_gain(G2, spec))
-
-
 # ---------------------------------------------------------------------------
 # Transform bounds
 
@@ -729,7 +724,6 @@ def make_sequence(
         member = kernel_from_field(_member_samples(G, schedule, m))
         if member.l1 > 0:
             member = project(member)
-        dn = norms(RealField(member.samples.values - G.samples.values, grid))
         members.append(member)
-        distances.append((dn.l1, dn.weighted_l1))
+        distances.append(_kernel_norms(RealField(member.samples.values - G.samples.values, grid)))
     return KernelSequence(members=tuple(members), limit=G, distances=tuple(distances))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import RealField, SymbolSpec, TWO_PI, norms
+from .grid import RealField, SymbolSpec, TWO_PI
 from .kernels import KernelSequence, _admissible, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, estimate_lipschitz, eval_F
 from .solver import (
@@ -143,14 +143,14 @@ def run_sequence(
     limit_report = picard_solve(
         seq.limit, N, spec, tol=tol, max_iter=max_iter, certificate=certs[0]
     )
-    rhs_scale = norms(eval_F(N, limit_report.final)).l2
+    rhs_scale = eval_F(N, limit_report.final).l2_norm()
     pref = TWO_PI ** (grid.d / 2.0)
     rows: list[SequenceRow] = []
     for member, cert, lemma_row, (l1_dist, wl1_dist) in zip(
         seq.members, certs[1:], lemma.rows, seq.distances
     ):
         report = picard_solve(member, N, spec, tol=tol, max_iter=max_iter, certificate=cert)
-        sol_dist = norms(RealField(report.final.values - limit_report.final.values, grid)).l2
+        sol_dist = RealField(report.final.values - limit_report.final.values, grid).l2_norm()
         bound_rhs = pref / eps * lemma_row.ratio_dist * rhs_scale
         rows.append(
             SequenceRow(
@@ -172,7 +172,7 @@ def run_sequence(
                 f"member {row.m} violates the convergence bound: "
                 f"sol_dist {row.sol_dist:.3e} > bound {row.bound_rhs:.3e}"
             )
-    floor = 10.0 * tol * max(1.0, norms(limit_report.final).l2)
+    floor = 10.0 * tol * max(1.0, limit_report.final.l2_norm())
     for prev, cur in zip(rows, rows[1:]):
         # Diagnostic, not a theorem claim: distances may wobble once they
         # hit the solver tolerance floor.

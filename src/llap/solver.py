@@ -395,24 +395,30 @@ def _all_finite(x: np.ndarray) -> bool:
 def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = False) -> int:
     """Estimated peak bytes of the arrays the CLI command holds on (d, n).
 
-    certify, solve and ft-selftest: six real fields (kernel samples,
-    offset, starting field, both iterates, the second of which becomes the
-    report's final field, and transients such as the |x| mesh that each
-    reader builds afresh) and five half spectra (the kernel's hat, q and
-    work, the symbol with the operator's reciprocal, and the masks and
-    transients such as numpy's FFT plans).  verify adds seven real fields:
-    the property suite's random pairs, their images and differences beside
-    a map application's buffers.  sequence adds, per member kernel, its
-    samples and hat, and the projector's atoms (2, 4 or 6 real fields at
-    d = 1, 2, 3), which make_sequence always builds; the atoms also count
-    for any command whose kernel is projected.  Traced with tracemalloc, a
-    certify-and-solve run peaks at 9.45 real fields at d = 2 (n = 256) and
-    9.47 at d = 3 (n = 48), against 11.0 and 11.2 here, ft_selftest at 5.6,
-    verify at 15.5 against 18.0 and 18.2, and a six-member sequence at 24.4
-    and 25.3 against 27.1 and 29.5.  The interpreter and modules come on top.
+    certify and solve: six real fields (kernel samples, offset, starting
+    field, both iterates, the second of which becomes the report's final
+    field, and transients such as the |x| mesh that each reader builds
+    afresh) and five half spectra (the kernel's hat, q and work, the symbol
+    with the operator's reciprocal, and the masks and transients such as
+    numpy's FFT plans).  ft-selftest: three real fields (the random field,
+    its roundtrip and the Gaussian's samples) and three half spectra (the
+    Gaussian's transform, its closed form and their difference).  verify
+    adds seven real fields to certify and solve: the property suite's random
+    pairs, their images and differences beside a map application's buffers.
+    sequence adds, per member kernel, its samples and hat, and the
+    projector's atoms (2, 4 or 6 real fields at d = 1, 2, 3), which
+    make_sequence always builds; the atoms also count for any command whose
+    kernel is projected.  Traced with tracemalloc, a certify-and-solve run
+    peaks at 9.45 real fields at d = 2 (n = 256) and 9.47 at d = 3 (n = 48),
+    against 11.0 and 11.2 here, ft_selftest at 5.60 and 5.62 against 6.02
+    and 6.13, verify at 15.5 against 18.0 and 18.2, and a six-member
+    sequence at 24.4 and 25.3 against 27.1 and 29.5.  The interpreter and
+    modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
+    if command == "ft-selftest":
+        return 3 * real + 3 * half
     total = 6 * real + 5 * half
     if command == "verify":
         total += 7 * real

@@ -14,7 +14,6 @@ from llap.grid import (
     SymbolSpec,
     default_eta,
     make_grid,
-    norms,
     nudft,
     sample,
 )
@@ -163,7 +162,16 @@ def full_multiplier(K, spec) -> np.ndarray:
 
 
 def l2_gap(a: RealField, b: RealField) -> float:
-    return norms(RealField(a.values - b.values, a.grid)).l2
+    return RealField(a.values - b.values, a.grid).l2_norm()
+
+
+def dense_l1_norms(f: RealField) -> tuple[float, float]:
+    """h^d sum |v| and h^d sum |x| |v|, with |x| from the dense coordinate meshes."""
+    g = f.grid
+    w = g.h**g.d
+    a = np.abs(f.values)
+    r = np.sqrt(sum(m * m for m in g.coord_meshes()))
+    return w * float(np.sum(a)), w * float(np.sum(r * a))
 
 
 def solves_of_run_sequence(monkeypatch, member=None, move=None) -> list:

@@ -16,7 +16,6 @@ from llap.grid import (
     _half_weights,
     default_eta,
     make_grid,
-    norms,
     sample,
 )
 from llap.kernels import (
@@ -61,7 +60,7 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         g = RealField(rng.normal(size=grid1.shape), grid1)
         energy = float(np.sum(_half_weights(grid1) * np.abs(_half_ft(g) / SQRT_2PI) ** 2))
-        par_err = abs(math.sqrt(grid1.mode_spacing * energy) - norms(g).l2) / norms(g).l2
+        par_err = abs(math.sqrt(grid1.mode_spacing * energy) - g.l2_norm()) / g.l2_norm()
         elapsed = time.perf_counter() - t0
         _verdict(
             1,
@@ -119,8 +118,8 @@ class TestAcceptance:
             tw = apply_picard_map(w, diff_kernel, sine_nonlinearity, spec1)
             ratio = l2_gap(tv, tw) / l2_gap(v, w)
             contraction_ok = contraction_ok and ratio <= cert.q_grid + 1e-10
-            bound = SQRT_2PI * cert.grid_gain * norms(eval_F(sine_nonlinearity, v)).l2
-            norm_ok = norm_ok and norms(tv).l2 <= bound + 1e-10
+            bound = SQRT_2PI * cert.grid_gain * eval_F(sine_nonlinearity, v).l2_norm()
+            norm_ok = norm_ok and tv.l2_norm() <= bound + 1e-10
         _verdict(
             4,
             f"contraction over 100 pairs <= q_grid = {cert.q_grid:.4f}, norm bound holds",
@@ -216,11 +215,11 @@ class TestAcceptance:
     def test_8_triviality(self, diff_kernel, sine_nonlinearity, zero_offset_nonlinearity, spec1, grid1):
         frac0 = triviality_indicator(diff_kernel, zero_offset_nonlinearity, spec1, tau=1e-8)
         rep0 = picard_solve(diff_kernel, zero_offset_nonlinearity, spec1, tol=1e-10)
-        trivial_ok = frac0 == 0.0 and norms(rep0.final).l2 <= 1e-12
+        trivial_ok = frac0 == 0.0 and rep0.final.l2_norm() <= 1e-12
 
         frac1 = triviality_indicator(diff_kernel, sine_nonlinearity, spec1, tau=1e-8)
         rep1 = picard_solve(diff_kernel, sine_nonlinearity, spec1, tol=1e-10)
-        nontrivial_ok = frac1 > 0.0 and norms(rep1.final).l2 > 1e-12
+        nontrivial_ok = frac1 > 0.0 and rep1.final.l2_norm() > 1e-12
 
         t = symbol(grid1, spec1.shift)
         coeffs = np.where(np.isfinite(t) & (np.abs(t) < spec1.eta), 1.0, 0.0).astype(complex)
@@ -230,7 +229,7 @@ class TestAcceptance:
         image = apply_picard_map(
             RealField(rng.normal(size=grid1.shape), grid1), annulus, sine_nonlinearity, spec1
         )
-        masked_ok = frac2 == 0.0 and norms(image).l2 <= 1e-12
+        masked_ok = frac2 == 0.0 and image.l2_norm() <= 1e-12
         _verdict(
             8,
             f"triviality: h=0 gives u=0 ({trivial_ok}), overlap gives |u| > 0 "

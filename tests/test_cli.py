@@ -545,11 +545,12 @@ class TestMemoryPreflight:
         # d=3, n=512: a real field is 2^30 bytes, a half spectrum
         # 16 * 512^2 * 257 bytes; six real fields and five half spectra,
         # seven more real fields for verify, and for sequence a real field
-        # and a half spectrum per member plus six atoms.
+        # and a half spectrum per member plus six atoms.  ft-selftest holds
+        # three of each.
         real, half = 2**30, 16 * 512**2 * 257
         assert llap.solver._peak_bytes(3, 512, "solve") == 6 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "certify") == 11_832_131_584
-        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 6 * 8 * 1024 + 5 * 16 * 513
+        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 3 * 8 * 1024 + 3 * 16 * 513
         assert llap.solver._peak_bytes(3, 512, "verify") == 13 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 12 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 18 * real + 11 * half
@@ -570,7 +571,7 @@ class TestMemoryPreflight:
         cert = llap.certify(K, N, spec, eps_user=0.1)
         report = llap.picard_solve(K, N, spec, v0=v0, certificate=cert)
         assert report.converged
-        llap.norms(report.final)  # as the solve summary does
+        report.final.l2_norm()  # as the solve summary does
 
     @classmethod
     def _sequence(cls, d, n, L):
@@ -594,22 +595,21 @@ class TestMemoryPreflight:
     def test_estimate_bounds_a_traced_run(self, d, n):
         # A small run first imports every module, so that only arrays are
         # traced; the box sizes are used by no other test, so the symbol
-        # cache (grid._half_modes) starts empty.  The estimate must bound
-        # both traces without being loose.
+        # cache (grid._half_modes) starts empty.  Each command's estimate
+        # must bound its trace without being loose.
         self._certify_and_solve(d, 32, 10.0)
-        peaks = []
-        for run in (
-            lambda: self._certify_and_solve(d, n, 13.0),
-            lambda: llap.checks.ft_selftest(llap.make_grid(d, 14.0, n)),
+        for command, run in (
+            ("solve", lambda: self._certify_and_solve(d, n, 13.0)),
+            ("ft-selftest", lambda: llap.checks.ft_selftest(llap.make_grid(d, 14.0, n))),
         ):
             tracemalloc.start()
             try:
                 run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        estimate = llap.solver._peak_bytes(d, n, "solve")
-        assert 0.8 * estimate <= max(peaks) <= estimate
+            estimate = llap.solver._peak_bytes(d, n, command)
+            assert 0.8 * estimate <= peak <= estimate, (command, peak / estimate)
 
     @pytest.mark.parametrize("d,n,warm", [(2, 256, (32, 15.0)), (3, 48, (32, 10.0))])
     @pytest.mark.parametrize("command", ["sequence", "verify"])
@@ -649,8 +649,9 @@ class TestMemoryPreflight:
         result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CONFIG
         # verify holds seven more real fields; sequence its six members'
-        # samples and hats and the six d = 3 atoms.
-        need = {"verify": "18.0", "sequence": "29.0"}.get(command, "11.0")
+        # samples and hats and the six d = 3 atoms; ft-selftest three real
+        # fields and three half spectra.
+        need = {"verify": "18.0", "sequence": "29.0", "ft-selftest": "6.0"}.get(command, "11.0")
         assert result.output.strip().splitlines() == [
             f"memory preflight: d=3, n=512 needs an estimated {need} GiB of arrays, "
             "more than the 1.0 GiB available"

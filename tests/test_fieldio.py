@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,25 @@ def test_dump_load_roundtrip(tmp_path, d, n):
     back = load_field(path)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_load_holds_the_file_and_one_copy(tmp_path):
+    # The file's bytes and the field's own frozen copy of the payload.
+    g = make_grid(2, 7.5, 128)
+    f = RealField(np.random.default_rng(0).normal(size=g.shape), g)
+    path = tmp_path / "field.llap"
+    dump_field(f, path)
+    load_field(path)  # warm up
+    tracemalloc.start()
+    try:
+        back = load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    real = 8 * g.npoints
+    assert peak <= 2.5 * real, peak / real
+    assert np.array_equal(back.values, f.values)
+    assert not back.values.flags.writeable
 
 
 def test_header_layout(tmp_path):

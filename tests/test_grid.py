@@ -20,12 +20,11 @@ from llap.grid import (
     _rfftn,
     boundary_decay,
     make_grid,
-    norms,
     nudft,
     sample,
 )
-from llap.kernels import make_kernel
-from conftest import SQRT_2PI, ft, ift, l2_gap, symbol
+from llap.kernels import kernel_from_field, make_kernel
+from conftest import SQRT_2PI, dense_l1_norms, ft, ift, l2_gap, symbol
 
 
 def _roundtrip(f: RealField) -> RealField:
@@ -128,21 +127,21 @@ class TestFourierTransform:
         rng = np.random.default_rng(seed)
         f = RealField(rng.normal(size=grid1.shape), grid1)
         back = _roundtrip(f)
-        assert l2_gap(back, f) <= 1e-12 * norms(f).l2
+        assert l2_gap(back, f) <= 1e-12 * f.l2_norm()
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_parseval(self, grid1, seed):
         rng = np.random.default_rng(seed)
         f = RealField(rng.normal(size=grid1.shape), grid1)
-        assert _spectral_l2(f) == pytest.approx(norms(f).l2, rel=1e-12)
+        assert _spectral_l2(f) == pytest.approx(f.l2_norm(), rel=1e-12)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_roundtrip_higher_dims(self, d, n):
         g = make_grid(d, 5.0, n)
         rng = np.random.default_rng(5)
         f = RealField(rng.normal(size=g.shape), g)
-        assert l2_gap(_roundtrip(f), f) <= 1e-12 * norms(f).l2
-        assert _spectral_l2(f) == pytest.approx(norms(f).l2, rel=1e-12)
+        assert l2_gap(_roundtrip(f), f) <= 1e-12 * f.l2_norm()
+        assert _spectral_l2(f) == pytest.approx(f.l2_norm(), rel=1e-12)
 
     @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
     def test_half_spectrum_is_the_oracle_on_half_the_modes(self, d, n):
@@ -305,23 +304,57 @@ class TestSymbol:
 
 
 class TestNorms:
+    # A field's L2 norm is RealField.l2_norm(); the L1 and |x|-weighted L1
+    # norms are the kernel's, computed when it is built.
     def test_indicator_l1(self):
         g = make_grid(1, 10.0, 256)
         f = sample(g, lambda x: (np.abs(x) <= 1.0).astype(float))
-        assert abs(norms(f).l1 - 2.0) <= g.h
+        assert abs(kernel_from_field(f).l1 - 2.0) <= g.h
 
     def test_gaussian_l1(self, grid1):
         f = sample(grid1, lambda x: np.exp(-(x**2) / 2.0))
-        assert norms(f).l1 == pytest.approx(SQRT_2PI, abs=1e-8)
+        assert kernel_from_field(f).l1 == pytest.approx(SQRT_2PI, abs=1e-8)
 
     def test_zero(self, grid1):
-        assert norms(RealField.zeros(grid1)) == (0.0, 0.0, 0.0)
+        zero = RealField.zeros(grid1)
+        K = kernel_from_field(zero)
+        assert (zero.l2_norm(), K.l1, K.weighted_l1) == (0.0, 0.0, 0.0)
 
     def test_weighted_l1_gaussian(self, grid1):
         # integral of |x| exp(-x^2/2) over R is 2; the kink of |x| at the
         # origin limits the quadrature to O(h^2) here.
         f = sample(grid1, lambda x: np.exp(-(x**2) / 2.0))
-        assert norms(f).weighted_l1 == pytest.approx(2.0, abs=grid1.h**2)
+        assert kernel_from_field(f).weighted_l1 == pytest.approx(2.0, abs=grid1.h**2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        half_n=st.integers(min_value=4, max_value=20),
+        L=st.floats(min_value=0.5, max_value=50.0),
+        exponent=st.integers(min_value=-150, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_norms_match_the_dense_formulas(self, d, half_n, L, exponent, seed):
+        # Bit for bit: squaring v sums the same products as squaring |v|.
+        g = make_grid(d, L, 2 * half_n)
+        f = RealField(10.0**exponent * np.random.default_rng(seed).normal(size=g.shape), g)
+        a = np.abs(f.values)
+        assert f.l2_norm() == math.sqrt(g.h**g.d * np.sum(a * a))
+        K = kernel_from_field(f)
+        assert (K.l1, K.weighted_l1) == dense_l1_norms(f)
+
+    def test_l2_norm_holds_one_field(self):
+        grid = make_grid(3, 5.0, 32)
+        f = RealField(np.random.default_rng(0).normal(size=grid.shape), grid)
+        f.l2_norm()  # warm up
+        tracemalloc.start()
+        try:
+            f.l2_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        real = 8 * grid.npoints
+        assert peak <= 1.1 * real, peak / real
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,7 +390,7 @@ class TestConvolution:
         direct_field = RealField(g.h**g.d * direct.reshape(g.shape), g)
 
         conv = RealField(_convolution(_half_ft(f), _half_ft(h), g), g)
-        assert l2_gap(conv, direct_field) <= 1e-10 * norms(direct_field).l2
+        assert l2_gap(conv, direct_field) <= 1e-10 * direct_field.l2_norm()
 
         lhs = ft(direct_field)
         rhs = (2.0 * math.pi) ** (g.d / 2.0) * ft(f) * ft(h)

@@ -4,6 +4,7 @@ and which modules import which."""
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -27,7 +28,6 @@ TOP_LEVEL = {
     "make_sequence",
     "run_sequence",
     "verify_lemmaA2",
-    "norms",
     "ContractionCertificate",
     "MemberCertificateError",
     "ConfigError",
@@ -43,6 +43,24 @@ def test_top_level_exports_are_what_callers_use():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == TOP_LEVEL
+
+
+def test_readme_names_the_top_level_exports():
+    # README's Library section: the example's imports plus the names of the
+    # "holds N names" sentence are the top-level exports, and N counts them.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    example = library.split("```python", 1)[1].split("```", 1)[0]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "llap"
+        for alias in node.names
+    }
+    count, sentence = re.search(r"holds (\d+) names: (.*?)\.\s", library, re.S).groups()
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", sentence))
+    assert imported | listed == TOP_LEVEL
+    assert int(count) == len(TOP_LEVEL)
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(llap.__path__)))
