@@ -87,8 +87,7 @@ def ft_selftest(grid, seed: int = 0) -> list[CheckResult]:
 
     f = RealField(rng.normal(size=grid.shape), grid)
     l2 = f.l2_norm()
-    back = _irfftn(_rfftn(f.values), np.empty(grid.shape))
-    err = _relative_l2(back, f.values)
+    err = _relative_l2(_irfftn(_rfftn(f.values), np.empty(grid.shape)), f.values)
     results.append(CheckResult("ft_roundtrip", err <= 1e-12, err, "relative L2 roundtrip error"))
 
     energy = float(np.sum(_half_weights(grid) * np.abs(_half_ft(f)) ** 2))

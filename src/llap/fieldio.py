@@ -61,20 +61,26 @@ def dump_field(f: RealField, path: str | Path) -> None:
 
 
 def load_field(path: str | Path) -> RealField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated field dump")
-    magic, version, d, n, L = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    grid = make_grid(d, L, n)
-    expected = _HEADER.size + 8 * grid.npoints
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: payload size mismatch, expected {expected} bytes, got {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
-    return RealField(values, grid)
-
+    """The field in a dump, read straight into the one array it keeps."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated field dump")
+        magic, version, d, n, L = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        grid = make_grid(d, L, n)
+        expected = _HEADER.size + 8 * grid.npoints
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(
+                f"{path}: payload size mismatch, expected {expected} bytes, got {size}"
+            )
+        values = np.empty(grid.shape, dtype="<f8")
+        if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
+            raise ValueError(f"{path}: truncated field dump")
+    if not np.isfinite(values).all():
+        raise ValueError("field contains non-finite entries")
+    return RealField._adopt(values.astype(float, copy=False), grid)

@@ -519,25 +519,34 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
     product, whose rows are the real and imaginary parts; every further
     axis is contracted point by point with its own cosines and sines in one
     batched matrix product.  A chunk holds at most min(n/2, n^(d-1)) points,
-    so neither a phase matrix nor the product (2c x n^(d-1)) exceeds the
+    so neither a phase block nor the product (2c x n^(d-1)) exceeds the
     bytes of one real n^d field; in one dimension that means one point at a
     time.  Phases, products and contractions are written into buffers made
     once per call, so a call never holds two chunks' temporaries.
 
-    The diagnostics pass (``kernels.inverse_symbol_gain``) calls this once
-    per kernel and symbol spec in a run, and the kernel keeps the record.
+    The work runs in _nudft, which takes several fields on one grid: each
+    chunk's phases are computed once and then contracted with every field
+    in turn, by the same products as for a single field, so each field's
+    values are the ones a call of its own gives, bit for bit.  The
+    diagnostics pass (``kernels.inverse_symbol_gain``) and the projector
+    use it to measure a whole kernel sequence with one set of phases.
     """
-    g = f.grid
+    return _nudft([f.values], f.grid, points)[0]
+
+
+def _nudft(values: list[np.ndarray], grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """nudft of k sample arrays of the grid's shape at the same points, as (k, m) complex."""
+    g = grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != g.d:
         raise ValueError(f"points must have shape (m, {g.d}), got {pts.shape}")
     x = g.axis_coords()
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
-    samples = f.values.reshape(g.n, -1)
-    rest = samples.shape[1]
-    out = np.empty(pts.shape[0], dtype=complex)
+    rest = g.n ** (g.d - 1)
+    out = np.empty((len(values), pts.shape[0]), dtype=complex)
     chunk = min(g.n // 2, rest)
     trig_buf = np.empty((2 * chunk, g.n))
+    phase_buf = np.empty((g.d - 1, chunk, 2, g.n))
     prod_buf = np.empty(2 * chunk * rest)
     parts_buf = np.empty(4 * chunk * (rest // g.n))
     for start in range(0, pts.shape[0], chunk):
@@ -548,24 +557,27 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
         np.cos(trig[c:], out=trig[:c])
         np.sin(trig[c:], out=trig[c:])
         np.negative(trig[c:], out=trig[c:])
-        # Rows [:c] hold the real parts, rows [c:] the imaginary parts.
-        acc = prod_buf[: 2 * c * rest].reshape(2 * c, rest)
-        np.matmul(trig, samples, out=acc)
-        for axis in range(1, g.d):
-            # (cos - i sin)(re + i im) summed over this axis, per point.
-            k = acc.shape[1] // g.n
-            phase = trig.reshape(c, 2, g.n)
+        # One (c, 2, n) block of cosines and sines per further axis.
+        phases = phase_buf[:, :c]
+        for axis, phase in enumerate(phases, start=1):
             np.multiply.outer(p[:, axis], x, out=phase[:, 1])
             np.cos(phase[:, 1], out=phase[:, 0])
             np.sin(phase[:, 1], out=phase[:, 1])
-            parts = parts_buf[: 4 * c * k].reshape(2, c, 2, k)
-            np.matmul(phase, acc.reshape(2, c, g.n, k), out=parts)
-            # The product has been read; its buffer takes the contraction.
-            acc = prod_buf[: 2 * c * k].reshape(2 * c, k)
-            np.add(parts[0, :, 0], parts[1, :, 1], out=acc[:c])
-            np.subtract(parts[1, :, 0], parts[0, :, 1], out=acc[c:])
-        np.multiply(acc[:c, 0], pref, out=out.real[start : start + c])
-        np.multiply(acc[c:, 0], pref, out=out.imag[start : start + c])
+        for samples, row in zip(values, out):
+            # Rows [:c] hold the real parts, rows [c:] the imaginary parts.
+            acc = prod_buf[: 2 * c * rest].reshape(2 * c, rest)
+            np.matmul(trig, samples.reshape(g.n, rest), out=acc)
+            for phase in phases:
+                # (cos - i sin)(re + i im) summed over this axis, per point.
+                k = acc.shape[1] // g.n
+                parts = parts_buf[: 4 * c * k].reshape(2, c, 2, k)
+                np.matmul(phase, acc.reshape(2, c, g.n, k), out=parts)
+                # The product has been read; its buffer takes the contraction.
+                acc = prod_buf[: 2 * c * k].reshape(2 * c, k)
+                np.add(parts[0, :, 0], parts[1, :, 1], out=acc[:c])
+                np.subtract(parts[1, :, 0], parts[0, :, 1], out=acc[c:])
+            np.multiply(acc[:c, 0], pref, out=row.real[start : start + c])
+            np.multiply(acc[c:, 0], pref, out=row.imag[start : start + c])
     return out
 
 

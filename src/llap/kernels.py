@@ -6,10 +6,12 @@ logarithmic symbol vanishes:
 
 * ``Kernel.hat``, made when the kernel is built, is its one transform.
 * ``inverse_symbol_gain`` is the one diagnostics pass per kernel and symbol
-  spec in a run: one NUDFT call over the sphere and four rings, made on
-  first use and kept on the kernel, so the projector's residual check, the
-  admissibility check of ``make_sequence``, the certificates, the sequence
-  rows and ``verify_lemmaA2`` all read the same record.  Its
+  spec in a run: a NUDFT over the sphere and four rings, made on first use
+  and kept on the kernel.  Kernels on one grid can share a pass's NUDFT
+  call, which computes the phases once for all of them; ``make_sequence``
+  measures all its projected members so.  The projector's residual check,
+  the admissibility check of ``make_sequence``, the certificates, the
+  sequence rows and ``verify_lemmaA2`` all read the same record.  Its
   ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
   unmasked grid modes, refined by off-grid rings just outside the masked
   annulus, and the orthogonality residual: the maximum of |G^| sampled on
@@ -47,6 +49,7 @@ from .grid import (
     _half_radius,
     _half_weights,
     _HalfModes,
+    _nudft,
     nudft,
 )
 
@@ -156,6 +159,12 @@ def _kernel_norms(f: RealField) -> tuple[float, float]:
 
 def kernel_from_field(samples: RealField) -> Kernel:
     """The kernel with these samples; refused if its norms overflow."""
+    l1, weighted_l1 = _integrable_norms(samples)
+    return Kernel(samples=samples, l1=l1, weighted_l1=weighted_l1, hat=_half_ft(samples))
+
+
+def _integrable_norms(samples: RealField) -> tuple[float, float]:
+    """_kernel_norms of kernel samples, refused if they or the L2 norm overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         l1, weighted_l1 = _kernel_norms(samples)
         l2 = samples.l2_norm()
@@ -170,7 +179,7 @@ def kernel_from_field(samples: RealField) -> Kernel:
             f"kernel norms overflow (||G||_2 = {l2:.3g}, ||G||_1 = {l1:.3g}); "
             "G must be square integrable"
         )
-    return Kernel(samples=samples, l1=l1, weighted_l1=weighted_l1, hat=_half_ft(samples))
+    return l1, weighted_l1
 
 
 def difference_coefficient(width1: float, width2: float, shift: float) -> float:
@@ -419,33 +428,54 @@ class _Projector:
 
     Holds the atoms, their transforms at the sphere points stacked as the
     real system [Re A; Im A], and that system's pseudo-inverse, so that
-    projecting a kernel costs one NUDFT of the kernel, one small matrix
-    product and the projected kernel's diagnostics pass, whose sphere
-    residual is the re-measured check and which the kernel keeps for its
-    later readers.
+    projecting kernels costs one NUDFT of their samples, one small matrix
+    product each and one diagnostics pass of the projected kernels, whose
+    sphere residuals are the re-measured check and which the kernels keep
+    for their later readers.
     """
 
+    grid: GridSpec
     spec: SymbolSpec
     points: np.ndarray
     atoms: np.ndarray  # (atoms, *grid.shape)
     pinv: np.ndarray  # pseudo-inverse of the (2 * points, atoms) sphere system
 
-    def __call__(self, G: Kernel) -> Kernel:
-        target = nudft(G.samples, self.points)
-        if float(np.max(np.abs(target))) == 0.0:
-            return G
-        coeffs = self.pinv @ np.concatenate([target.real, target.imag])
-        vals = np.tensordot(coeffs, self.atoms, axes=1)
-        np.subtract(G.samples.values, vals, out=vals)
-        projected = kernel_from_field(RealField(vals, G.grid))
-        achieved = inverse_symbol_gain(projected, self.spec).orth_residual
-        limit = max(1e-10 * G.l1, 1e-13 * max(1.0, G.l1))
-        if achieved > limit:
-            raise ValueError(
-                f"projection left residual {achieved:.3e} above target {limit:.3e}; "
-                "the grid is too coarse to represent the annular correction"
-            )
-        return projected
+    def project(self, fields: list, l1s: list[float]) -> list[Kernel | None]:
+        """The kernels of fields with their sphere values removed, in order.
+
+        l1s holds each field's L1 norm.  A field with a zero norm or zero
+        sphere values is not projected: None stands in its place, and the
+        field stays in fields.  Every other entry of fields is set to None
+        as soon as its kernel is made, so each unprojected field can go
+        before the next projected one comes.  Each re-measured residual
+        must come out below max(1e-10 l1, 1e-13 max(1, l1)); the first
+        kernel in order that misses it is refused.
+        """
+        targets = _nudft([f.values for f in fields], self.grid, self.points)
+        kernels = []
+        for i, (target, l1) in enumerate(zip(targets, l1s)):
+            if not l1 > 0 or float(np.max(np.abs(target))) == 0.0:
+                kernels.append(None)
+                continue
+            coeffs = self.pinv @ np.concatenate([target.real, target.imag])
+            vals = np.tensordot(coeffs, self.atoms, axes=1)
+            np.subtract(fields[i].values, vals, out=vals)
+            fields[i] = None
+            kernels.append(kernel_from_field(RealField(vals, self.grid)))
+        projected = [K for K in kernels if K is not None]
+        if projected:
+            _diagnostics_pass(projected, self.spec)
+        for K, l1 in zip(kernels, l1s):
+            if K is None:
+                continue
+            achieved = inverse_symbol_gain(K, self.spec).orth_residual
+            limit = max(1e-10 * l1, 1e-13 * max(1.0, l1))
+            if achieved > limit:
+                raise ValueError(
+                    f"projection left residual {achieved:.3e} above target {limit:.3e}; "
+                    "the grid is too coarse to represent the annular correction"
+                )
+        return kernels
 
 
 def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Projector:
@@ -467,11 +497,12 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
         )
     pts = sphere_points(grid.d, radius)
     atoms = _atom_fields(grid, radius, sigma)
-    A = np.stack([nudft(RealField(a, grid), pts) for a in atoms], axis=1)
+    A = _nudft(list(atoms), grid, pts).T
     system = np.vstack([A.real, A.imag])
     # The singular-value cutoff np.linalg.lstsq applies with rcond=None.
     rcond = np.finfo(float).eps * max(system.shape)
     return _Projector(
+        grid=grid,
         spec=spec,
         points=pts,
         atoms=atoms,
@@ -492,7 +523,8 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kerne
     1e-10 * ||G||_1; coarse grids in d = 3 can pin the floor above that,
     in which case the projection refuses and a finer grid is needed.
     """
-    return _projector(G.grid, spec, taper_width)(G)
+    (projected,) = _projector(G.grid, spec, taper_width).project([G.samples], [G.l1])
+    return G if projected is None else projected
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +599,9 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
     made once per (kernel, spec) and kept on the kernel: later calls return
     the same record.
     """
-    diag = G._diagnostics.get(spec)
-    if diag is None:
-        # setdefault keeps one record per spec should two threads race here.
-        diag = G._diagnostics.setdefault(spec, _diagnostics_pass(G, spec))
-    return diag
+    if spec not in G._diagnostics:
+        _diagnostics_pass([G], spec)
+    return G._diagnostics[spec]
 
 
 def _admissible(G: Kernel, spec: SymbolSpec) -> bool:
@@ -579,23 +609,32 @@ def _admissible(G: Kernel, spec: SymbolSpec) -> bool:
     return inverse_symbol_gain(G, spec).orth_residual <= ADMISSIBLE_RTOL * max(1.0, G.l1)
 
 
-def _diagnostics_pass(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
-    """The NUDFT over the sphere and the rings behind inverse_symbol_gain."""
-    grid = G.grid
+def _diagnostics_pass(kernels: list[Kernel], spec: SymbolSpec) -> None:
+    """The diagnostics passes behind inverse_symbol_gain, kept on the kernels.
+
+    The kernels share one grid; one NUDFT call over the sphere and the
+    rings serves them all.
+    """
+    grid = kernels[0].grid
     radius = spec.sphere_radius
     _check_band(grid, spec)
     radii = [radius] + [radius * math.exp(mult * spec.eta) for mult in RING_MULTIPLES]
     pts = np.concatenate([sphere_points(grid.d, rho) for rho in radii])
-    vals = nudft(G.samples, pts)
+    values = _nudft([G.samples.values for G in kernels], grid, pts)
     per_ring = len(pts) // len(radii)
-    return KernelDiagnostics(
-        grid_hat=G.hat,
-        modes=_half_modes(grid, spec),
-        ring_hat=vals[per_ring:],
-        ring_denom=np.repeat([abs(mult) * spec.eta for mult in RING_MULTIPLES], per_ring),
-        orth_residual=float(np.max(np.abs(vals[:per_ring]))),
-        eta=spec.eta,
-    )
+    modes = _half_modes(grid, spec)
+    ring_denom = np.repeat([abs(mult) * spec.eta for mult in RING_MULTIPLES], per_ring)
+    for G, vals in zip(kernels, values):
+        diag = KernelDiagnostics(
+            grid_hat=G.hat,
+            modes=modes,
+            ring_hat=vals[per_ring:],
+            ring_denom=ring_denom,
+            orth_residual=float(np.max(np.abs(vals[:per_ring]))),
+            eta=spec.eta,
+        )
+        # setdefault keeps one record per spec should two threads race here.
+        G._diagnostics.setdefault(spec, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +745,13 @@ def make_sequence(
     (orthogonality residual at most 1e-8 relative); every member is passed
     through project_orthogonal so the per-member conditions hold as well.
     The projector, atoms and sphere system included, is built once and
-    applied to every member.  The admissibility check and the projector's
-    re-measured residuals read each kernel's diagnostics pass, which the
-    kernels keep for run_sequence and verify_lemmaA2.
+    applied to every member as a batch: the members' samples are built
+    first, one NUDFT gives all their sphere values, they are projected in
+    order, and one diagnostics pass measures every projected member.  With
+    the limit's pass and the atoms' sphere system that makes four NUDFT
+    calls, however many members there are.  The admissibility check and the
+    projector's re-measured residuals read each kernel's diagnostics pass,
+    which the kernels keep for run_sequence and verify_lemmaA2.
     """
     if not _admissible(G, spec):
         residual = inverse_symbol_gain(G, spec).orth_residual
@@ -718,12 +761,15 @@ def make_sequence(
         )
     grid = G.grid
     project = _projector(grid, spec, taper_width)
-    members = []
-    distances = []
-    for m in range(1, schedule.members + 1):
-        member = kernel_from_field(_member_samples(G, schedule, m))
-        if member.l1 > 0:
-            member = project(member)
-        members.append(member)
-        distances.append(_kernel_norms(RealField(member.samples.values - G.samples.values, grid)))
-    return KernelSequence(members=tuple(members), limit=G, distances=tuple(distances))
+    fields = [_member_samples(G, schedule, m) for m in range(1, schedule.members + 1)]
+    l1s = [_integrable_norms(f)[0] for f in fields]
+    projected = project.project(fields, l1s)
+    # The atoms go before the distances' differences come.
+    del project
+    members = tuple(
+        kernel_from_field(f) if K is None else K for K, f in zip(projected, fields)
+    )
+    distances = tuple(
+        _kernel_norms(RealField(K.samples.values - G.samples.values, grid)) for K in members
+    )
+    return KernelSequence(members=members, limit=G, distances=distances)

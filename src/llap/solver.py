@@ -400,9 +400,10 @@ def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = 
     field, and transients such as the |x| mesh that each reader builds
     afresh) and five half spectra (the kernel's hat, q and work, the symbol
     with the operator's reciprocal, and the masks and transients such as
-    numpy's FFT plans).  ft-selftest: three real fields (the random field,
-    its roundtrip and the Gaussian's samples) and three half spectra (the
-    Gaussian's transform, its closed form and their difference).  verify
+    numpy's FFT plans).  ft-selftest: two real fields (the random field and
+    the Gaussian's samples) and three half spectra (the Gaussian's
+    transform, which its scaling and the difference overwrite, its closed
+    form, and the difference's magnitude with numpy's transients).  verify
     adds seven real fields to certify and solve: the property suite's random
     pairs, their images and differences beside a map application's buffers.
     sequence adds, per member kernel, its samples and hat, and the
@@ -410,15 +411,15 @@ def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = 
     make_sequence always builds; the atoms also count for any command whose
     kernel is projected.  Traced with tracemalloc, a certify-and-solve run
     peaks at 9.45 real fields at d = 2 (n = 256) and 9.47 at d = 3 (n = 48),
-    against 11.0 and 11.2 here, ft_selftest at 5.60 and 5.62 against 6.02
-    and 6.13, verify at 15.5 against 18.0 and 18.2, and a six-member
-    sequence at 24.4 and 25.3 against 27.1 and 29.5.  The interpreter and
+    against 11.0 and 11.2 here, ft_selftest at 4.60 and 4.62 against 5.02
+    and 5.13, verify at 15.5 against 18.0 and 18.2, and a six-member
+    sequence at 23.7 and 23.8 against 27.1 and 29.5.  The interpreter and
     modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
     if command == "ft-selftest":
-        return 3 * real + 3 * half
+        return 2 * real + 3 * half
     total = 6 * real + 5 * half
     if command == "verify":
         total += 7 * real

@@ -51,24 +51,31 @@ def _box(d, n, L, project=False):
 
 
 def _count_passes(monkeypatch):
-    """Diagnostics passes computed, as (kernel, eta), and every NUDFT call's size.
+    """Diagnostics passes computed, as (kernel, eta), and every NUDFT call as (fields, points).
 
     A pass a kernel already keeps is served without either.
     """
-    passes, sizes = [], []
-    compute, nudft = llap.kernels._diagnostics_pass, llap.kernels.nudft
+    passes, calls = [], []
+    compute, batch, nudft = (
+        llap.kernels._diagnostics_pass, llap.kernels._nudft, llap.kernels.nudft
+    )
 
-    def counted_pass(G, spec):
-        passes.append((G, spec.eta))
-        return compute(G, spec)
+    def counted_pass(kernels, spec):
+        passes.extend((G, spec.eta) for G in kernels)
+        return compute(kernels, spec)
+
+    def counted_batch(values, grid, points):
+        calls.append((len(values), len(points)))
+        return batch(values, grid, points)
 
     def counted_nudft(f, points):
-        sizes.append(len(points))
+        calls.append((1, len(points)))
         return nudft(f, points)
 
     monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted_pass)
+    monkeypatch.setattr(llap.kernels, "_nudft", counted_batch)
     monkeypatch.setattr(llap.kernels, "nudft", counted_nudft)
-    return passes, sizes
+    return passes, calls
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -395,15 +402,16 @@ class TestSequenceCommand:
         # Six members plus the limit: each kernel's one pass serves the
         # admissibility check (limit) or the projector's residual check
         # (members), then its certificate, its sequence row and its lemma row.
-        passes, nudft_sizes = _count_passes(monkeypatch)
+        passes, nudft_calls = _count_passes(monkeypatch)
         result = runner.invoke(main, ["sequence", str(CONFIGS / "reference.cfg"),
                                       "-o", str(tmp_path / "out")])
         assert result.exit_code == 0
         assert len(passes) == 7
         assert len({id(G) for G, _ in passes}) == 7
-        # Beside the 7 passes (10 points each in d = 1), only the projector
-        # calls the NUDFT: once per atom (2) and once per member (6).
-        assert sorted(nudft_sizes) == [2] * 8 + [10] * 7
+        # The limit's pass (10 points in d = 1), the atoms' sphere system
+        # (2 atoms at 2 points), the six members' sphere values, and one
+        # pass over the six projected members.
+        assert nudft_calls == [(1, 10), (2, 2), (6, 2), (6, 10)]
 
     def test_consistency_failure_exit_code(self, runner, tmp_path, monkeypatch):
         def violated(*args, **kwargs):
@@ -490,13 +498,13 @@ class TestVerifyCommand:
         # eta = 0.05 is the dichotomy check's first eta, so its pass also
         # gives the grid gain of the sampled contraction check.
         # The projector makes the eta = 0.05 pass when the kernel is built.
-        passes, nudft_sizes = _count_passes(monkeypatch)
+        passes, nudft_calls = _count_passes(monkeypatch)
         result = runner.invoke(main, ["verify", str(CONFIGS / "projected_gaussian.cfg"),
                                       "-o", str(tmp_path / "out")])
         assert "na_dichotomy" in result.output
         assert [eta for _, eta in passes] == [0.05, 0.025, 0.0125]
         assert len({id(G) for G, _ in passes}) == 1
-        assert nudft_sizes.count(10) == 3
+        assert nudft_calls.count((1, 10)) == 3
 
     def test_picard_operator_built_at_most_twice(self, runner, tmp_path, monkeypatch):
         calls = []
@@ -546,11 +554,11 @@ class TestMemoryPreflight:
         # 16 * 512^2 * 257 bytes; six real fields and five half spectra,
         # seven more real fields for verify, and for sequence a real field
         # and a half spectrum per member plus six atoms.  ft-selftest holds
-        # three of each.
+        # two real fields and three half spectra.
         real, half = 2**30, 16 * 512**2 * 257
         assert llap.solver._peak_bytes(3, 512, "solve") == 6 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "certify") == 11_832_131_584
-        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 3 * 8 * 1024 + 3 * 16 * 513
+        assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 2 * 8 * 1024 + 3 * 16 * 513
         assert llap.solver._peak_bytes(3, 512, "verify") == 13 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 12 * real + 5 * half
         assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 18 * real + 11 * half
@@ -649,9 +657,9 @@ class TestMemoryPreflight:
         result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CONFIG
         # verify holds seven more real fields; sequence its six members'
-        # samples and hats and the six d = 3 atoms; ft-selftest three real
+        # samples and hats and the six d = 3 atoms; ft-selftest two real
         # fields and three half spectra.
-        need = {"verify": "18.0", "sequence": "29.0", "ft-selftest": "6.0"}.get(command, "11.0")
+        need = {"verify": "18.0", "sequence": "29.0", "ft-selftest": "5.0"}.get(command, "11.0")
         assert result.output.strip().splitlines() == [
             f"memory preflight: d=3, n=512 needs an estimated {need} GiB of arrays, "
             "more than the 1.0 GiB available"

@@ -76,3 +76,44 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="size"):
         load_field(path)
+
+
+def test_load_reads_the_payload_into_one_array(tmp_path):
+    # The payload goes straight into the field's array; the finiteness scan
+    # adds a byte per sample.
+    g = make_grid(2, 7.5, 256)
+    f = RealField(np.random.default_rng(1).normal(size=g.shape), g)
+    path = tmp_path / "field.llap"
+    dump_field(f, path)
+    load_field(path)  # warm up
+    tracemalloc.start()
+    try:
+        back = load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    real = 8 * g.npoints
+    assert peak <= 1.2 * real, peak / real
+    assert np.array_equal(back.values, f.values)
+    assert not back.values.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_payload_rejected(tmp_path, bad):
+    g = make_grid(1, 2.0, 8)
+    path = tmp_path / "nf.llap"
+    dump_field(RealField.zeros(g), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="field contains non-finite entries"):
+        load_field(path)
+
+
+def test_oversized_payload_rejected(tmp_path):
+    g = make_grid(1, 2.0, 8)
+    path = tmp_path / "o.llap"
+    dump_field(RealField.zeros(g), path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload size mismatch, expected 88 bytes, got 96"):
+        load_field(path)

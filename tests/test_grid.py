@@ -17,6 +17,7 @@ from llap.grid import (
     _half_radius,
     _half_weights,
     _irfftn,
+    _nudft,
     _rfftn,
     boundary_decay,
     make_grid,
@@ -190,24 +191,24 @@ class TestFourierTransform:
 
 
     def test_nudft_chunks_share_one_set_of_buffers(self):
-        # Five and a half chunks at d = 2 hold no more than one chunk does,
-        # apart from the larger output.
+        # Three fields over five and a half chunks at d = 2 hold no more than
+        # one field over one chunk does, apart from the larger output.
         grid = make_grid(2, 10.0, 128)
         rng = np.random.default_rng(3)
-        f = RealField(rng.normal(size=grid.shape), grid)
+        stack = [rng.normal(size=grid.shape) for _ in range(3)]
         chunk = grid.n // 2
         one = rng.uniform(-5.0, 5.0, size=(chunk, 2))
         many = rng.uniform(-5.0, 5.0, size=(11 * chunk // 2, 2))
-        nudft(f, many)
+        _nudft(stack, grid, many)
         peaks = []
-        for pts in (one, many):
+        for values, pts in (([stack[0]], one), (stack, many)):
             tracemalloc.start()
             try:
-                nudft(f, pts)
+                _nudft(values, grid, pts)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + many.shape[0] * 16
+        assert peaks[1] <= peaks[0] + len(stack) * many.shape[0] * 16
 
 
 def _brute_force_nudft(f: RealField, pts: np.ndarray) -> np.ndarray:
@@ -245,6 +246,19 @@ class TestNudftProperties:
         scale = g.h**g.d / (2.0 * math.pi) ** (g.d / 2.0) * float(np.sum(np.abs(f.values)))
         assert vals.shape == (pts.shape[0],)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nudft_problems(), st.integers(min_value=1, max_value=3))
+    def test_stacked_fields_match_one_call_each(self, problem, k):
+        # Point counts up to 3n leave a partial last chunk (one point per
+        # chunk in d = 1); each field's row is its own call, bit for bit.
+        f, pts = problem
+        g = f.grid
+        stack = [f.values] + [f.values * (j + 2.0) - j for j in range(k - 1)]
+        vals = _nudft(stack, g, pts)
+        assert vals.shape == (k, pts.shape[0])
+        for row, values in zip(vals, stack):
+            assert np.array_equal(row, nudft(RealField(values, g), pts))
 
 
 def _first_mode_at(radius: float):

@@ -447,8 +447,55 @@ class TestSequences:
             cut = kernels._truncation_cutoff(g.radius_mesh(), float(radii[m - 1]), sched.cutoff_width)
             raw = kernel_from_field(RealField(cut * K.samples.values, g))
             ref = project_orthogonal(raw, spec, taper_width=0.5)
-            gap = dense_l1_norms(RealField(member.samples.values - ref.samples.values, g))[0]
-            assert gap <= 1e-13 * ref.l1
+            assert np.array_equal(member.samples.values, ref.samples.values)
+            assert np.array_equal(member.hat, ref.hat)
+
+    def test_refuses_the_first_failing_member_as_alone(self, monkeypatch):
+        # On a coarse d = 3 grid the three narrowest truncations leave sphere
+        # residuals above their targets.  Built widest first, the batch
+        # refuses member 4 with the message projecting it alone gives.
+        g = make_grid(3, 14.0, 40)
+        spec = SymbolSpec(0.0, default_eta(g, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, g
+        )
+        sched = Schedule(kind="truncate", members=6, r_start=6.0, r_stop=14.0, cutoff_width=2.0)
+        build = kernels._member_samples
+        monkeypatch.setattr(
+            kernels, "_member_samples", lambda G, s, m: build(G, s, s.members + 1 - m)
+        )
+        refusals = []
+        for m in range(1, sched.members + 1):
+            raw = kernel_from_field(kernels._member_samples(K, sched, m))
+            try:
+                project_orthogonal(raw, spec, taper_width=0.5)
+            except ValueError as e:
+                refusals.append((m, str(e)))
+        assert [m for m, _ in refusals] == [4, 5, 6]
+        with pytest.raises(ValueError) as info:
+            make_sequence(K, sched, spec, taper_width=0.5)
+        assert str(info.value) == refusals[0][1]
+
+    def test_six_members_take_four_nudft_calls(self, monkeypatch):
+        # The limit's pass, the atoms' sphere system, the members' sphere
+        # values and one pass over the projected members, as (fields, points).
+        calls = []
+        batch = kernels._nudft
+
+        def counted(values, grid, points):
+            calls.append((len(values), len(points)))
+            return batch(values, grid, points)
+
+        monkeypatch.setattr(kernels, "_nudft", counted)
+        g = make_grid(2, 20.0, 128)
+        spec = SymbolSpec(0.0, default_eta(g, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, g
+        )
+        sched = Schedule(kind="truncate", members=6, r_start=6.0, r_stop=14.0, cutoff_width=2.0)
+        seq = make_sequence(K, sched, spec, taper_width=0.5)
+        assert calls == [(1, 640), (4, 128), (6, 128), (6, 640)]
+        assert len(seq.members) == 6
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):

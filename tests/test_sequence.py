@@ -230,9 +230,9 @@ def test_one_diagnostics_pass_per_kernel_through_the_chain(
     passes = []
     compute = llap.kernels._diagnostics_pass
 
-    def counted(G, spec):
-        passes.append((G, spec))
-        return compute(G, spec)
+    def counted(kernels, spec):
+        passes.extend((G, spec) for G in kernels)
+        return compute(kernels, spec)
 
     monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted)
     G = make_kernel("difference", {"width1": 1.0, "width2": 2.0, "shift": 0.0}, grid1)
