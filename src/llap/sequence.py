@@ -151,6 +151,8 @@ def run_sequence(
     ):
         report = picard_solve(member, N, spec, tol=tol, max_iter=max_iter, certificate=cert)
         sol_dist = RealField(report.final.values - limit_report.final.values, grid).l2_norm()
+        # The member's final field must not live on through the next solve.
+        del report
         bound_rhs = pref / eps * lemma_row.ratio_dist * rhs_scale
         rows.append(
             SequenceRow(

@@ -20,9 +20,10 @@ pass of an iteration, fused into slabs that run on worker threads when the
 grid is large (grid._slabs) and give the same bits however they are split.
 Between steps a solve carries q = (2 pi)^(d/2) G^ w^, the right side of the
 linear problem, and the operator holds the real reciprocal of the symbol
-rather than the complex multiplier; a solve then lives in four buffers, two
-real fields and two half spectra, and hands its last iterate to the report
-without a copy.
+rather than the complex multiplier.  The physical stage of a step runs one
+cache-sized row block at a time, so a solve lives in three buffers, one
+real field and two half spectra, plus one scratch block per slab, and hands
+its last iterate to the report without a copy.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .grid import (
     _pairwise_total,
     _rfft_rows,
     _rfftn,
+    _Slabs,
+    _row_bounds,
     _slabs,
 )
 from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
@@ -234,43 +237,84 @@ class _PicardOperator:
         it = _Iterate(self, N, u.values)
         uhat = _rfftn(u.values, out=it.work)
         np.multiply(self.modes.symbol, uhat, out=uhat)
-        terms = it.terms_in(it.u)
-        it.slabs.map(lambda c: it.residual_terms(c, uhat, it.q, terms), it.slabs.cols)
-        return it.residual(terms)
+        it.slabs.map(lambda cols: it.residual_terms(*cols, uhat, it.q), it.cols)
+        return it.residual(uhat)
+
+
+# Stage 2 of a Picard step runs in row blocks of at most about this many
+# bytes of real field (at least one row), so that each block's inverse
+# stages, sums, F and forward stages stay in cache and a solve needs one
+# block of scratch per slab instead of a second real field.  At d=3, n=96
+# on two slabs of a 2-core host, the stage took 16.3, 15.4, 15.0 and 14.8 ms
+# a step with blocks of 256 KiB, 512 KiB, 1 MiB and whole slabs; 512 KiB
+# keeps the scratch at an eighth of that field and a d=2, n=256 field at
+# one block.
+_BLOCK_BYTES = 2**19
+
+
+def _row_blocks(shape: tuple[int, ...], slabs: _Slabs) -> list[list[slice]]:
+    """The row blocks of each slab of slabs.rows, at _row_bounds's split points.
+
+    The blocks of all slabs together are the pieces of one _row_bounds
+    split, so their sums added by _pairwise_total equal np.sum of the whole
+    field.  At d = 1 the row stage is the whole transform: one block.
+    """
+    if len(shape) == 1:
+        return [[slice(0, shape[0])]]
+    bounds = _row_bounds(shape, max(len(slabs.rows), -(-8 * math.prod(shape) // _BLOCK_BYTES)))
+    blocks = []
+    for rows in slabs.rows:
+        lo, hi, _ = rows.indices(shape[0])
+        blocks.append([slice(a, b) for a, b in zip(bounds, bounds[1:]) if lo <= a < hi])
+    return blocks
+
+
+def _scratch_rows(blocks: list[slice]) -> int:
+    return max(b.stop - b.start for b in blocks)
+
+
+def _scratch_bytes(shape: tuple[int, ...]) -> int:
+    """Bytes of the scratch blocks a step on a field of this shape holds, one per slab."""
+    spectrum = shape[:-1] + (shape[-1] // 2 + 1,)
+    blocks = _row_blocks(shape, _slabs(shape, spectrum))
+    return 8 * math.prod(shape[1:]) * sum(_scratch_rows(b) for b in blocks)
 
 
 class _Iterate:
-    """The current iterate of one solve, its four buffers and the fused Picard step.
+    """The current iterate of one solve, its three buffers and the fused Picard step.
 
     The calling thread allocates every buffer once, and the stages write into
     them through out=, so worker threads allocate nothing of field size:
     glibc gives each thread its own arena, and arrays freed there would
     raise the peak RSS.
 
-      v     the current iterate; within a step, scratch for the update,
-            then F(u), then the residual's weighted squares (terms)
-      u     the next iterate
-      q     between steps, (2 pi)^(d/2) G^ w^ with w = F(v), the right side
-            of the linear problem; within a step, (ln|p| - shift) u^ and
-            then the residual's difference
-      work  within a step, u^ = recip q and the inverse transform's work
-            space, F's scratch, then the forward transform of F(u) and
-            (2 pi)^(d/2) G^ times it, the next step's q
+      v        the current iterate; within a step, each row block takes the
+               next iterate from the inverse transform
+      q        between steps, (2 pi)^(d/2) G^ w^ with w = F(v), the right side
+               of the linear problem; within a step, (ln|p| - shift) u^, then
+               the residual's difference, and the residual's weighted
+               squares (terms) in its real parts
+      work     within a step, u^ = recip q and the inverse transform's work
+               space, F's scratch, then the forward transform of F(u) and
+               (2 pi)^(d/2) G^ times it, the next step's q
+      scratch  one block of rows per slab: the old iterate, the update's and
+               the new iterate's squares, then F(u); in stage 3, |difference|
     """
 
-    def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray):
+    def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray | None):
         grid = op.grid
         if N.grid != grid:
             raise ValueError("field and nonlinearity live on different grids")
         self.op, self.N = op, N
         self.slabs = _slabs(grid.shape, op.rhs.shape)
-        self.v = np.array(v, dtype=float)
-        self.u = np.empty(grid.shape)
+        self.v = np.zeros(grid.shape) if v is None else np.array(v, dtype=float)
         self.q = np.empty(op.rhs.shape, dtype=complex)
         self.work = np.empty_like(self.q)
-        loaded = self.slabs.map(
-            lambda rows: self._forward_rows(rows, self.v, self.u, self.q), self.slabs.rows
-        )
+        blocks = _row_blocks(grid.shape, self.slabs)
+        scratch = [np.empty((_scratch_rows(b),) + grid.shape[1:]) for b in blocks]
+        self.rows = list(zip(blocks, scratch))
+        self.cols = list(zip(self.slabs.cols, scratch))
+        loaded = self.slabs.map(lambda slab: self._load_rows(*slab), self.rows)
         if not all(loaded):
             raise ValueError(_NONFINITE_F)
         self.slabs.map(lambda c: self._forward_cols(c, self.q), self.slabs.cols)
@@ -287,20 +331,18 @@ class _Iterate:
         slabs = self.slabs
         if not all(slabs.map(self._spectral_cols, slabs.cols)):
             raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
-        rows = slabs.map(lambda r: self._physical_rows(r, last), slabs.rows)
+        rows = slabs.map(lambda slab: self._physical_rows(*slab, last), self.rows)
         if not all(r[2] for r in rows):
             raise ValueError("field contains non-finite entries")
         if last:
-            self.u, self.v = self.v, self.u
             return None
         if not all(r[3] for r in rows):
             raise ValueError(_NONFINITE_F)
-        terms = self.terms_in(self.v)
-        slabs.map(lambda c: self._residual_cols(c, terms), slabs.cols)
-        res = self.residual(terms)
-        self.u, self.v = self.v, self.u
+        slabs.map(lambda cols: self._residual_cols(*cols), self.cols)
+        res = self.residual(self.q)
         self.q, self.work = self.work, self.q
-        return _pairwise_total([r[0] for r in rows]), _pairwise_total([r[1] for r in rows]), res
+        update = _pairwise_total([s for r in rows for s in r[0]])
+        return update, _pairwise_total([s for r in rows for s in r[1]]), res
 
     # Stage 1, on an axis-1 slab: u^ = recip * q into work, (ln|p| - shift) u^
     # into q, then the axis-0 stage of the inverse transform in work.
@@ -313,32 +355,46 @@ class _Iterate:
             np.fft.ifft(uhat, axis=0, out=uhat)
         return True
 
-    # Stage 2, on an axis-0 slab: the rest of the inverse transform into u,
-    # the update's and u's sums of squares, then (unless last) F(u) and the
-    # inner stages of its forward transform.  Returns (update sum, u sum,
-    # u finite, F finite).
-    def _physical_rows(self, rows: slice, last: bool) -> tuple[float, float, bool, bool]:
-        u, v = self.u[rows], self.v[rows]
-        _irfft_rows(self.work[rows], u)
-        if not _all_finite(u):
-            return 0.0, 0.0, False, True
-        np.subtract(u, v, out=v)
-        np.multiply(v, v, out=v)
-        update = float(np.sum(v))
-        np.multiply(u, u, out=v)
-        norm = float(np.sum(v))
-        return update, norm, True, last or self._forward_rows(rows, self.u, self.v, self.work)
+    # Stage 2, on an axis-0 slab, one row block at a time: the rest of the
+    # inverse transform into v, the update's and u's sums of squares, then
+    # (unless last) F(u) and the inner stages of its forward transform.
+    # Returns (update sums, u sums, u finite, F finite), the sums per block.
+    # A block with non-finite F does not stop the later blocks, whose
+    # non-finite u takes precedence.
+    def _physical_rows(
+        self, blocks: list[slice], scratch: np.ndarray, last: bool
+    ) -> tuple[list[float], list[float], bool, bool]:
+        updates: list[float] = []
+        norms: list[float] = []
+        finite_F = True
+        for rows in blocks:
+            u, s = self.v[rows], scratch[: rows.stop - rows.start]
+            np.copyto(s, u)
+            _irfft_rows(self.work[rows], u)
+            if not _all_finite(u):
+                return updates, norms, False, True
+            # (v - u)^2 has the bits of (u - v)^2.
+            np.subtract(s, u, out=s)
+            np.multiply(s, s, out=s)
+            updates.append(float(np.sum(s)))
+            np.multiply(u, u, out=s)
+            norms.append(float(np.sum(s)))
+            if not last:
+                finite_F = self._forward_rows(rows, s, self.work) and finite_F
+        return updates, norms, True, finite_F
 
-    def _forward_rows(
-        self, rows: slice, field: np.ndarray, out: np.ndarray, spectrum: np.ndarray
-    ) -> bool:
-        """F(field) into out, then the inner forward stages into spectrum, on an axis-0 slab.
+    def _load_rows(self, blocks: list[slice], scratch: np.ndarray) -> bool:
+        """F(v) and the inner forward stages into q, block by block, on an axis-0 slab."""
+        return all([self._forward_rows(b, scratch[: b.stop - b.start], self.q) for b in blocks])
 
-        F's scratch is the slab of spectrum, which the transform then overwrites.
+    def _forward_rows(self, rows: slice, out: np.ndarray, spectrum: np.ndarray) -> bool:
+        """F(v) into out, then the inner forward stages into spectrum, on a row block.
+
+        F's scratch is the block of spectrum, which the transform then overwrites.
         """
-        out, slab = out[rows], spectrum[rows]
+        slab = spectrum[rows]
         scratch = slab.reshape(-1).view(float)[: out.size].reshape(out.shape)
-        _eval_F_into(self.N, field[rows], self.N.offset.values[rows], out, scratch)
+        _eval_F_into(self.N, self.v[rows], self.N.offset.values[rows], out, scratch)
         if not _all_finite(out):
             return False
         _rfft_rows(out, slab)
@@ -352,29 +408,37 @@ class _Iterate:
 
     # Stage 3, on an axis-1 slab: the right side of the next step into work,
     # then the residual's terms.
-    def _residual_cols(self, c: tuple, terms: np.ndarray) -> None:
+    def _residual_cols(self, c: tuple, scratch: np.ndarray) -> None:
         self._forward_cols(c, self.work)
-        self.residual_terms(c, self.q, self.work, terms)
+        self.residual_terms(c, scratch, self.q, self.work)
 
-    def terms_in(self, field: np.ndarray) -> np.ndarray:
-        """A spent real field buffer as a real array of the half spectrum's shape."""
-        return field.reshape(-1)[: self.q.size].reshape(self.q.shape)
+    def residual_terms(
+        self, c: tuple, scratch: np.ndarray, lhs: np.ndarray, rhs: np.ndarray
+    ) -> None:
+        """Weighted |lhs - rhs|^2 into the real parts of lhs, on an axis-1 slab.
 
-    def residual_terms(self, c: tuple, lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray) -> None:
-        """Weighted |lhs - rhs|^2 into terms, lhs = (ln|p| - shift) u^ and rhs = (2 pi)^(d/2) G^ w^.
-
-        The difference overwrites lhs.
+        lhs = (ln|p| - shift) u^ and rhs = (2 pi)^(d/2) G^ w^; the difference
+        overwrites lhs.  The moduli go through scratch, the slab's scratch
+        block, as many rows at a time as fit, so that no operation reads and
+        writes overlapping memory and numpy copies nothing.
         """
         diff = np.subtract(lhs[c], rhs[c], out=lhs[c])
-        sq = np.abs(diff, out=terms[c])
-        np.multiply(sq, sq, out=sq)
-        np.multiply(sq, self.op.modes.weights[c], out=sq)
+        terms = lhs.view(float)[..., ::2][c]
+        weights = self.op.modes.weights[c]
+        step = scratch.size // diff[0].size
+        for a in range(0, len(diff), step):
+            part = diff[a : a + step]
+            sq = np.abs(part, out=scratch.reshape(-1)[: part.size].reshape(part.shape))
+            np.multiply(sq, sq, out=sq)
+            np.multiply(sq, weights[a : a + step], out=terms[a : a + step])
 
-    def residual(self, terms: np.ndarray) -> ResidualReport:
+    def residual(self, lhs: np.ndarray) -> ResidualReport:
+        """The residual from the terms in the real parts of lhs (see residual_terms)."""
         # np.sum with where= adds the sums of its unmasked stretches one after
         # another, so slab sums could not reproduce it; the active and masked
         # sums each run whole, one per thread.
         op = self.op
+        terms = lhs.view(float)[..., ::2]
         active, masked = self.slabs.map(
             lambda where: float(np.sum(terms, where=where)), (op.modes.active, op.modes.inactive)
         )
@@ -395,32 +459,33 @@ def _all_finite(x: np.ndarray) -> bool:
 def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = False) -> int:
     """Estimated peak bytes of the arrays the CLI command holds on (d, n).
 
-    certify and solve: six real fields (kernel samples, offset, starting
-    field, both iterates, the second of which becomes the report's final
-    field, and transients such as the |x| mesh that each reader builds
-    afresh) and five half spectra (the kernel's hat, q and work, the symbol
-    with the operator's reciprocal, and the masks and transients such as
-    numpy's FFT plans).  ft-selftest: two real fields (the random field and
-    the Gaussian's samples) and three half spectra (the Gaussian's
-    transform, which its scaling and the difference overwrite, its closed
-    form, and the difference's magnitude with numpy's transients).  verify
-    adds seven real fields to certify and solve: the property suite's random
-    pairs, their images and differences beside a map application's buffers.
-    sequence adds, per member kernel, its samples and hat, and the
-    projector's atoms (2, 4 or 6 real fields at d = 1, 2, 3), which
-    make_sequence always builds; the atoms also count for any command whose
-    kernel is projected.  Traced with tracemalloc, a certify-and-solve run
-    peaks at 9.45 real fields at d = 2 (n = 256) and 9.47 at d = 3 (n = 48),
-    against 11.0 and 11.2 here, ft_selftest at 4.60 and 4.62 against 5.02
-    and 5.13, verify at 15.5 against 18.0 and 18.2, and a six-member
-    sequence at 23.7 and 23.8 against 27.1 and 29.5.  The interpreter and
-    modules come on top.
+    certify and solve: five real fields (kernel samples, offset, starting
+    field, the iterate, which becomes the report's final field, and
+    transients such as the |x| mesh that each reader builds afresh), the
+    step's scratch blocks (_scratch_bytes) and five half spectra (the
+    kernel's hat, q and work, the symbol with the operator's reciprocal,
+    and the masks and transients such as numpy's FFT plans).  ft-selftest:
+    two real fields (the random field and the Gaussian's samples) and three
+    half spectra (the Gaussian's transform, which its scaling and the
+    difference overwrite, its closed form, and the difference's magnitude
+    with numpy's transients).  verify adds seven real fields to certify and
+    solve: the property suite's random pairs, their images and differences
+    beside a map application's buffers.  sequence adds, per member kernel,
+    its samples and hat, and the projector's atoms (2, 4 or 6 real fields at
+    d = 1, 2, 3), which make_sequence always builds; the atoms also count
+    for any command whose kernel is projected.  Traced with tracemalloc, a
+    certify-and-solve run peaks at 9.45 real fields at d = 2 (n = 256, one
+    block, a whole field of scratch) and 8.97 at d = 3 (n = 48, two blocks)
+    against 11.0 and 10.7 here, ft_selftest at 4.60 and 4.62 against 5.02
+    and 5.13, verify at 15.4 and 15.0 against 18.0 and 17.7, and a
+    six-member sequence at 23.3 and 23.2 against 27.1 and 29.0.  The
+    interpreter and modules come on top.
     """
     real = 8 * n**d
     half = 16 * n ** (d - 1) * (n // 2 + 1)
     if command == "ft-selftest":
         return 2 * real + 3 * half
-    total = 6 * real + 5 * half
+    total = 5 * real + 5 * half + _scratch_bytes((n,) * d)
     if command == "verify":
         total += 7 * real
     if command == "sequence":
@@ -517,10 +582,9 @@ def picard_solve(
             f"divergence indicator = {cert.divergence_indicator:.3e}); solve refused"
         )
     grid = G.grid
-    v = v0 if v0 is not None else RealField.zeros(grid)
-    if v.grid != grid:
+    if v0 is not None and v0.grid != grid:
         raise ValueError("starting field lives on a different grid")
-    it = _Iterate(_picard_operator(G, spec), N, v.values)
+    it = _Iterate(_picard_operator(G, spec), N, None if v0 is None else v0.values)
     updates: list[float] = []
     converged = False
     stop_threshold = tol

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import tracemalloc
 from dataclasses import dataclass
 from functools import reduce
 
@@ -103,6 +104,17 @@ def sine_nonlinearity(grid1, bump_offset):
 @pytest.fixture(scope="session")
 def zero_offset_nonlinearity(grid1):
     return make_nonlinearity("saturating_sine", lip=0.1, offset=RealField.zeros(grid1))
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes that tracemalloc traced while it ran, as (result, peak)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # An independent full-spectrum oracle, on numpy's complex n-D transforms,

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import llap.checks
 import llap.cli
 import llap.config
+import llap.grid
 import llap.kernels
 import llap.solver
 from llap.fieldio import load_field
@@ -27,7 +27,7 @@ from llap.cli import (
     main,
 )
 from llap.solver import ConsistencyError
-from conftest import Runner, solves_of_run_sequence
+from conftest import Runner, solves_of_run_sequence, traced_peak
 from test_config import REFERENCE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -549,22 +549,54 @@ class TestVerifyCommand:
 
 
 class TestMemoryPreflight:
-    def test_estimate_arithmetic(self):
+    def test_estimate_arithmetic(self, monkeypatch):
         # d=3, n=512: a real field is 2^30 bytes, a half spectrum
-        # 16 * 512^2 * 257 bytes; six real fields and five half spectra,
-        # seven more real fields for verify, and for sequence a real field
-        # and a half spectrum per member plus six atoms.  ft-selftest holds
-        # two real fields and three half spectra.
-        real, half = 2**30, 16 * 512**2 * 257
-        assert llap.solver._peak_bytes(3, 512, "solve") == 6 * real + 5 * half
-        assert llap.solver._peak_bytes(3, 512, "certify") == 11_832_131_584
+        # 16 * 512^2 * 257 bytes; five real fields, five half spectra and,
+        # on two slabs, two one-row scratch blocks of 2 MiB; seven more real
+        # fields for verify, and for sequence a real field and a half
+        # spectrum per member plus six atoms.  ft-selftest holds two real
+        # fields and three half spectra.
+        monkeypatch.setattr(llap.grid, "_worker_count", lambda: 2)
+        real, half, scratch = 2**30, 16 * 512**2 * 257, 2 * 8 * 512**2
+        assert llap.solver._peak_bytes(3, 512, "solve") == 5 * real + 5 * half + scratch
+        assert llap.solver._peak_bytes(3, 512, "certify") == 10_762_584_064
         assert llap.solver._peak_bytes(1, 1024, "ft-selftest") == 2 * 8 * 1024 + 3 * 16 * 513
-        assert llap.solver._peak_bytes(3, 512, "verify") == 13 * real + 5 * half
-        assert llap.solver._peak_bytes(3, 512, "solve", project=True) == 12 * real + 5 * half
-        assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == 18 * real + 11 * half
+        assert llap.solver._peak_bytes(3, 512, "verify") == 12 * real + 5 * half + scratch
+        assert llap.solver._peak_bytes(3, 512, "solve", project=True) == (
+            11 * real + 5 * half + scratch
+        )
+        assert llap.solver._peak_bytes(3, 512, "sequence", members=6) == (
+            17 * real + 11 * half + scratch
+        )
         assert llap.solver._peak_bytes(2, 512, "sequence", members=2, project=True) == (
             llap.solver._peak_bytes(2, 512, "sequence", members=2)
         )
+        # A field of at most one block (d = 2, n = 256) or a grid whose
+        # blocks cannot be cut at the pairwise split points (n = 90) keeps a
+        # whole field of scratch; d = 3, n = 96 on two slabs keeps an eighth.
+        assert llap.solver._scratch_bytes((256, 256)) == 8 * 256**2
+        assert llap.solver._scratch_bytes((90, 90, 90)) == 8 * 90**3
+        assert llap.solver._scratch_bytes((96, 96, 96)) == 8 * 96**3 // 8
+
+    def test_readme_quotes_the_estimate(self, monkeypatch):
+        # Every GiB figure in the README is the estimate of the command its
+        # sentence names, at d=3, n=512 on two threads.
+        monkeypatch.setattr(llap.grid, "_worker_count", lambda: 2)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        at = r"\((\d+\.\d) GiB (?:for a six-member sequence )?at\s+d=3,\s+n=512\)"
+        claims = {
+            "solve": "A certify-and-solve run holds",
+            "ft-selftest": "`ft-selftest` holds",
+            "verify": "`verify` adds",
+            "sequence": "`sequence` adds",
+        }
+        found = {c: re.search(re.escape(s) + ".*?" + at, readme, re.S) for c, s in claims.items()}
+        assert all(found.values()), [c for c, m in found.items() if m is None]
+        figures = {c: m.group(1) for c, m in found.items()}
+        assert sorted(re.findall(r"(\d+(?:\.\d+)?) GiB", readme)) == sorted(figures.values())
+        for command, figure in figures.items():
+            estimate = llap.solver._peak_bytes(3, 512, command, members=6)
+            assert figure == f"{estimate / 2**30:.1f}", command
 
     @staticmethod
     def _certify_and_solve(d, n, L):
@@ -610,12 +642,7 @@ class TestMemoryPreflight:
             ("solve", lambda: self._certify_and_solve(d, n, 13.0)),
             ("ft-selftest", lambda: llap.checks.ft_selftest(llap.make_grid(d, 14.0, n))),
         ):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(run)
             estimate = llap.solver._peak_bytes(d, n, command)
             assert 0.8 * estimate <= peak <= estimate, (command, peak / estimate)
 
@@ -631,12 +658,7 @@ class TestMemoryPreflight:
             L = 17.0
             run = lambda n, L: self._verify(d, n, L)  # noqa: E731
         run(*warm)
-        tracemalloc.start()
-        try:
-            run(n, L)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: run(n, L))
         estimate = llap.solver._peak_bytes(d, n, command, members=6)
         assert 0.8 * estimate <= peak <= estimate, peak / estimate
 
@@ -650,6 +672,7 @@ class TestMemoryPreflight:
             raise AssertionError("arrays allocated for a problem that cannot fit")
 
         monkeypatch.setattr(llap.cli, "_available_bytes", lambda: 2**30)
+        monkeypatch.setattr(llap.grid, "_worker_count", lambda: 2)
         monkeypatch.setattr(llap.config.RunConfig, "kernel", never)
         monkeypatch.setattr(llap.cli, "ft_selftest", never)
         big = REFERENCE.replace("d = 1", "d = 3").replace("n = 1024", "n = 512")
@@ -659,7 +682,7 @@ class TestMemoryPreflight:
         # verify holds seven more real fields; sequence its six members'
         # samples and hats and the six d = 3 atoms; ft-selftest two real
         # fields and three half spectra.
-        need = {"verify": "18.0", "sequence": "29.0", "ft-selftest": "5.0"}.get(command, "11.0")
+        need = {"verify": "17.0", "sequence": "28.0", "ft-selftest": "5.0"}.get(command, "10.0")
         assert result.output.strip().splitlines() == [
             f"memory preflight: d=3, n=512 needs an estimated {need} GiB of arrays, "
             "more than the 1.0 GiB available"

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from llap.grid import RealField, make_grid
 from llap.fieldio import MAGIC, dump_field, load_field
+from conftest import traced_peak
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
@@ -26,12 +25,7 @@ def test_load_holds_the_file_and_one_copy(tmp_path):
     path = tmp_path / "field.llap"
     dump_field(f, path)
     load_field(path)  # warm up
-    tracemalloc.start()
-    try:
-        back = load_field(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: load_field(path))
     real = 8 * g.npoints
     assert peak <= 2.5 * real, peak / real
     assert np.array_equal(back.values, f.values)
@@ -86,12 +80,7 @@ def test_load_reads_the_payload_into_one_array(tmp_path):
     path = tmp_path / "field.llap"
     dump_field(f, path)
     load_field(path)  # warm up
-    tracemalloc.start()
-    try:
-        back = load_field(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: load_field(path))
     real = 8 * g.npoints
     assert peak <= 1.2 * real, peak / real
     assert np.array_equal(back.values, f.values)

@@ -25,7 +25,7 @@ from llap.grid import (
     sample,
 )
 from llap.kernels import kernel_from_field, make_kernel
-from conftest import SQRT_2PI, dense_l1_norms, ft, ift, l2_gap, symbol
+from conftest import SQRT_2PI, dense_l1_norms, ft, ift, l2_gap, symbol, traced_peak
 
 
 def _roundtrip(f: RealField) -> RealField:
@@ -200,14 +200,10 @@ class TestFourierTransform:
         one = rng.uniform(-5.0, 5.0, size=(chunk, 2))
         many = rng.uniform(-5.0, 5.0, size=(11 * chunk // 2, 2))
         _nudft(stack, grid, many)
-        peaks = []
-        for values, pts in (([stack[0]], one), (stack, many)):
-            tracemalloc.start()
-            try:
-                _nudft(values, grid, pts)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            traced_peak(lambda: _nudft(values, grid, pts))[1]
+            for values, pts in (([stack[0]], one), (stack, many))
+        ]
         assert peaks[1] <= peaks[0] + len(stack) * many.shape[0] * 16
 
 
@@ -361,12 +357,7 @@ class TestNorms:
         grid = make_grid(3, 5.0, 32)
         f = RealField(np.random.default_rng(0).normal(size=grid.shape), grid)
         f.l2_norm()  # warm up
-        tracemalloc.start()
-        try:
-            f.l2_norm()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(f.l2_norm)
         real = 8 * grid.npoints
         assert peak <= 1.1 * real, peak / real
 
@@ -486,10 +477,5 @@ class TestSplitMix64:
     def test_field_sized_draw_holds_its_output_and_chunk_scratch(self):
         size = 2**20
         _SplitMix64(0).normal(size=1000)  # warm up
-        tracemalloc.start()
-        try:
-            z = _SplitMix64(0).normal(size=size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        z, peak = traced_peak(lambda: _SplitMix64(0).normal(size=size))
         assert peak <= z.nbytes + 2**20, (peak - z.nbytes) / 2**20

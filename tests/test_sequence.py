@@ -1,9 +1,12 @@
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import llap.kernels
-from llap.grid import RealField
+import llap.sequence
+from llap.grid import RealField, SymbolSpec, default_eta, make_grid, sample
 from llap.kernels import (
     KernelSequence,
     Schedule,
@@ -15,7 +18,7 @@ from llap.kernels import (
 from llap.nonlinearity import make_nonlinearity
 from llap.sequence import MemberCertificateError, run_sequence, verify_lemmaA2
 from llap.solver import ConsistencyError
-from conftest import SQRT_2PI, solves_of_run_sequence
+from conftest import SQRT_2PI, solves_of_run_sequence, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,31 @@ class TestRunSequence:
 
     def test_row_indices(self, study):
         assert [row.m for row in study.rows] == [1, 2, 3, 4, 5, 6]
+
+    def test_no_member_report_outlives_its_row(self, monkeypatch):
+        # Only the limit's report is kept for the rows: every member's solve
+        # starts with as much traced memory as the first member's, not with
+        # the previous member's final field on top.
+        grid = make_grid(2, 20.0, 128)
+        spec = SymbolSpec(0.0, default_eta(grid, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 0.6, "shift": 0.0}, grid
+        )
+        sched = Schedule(kind="truncate", members=4, r_start=6.0, r_stop=14.0, cutoff_width=2.0)
+        seq = make_sequence(K, sched, spec, taper_width=0.5)
+        offset = sample(grid, lambda *xs: 0.3 * np.exp(-sum(x * x for x in xs) / 2.0))
+        N = make_nonlinearity("saturating_sine", lip=0.1, offset=offset)
+        solve, starts = llap.sequence.picard_solve, []
+
+        def traced_solve(*args, **kwargs):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(llap.sequence, "picard_solve", traced_solve)
+        traced_peak(lambda: run_sequence(seq, N, spec, eps=0.1, tol=1e-10))
+        real = 8 * grid.npoints
+        assert len(starts) == 5
+        assert max(starts[2:]) - starts[1] < real / 8, (max(starts[2:]) - starts[1]) / real
 
     def test_constant_sequence_all_zero(self, diff_kernel, sine_nonlinearity, spec1):
         seq = KernelSequence(

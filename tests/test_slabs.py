@@ -5,6 +5,7 @@ fixing the worker count at 2, so these tests split small grids into two
 slabs on any machine.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from llap.kernels import make_kernel
 from llap.nonlinearity import Nonlinearity, make_nonlinearity
 from llap.solver import ConsistencyError, apply_picard_map, certify, equation_residual, picard_solve
 from llap.cli import EXIT_CHECK_FAILED, EXIT_INCONSISTENT, main
+from conftest import traced_peak
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +170,92 @@ def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
     mapped = op.apply(N, v)
     assert len(calls) == len(grid_mod._slabs(grid.shape, op.rhs.shape).rows) == (2 if pool else 1)
     assert np.array_equal(mapped.values, full.v)
+
+
+def _solve_map_residual(grid, spec, K, N, v0, cert):
+    report = picard_solve(K, N, spec, v0=v0, tol=1e-12, certificate=cert)
+    return (
+        report.iterations,
+        report.update_norms,
+        report.residual,
+        report.masked_rhs_energy,
+        report.final.values.tobytes(),
+        apply_picard_map(v0, K, N, spec).values.tobytes(),
+        equation_residual(v0, K, N, spec),
+    )
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.sampled_from([14, 16, 18, 20, 22, 24]),
+    workers=st.integers(1, 3),
+    block=st.sampled_from([1, 2**9, 2**12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocks_change_no_bit(monkeypatch, d, n, workers, block, seed):
+    # Row blocks of at most block bytes against one block per slab, on one
+    # to four slabs.  At n = 2 (mod 4) the pairwise split points fall inside
+    # rows, and _row_bounds keeps each slab whole.
+    monkeypatch.setattr(grid_mod, "_POOL_MIN_POINTS", 0)
+    monkeypatch.setattr(grid_mod, "_worker_count", lambda: workers)
+    grid, spec, K, N = _problem(d, n)
+    cert = certify(K, N, spec, eps_user=0.1)
+    v0 = RealField(np.random.default_rng(seed).normal(0.0, 0.5, grid.shape), grid)
+    slabs = grid_mod._slabs(grid.shape, K.hat.shape)
+    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**40)
+    assert all(len(b) == 1 for b in llap.solver._row_blocks(grid.shape, slabs))
+    whole = _solve_map_residual(grid, spec, K, N, v0, cert)
+    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", block)
+    blocked = _solve_map_residual(grid, spec, K, N, v0, cert)
+    assert blocked == whole
+    # The first update is np.sum over the whole field, whatever the blocks.
+    step = np.frombuffer(blocked[5]).reshape(grid.shape) - v0.values
+    assert blocked[1][0] == math.sqrt(grid.h**grid.d * float(np.sum(step * step)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_u_in_a_later_block_outranks_nonfinite_F_in_an_earlier_one(monkeypatch):
+    # One slab of two row blocks: the first step's F is non-finite in
+    # block 0, and its new iterate is made non-finite in block 1.  As with
+    # the whole field at once, the iterate's message wins.
+    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**9)
+    grid, spec, K, N = _problem(2, 16)
+    assert [len(b) for b in llap.solver._row_blocks(grid.shape, grid_mod._WHOLE)] == [2]
+    cert = certify(K, N, spec, eps_user=0.1)
+    bad = _linear(N, lambda u: np.where(u != 0.0, np.nan, 0.0))
+    irfft_rows, calls = llap.solver._irfft_rows, []
+
+    def poisoned(a, out):
+        irfft_rows(a, out)
+        calls.append(out.shape)
+        if len(calls) == 2:
+            out[0, 0] = np.nan
+
+    monkeypatch.setattr(llap.solver, "_irfft_rows", poisoned)
+    with pytest.raises(ValueError, match="field contains non-finite entries"):
+        picard_solve(K, bad, spec, certificate=cert)
+    monkeypatch.setattr(llap.solver, "_irfft_rows", irfft_rows)
+    with pytest.raises(ValueError, match="nonlinearity produced non-finite values"):
+        picard_solve(K, bad, spec, certificate=cert)
+
+
+def test_solve_holds_one_real_field_and_a_block_per_slab(monkeypatch):
+    # Two slabs of one-row blocks at d = 3, n = 64: besides the iterate, q,
+    # work and the reciprocal, a solve holds two rows of scratch and numpy's
+    # ufunc and FFT buffers, which stay under 1 MiB.
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**15)
+    grid, spec, K, N = _problem(3, 64)
+    cert = certify(K, N, spec, eps_user=0.1)
+    v0 = RealField(np.random.default_rng(5).normal(0.0, 0.5, grid.shape), grid)
+    picard_solve(K, N, spec, v0=v0, certificate=cert)  # warm up
+    _, peak = traced_peak(lambda: picard_solve(K, N, spec, v0=v0, certificate=cert))
+    real, half = 8 * 64**3, 16 * 64**2 * 33
+    assert llap.solver._scratch_bytes(grid.shape) == 2 * 8 * 64**2
+    assert peak <= real + 2.5 * half + 2 * 8 * 64**2 + 2**20, peak / real
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import llap.grid
-from llap.grid import RealField, SymbolSpec, _half_modes, make_grid, sample
+from llap.grid import RealField, SymbolSpec, _half_modes, default_eta, make_grid, sample
 from llap.kernels import (
     Schedule,
     inverse_symbol_gain,
@@ -27,7 +27,16 @@ from llap.solver import (
     triviality_indicator,
 )
 from llap.sequence import run_sequence, verify_lemmaA2
-from conftest import SQRT_2PI, ft, full_multiplier, ift, l2_gap, reciprocal, symbol
+from conftest import (
+    SQRT_2PI,
+    ft,
+    full_multiplier,
+    ift,
+    l2_gap,
+    reciprocal,
+    symbol,
+    traced_peak,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +226,28 @@ class TestPicardSolve:
         report = picard_solve(diff_kernel, zero_offset_nonlinearity, spec1, tol=1e-10)
         assert report.iterations == 1
         assert report.final.l2_norm() == 0.0
+
+    def test_zero_start_holds_no_field_of_its_own(self):
+        # Without v0 the iterate starts at zero in the solve's own buffer:
+        # the solve holds no more than one from a caller's zero field, and
+        # computes the same bits.
+        grid = make_grid(2, 13.0, 256)
+        spec = SymbolSpec(0.0, default_eta(grid, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid
+        )
+        offset = sample(grid, lambda *xs: 0.3 * np.exp(-sum(x * x for x in xs) / 2.0))
+        N = make_nonlinearity("saturating_sine", lip=0.1, offset=offset)
+        cert = certify(K, N, spec, eps_user=0.1)
+        zero = RealField.zeros(grid)
+        picard_solve(K, N, spec, v0=zero, certificate=cert)  # warm up
+        given, given_peak = traced_peak(lambda: picard_solve(K, N, spec, v0=zero, certificate=cert))
+        report, peak = traced_peak(lambda: picard_solve(K, N, spec, certificate=cert))
+        real = 8 * grid.npoints
+        assert peak <= given_peak + real / 8, (peak - given_peak) / real
+        assert report.update_norms == given.update_norms
+        assert report.residual == given.residual
+        assert np.array_equal(report.final.values, given.final.values)
 
     def test_certificate_failure_refused(self, gauss_kernel, sine_nonlinearity, spec1):
         with pytest.raises(CertificateError, match="refused"):
