@@ -4,8 +4,8 @@ The top-level namespace holds what a run needs from start to finish: the
 grid and field constructors, the symbol and its default regularization, the
 kernel, nonlinearity and sequence builders, the certificate, the Picard
 solve and the sequence study, and the config loader with its errors.
-Everything else (transforms, diagnostics, bound checks, report types and
-field files) is imported from its module: ``llap.grid``, ``llap.kernels``,
+Everything else (transforms, diagnostics, the verify suite, report types
+and field files) is imported from its module: ``llap.grid``, ``llap.kernels``,
 ``llap.nonlinearity``, ``llap.solver``, ``llap.sequence``, ``llap.checks``,
 ``llap.config`` and ``llap.fieldio``.
 """

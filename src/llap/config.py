@@ -292,15 +292,18 @@ class RunConfig:
             return None
         if v0 == "random":
             scale = self.get("solver", "v0_scale", 1.0)
-            # As for the offset: the solve squares fields of v0's size.
+            # As for the offset: the solve squares fields of v0's size.  The
+            # norm is finite only if every entry is, so the draw is adopted.
             with np.errstate(over="ignore"):
-                values = _SplitMix64(self.seed).normal(0.0, scale, grid.shape)
-                l2 = math.sqrt(grid.h**grid.d * float(np.sum(values * values)))
+                field = RealField._adopt(
+                    _SplitMix64(self.seed).normal(0.0, scale, grid.shape), grid
+                )
+                l2 = field.l2_norm()
             if not math.isfinite(l2):
                 raise ConfigError(
                     f"starting field norm overflows (||v0||_2 = {l2:.3g}); lower v0_scale"
                 )
-            return RealField(values, grid)
+            return field
         raise ConfigError(f"unknown starting field {v0!r} (expected zero or random)")
 
 

@@ -42,7 +42,6 @@ from .grid import (
     RealField,
     SymbolSpec,
     TWO_PI,
-    _SplitMix64,
     _convolution,
     _half_ft,
     _half_modes,
@@ -50,13 +49,11 @@ from .grid import (
     _half_weights,
     _HalfModes,
     _nudft,
-    nudft,
 )
 
 __all__ = [
     "Kernel",
     "KernelDiagnostics",
-    "BoundCheck",
     "Schedule",
     "KernelSequence",
     "make_kernel",
@@ -64,8 +61,6 @@ __all__ = [
     "sphere_points",
     "project_orthogonal",
     "inverse_symbol_gain",
-    "verify_hat_bound",
-    "verify_derivative_bound",
     "make_sequence",
     "ADMISSIBLE_RTOL",
     "SPHERE_SAMPLES",
@@ -97,15 +92,6 @@ class Kernel:
     @property
     def grid(self) -> GridSpec:
         return self.samples.grid
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    passed: bool
-    observed: float
-    bound: float
-    margin: float
-    where: tuple
 
 
 @dataclass(frozen=True)
@@ -310,7 +296,7 @@ _ENVELOPE_FLOOR = {1: 2.0, 2: 7.5, 3: 7.5}
 _QUADRATURE_ELEMENTS = 2**16
 
 
-def _row_blocks(rows: int, nodes: int):
+def _quadrature_rows(rows: int, nodes: int):
     step = max(1, _QUADRATURE_ELEMENTS // nodes)
     return [slice(i, i + step) for i in range(0, rows, step)]
 
@@ -330,7 +316,7 @@ def _bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     cos_kt = np.cos(np.multiply.outer(t, k)) / m
     sin_kt = np.sin(np.multiply.outer(t, k)) / m
     out = np.empty((len(z), len(k)))
-    for rows in _row_blocks(len(z), m):
+    for rows in _quadrature_rows(len(z), m):
         ph = np.multiply.outer(z[rows], sin_t)
         out[rows] = np.cos(ph) @ cos_kt + np.sin(ph) @ sin_kt
     return out
@@ -357,7 +343,7 @@ def _spherical_bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     weights = np.stack([w * P[ell] / (2.0 * (-1) ** (ell // 2)) for ell in orders], axis=1)
     odd = np.array([ell % 2 == 1 for ell in orders])
     out = np.empty((len(z), len(orders)))
-    for rows in _row_blocks(len(z), nodes):
+    for rows in _quadrature_rows(len(z), nodes):
         zx = np.multiply.outer(z[rows], x)
         for cols, trig in ((~odd, np.cos), (odd, np.sin)):
             if cols.any():
@@ -635,67 +621,6 @@ def _diagnostics_pass(kernels: list[Kernel], spec: SymbolSpec) -> None:
         )
         # setdefault keeps one record per spec should two threads race here.
         G._diagnostics.setdefault(spec, diag)
-
-
-# ---------------------------------------------------------------------------
-# Transform bounds
-
-
-def verify_hat_bound(G: Kernel) -> BoundCheck:
-    """max |G^| <= (2 pi)^(-d/2) ||G||_1, checked over all grid modes (G.hat)."""
-    grid = G.grid
-    pref = TWO_PI ** (grid.d / 2.0)
-    ghat = np.abs(G.hat)
-    bound = G.l1 / pref
-    idx = np.unravel_index(int(np.argmax(ghat)), ghat.shape)
-    observed = float(ghat[idx]) / pref
-    where = tuple(float(grid.mode_axis()[i]) for i in idx)
-    return BoundCheck(
-        passed=observed <= bound + 1e-10,
-        observed=observed,
-        bound=bound,
-        margin=bound - observed,
-        where=where,
-    )
-
-
-def verify_derivative_bound(G: Kernel, seed: int = 0) -> BoundCheck:
-    """|d G^ / d|p|| <= (2 pi)^(-d/2) || |x| G ||_1 along axes and random rays.
-
-    Central differences (step 1e-5) of the nonuniform quadrature with a
-    discretization slack of 1e-6 on the bound, at 96 radii along each axis
-    and 48 along each of six random rays.  Radii are geometrically spaced so
-    the low-frequency region, where kernel transforms vary fastest, is
-    sampled densely.
-    """
-    step, naxis, nrays, nradii = 1e-5, 96, 6, 48
-    grid = G.grid
-    bound = G.weighted_l1 / TWO_PI ** (grid.d / 2.0)
-    rng = _SplitMix64(seed)
-    dirs = [np.eye(grid.d)[i] for i in range(grid.d)]
-    for _ in range(nrays):
-        v = rng.normal(size=grid.d)
-        dirs.append(v / np.linalg.norm(v))
-    radii_axis = np.geomspace(grid.mode_spacing, 0.9 * grid.nyquist_radius, naxis)
-    radii_ray = np.geomspace(grid.mode_spacing, 0.9 * grid.nyquist_radius, nradii)
-    observed = 0.0
-    where: tuple = ()
-    for i, u in enumerate(dirs):
-        radii = radii_axis if i < grid.d else radii_ray
-        plus = np.outer(radii + step / 2.0, u)
-        minus = np.outer(radii - step / 2.0, u)
-        deriv = np.abs(nudft(G.samples, plus) - nudft(G.samples, minus)) / step
-        j = int(np.argmax(deriv))
-        if deriv[j] > observed:
-            observed = float(deriv[j])
-            where = tuple(float(c) for c in radii[j] * u)
-    return BoundCheck(
-        passed=observed <= bound + 1e-6,
-        observed=observed,
-        bound=bound,
-        margin=bound + 1e-6 - observed,
-        where=where,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ from .grid import GridSpec, RealField, _SplitMix64
 
 __all__ = [
     "Nonlinearity",
-    "GrowthReport",
     "make_nonlinearity",
     "eval_F",
-    "verify_growth",
     "estimate_lipschitz",
     "FAMILIES",
 ]
@@ -60,13 +58,6 @@ class Nonlinearity:
     @property
     def grid(self) -> GridSpec:
         return self.offset.grid
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    passed: bool
-    worst_margin: float
-    witness: tuple[float, float, float] | None  # (u, x-sample offset h(x), |F|)
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ def eval_F(N: Nonlinearity, v: RealField) -> RealField:
     out = N.base(v.values) + N.offset.values
     if not np.all(np.isfinite(out)):
         raise ValueError("nonlinearity produced non-finite values")
-    return RealField(out, N.grid)
+    return RealField._adopt(out, N.grid)
 
 
 def _eval_F_into(
@@ -162,25 +153,6 @@ def _sample_u(N: Nonlinearity, rng: _SplitMix64, count: int) -> np.ndarray:
     wide = rng.uniform(-10.0 / lip, 10.0 / lip, size=count // 2)
     narrow = rng.normal(0.0, 0.1 / lip, size=count - count // 2)
     return np.concatenate([wide, narrow])
-
-
-def verify_growth(N: Nonlinearity, trials: int, seed: int) -> GrowthReport:
-    """Check |F(u, x)| <= growth * |u| + h(x) on random (u, x) pairs."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = _SplitMix64(seed)
-    u = _sample_u(N, rng, trials)
-    idx = rng.integers(0, N.grid.npoints, size=trials)
-    h = N.offset.values.reshape(-1)[idx]
-    f = np.abs(N.base(u) + h)
-    margin = N.growth * np.abs(u) + h + 1e-12 - f
-    worst = int(np.argmin(margin))
-    report = GrowthReport(
-        passed=bool(margin[worst] >= 0.0),
-        worst_margin=float(margin[worst]),
-        witness=None if margin[worst] >= 0.0 else (float(u[worst]), float(h[worst]), float(f[worst])),
-    )
-    return report
 
 
 def estimate_lipschitz(N: Nonlinearity, trials: int, seed: int) -> float:

@@ -228,7 +228,7 @@ class _PicardOperator:
 
     def apply(self, N: Nonlinearity, v: RealField) -> RealField:
         """One Picard step from v."""
-        it = _Iterate(self, N, v.values)
+        it = _Iterate(self, N, np.array(v.values))
         it.step(last=True)
         return RealField._adopt(it.v, self.grid)
 
@@ -288,8 +288,10 @@ class _Iterate:
     glibc gives each thread its own arena, and arrays freed there would
     raise the peak RSS.
 
-      v        the current iterate; within a step, each row block takes the
-               next iterate from the inverse transform
+      v        the current iterate, the array the caller hands over, which
+               a step overwrites (one that never steps only reads it); within
+               a step, each row block takes the next iterate from the inverse
+               transform
       q        between steps, (2 pi)^(d/2) G^ w^ with w = F(v), the right side
                of the linear problem; within a step, (ln|p| - shift) u^, then
                the residual's difference, and the residual's weighted
@@ -301,13 +303,13 @@ class _Iterate:
                the new iterate's squares, then F(u); in stage 3, |difference|
     """
 
-    def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray | None):
+    def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray):
         grid = op.grid
         if N.grid != grid:
             raise ValueError("field and nonlinearity live on different grids")
         self.op, self.N = op, N
         self.slabs = _slabs(grid.shape, op.rhs.shape)
-        self.v = np.zeros(grid.shape) if v is None else np.array(v, dtype=float)
+        self.v = v
         self.q = np.empty(op.rhs.shape, dtype=complex)
         self.work = np.empty_like(self.q)
         blocks = _row_blocks(grid.shape, self.slabs)
@@ -584,7 +586,9 @@ def picard_solve(
     grid = G.grid
     if v0 is not None and v0.grid != grid:
         raise ValueError("starting field lives on a different grid")
-    it = _Iterate(_picard_operator(G, spec), N, None if v0 is None else v0.values)
+    it = _Iterate(
+        _picard_operator(G, spec), N, np.zeros(grid.shape) if v0 is None else np.array(v0.values)
+    )
     updates: list[float] = []
     converged = False
     stop_threshold = tol

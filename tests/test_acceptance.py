@@ -27,9 +27,8 @@ from llap.kernels import (
     make_kernel,
     make_sequence,
     project_orthogonal,
-    verify_derivative_bound,
-    verify_hat_bound,
 )
+from llap.checks import _derivative_bound, _hat_bound
 from llap.nonlinearity import Nonlinearity, eval_F, make_nonlinearity
 from llap.solver import (
     apply_picard_map,
@@ -80,8 +79,8 @@ class TestAcceptance:
                 ("difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}),
             ):
                 K = make_kernel(family, params, g)
-                hb = verify_hat_bound(K)
-                db = verify_derivative_bound(K)
+                hb = _hat_bound(K)
+                db = _derivative_bound(K, 0)
                 ok = ok and hb.passed and db.passed
                 details.append(f"d={d} {family}: hat {hb.passed}, deriv {db.passed}")
         _verdict(2, "transform bounds for all built-in kernels, d = 1, 2, 3", ok)

@@ -57,7 +57,7 @@ def _count_passes(monkeypatch):
     """
     passes, calls = [], []
     compute, batch, nudft = (
-        llap.kernels._diagnostics_pass, llap.kernels._nudft, llap.kernels.nudft
+        llap.kernels._diagnostics_pass, llap.kernels._nudft, llap.checks.nudft
     )
 
     def counted_pass(kernels, spec):
@@ -74,7 +74,7 @@ def _count_passes(monkeypatch):
 
     monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted_pass)
     monkeypatch.setattr(llap.kernels, "_nudft", counted_batch)
-    monkeypatch.setattr(llap.kernels, "nudft", counted_nudft)
+    monkeypatch.setattr(llap.checks, "nudft", counted_nudft)
     return passes, calls
 
 
@@ -485,6 +485,33 @@ class TestVerifyCommand:
         report = (out / "verify_report.csv").read_text().splitlines()
         assert report[0] == "check,passed,value,detail"
         assert all(",true," in line for line in report[1:])
+        assert [line.split(",", 1)[0] for line in report[1:]] == [
+            "ft_roundtrip",
+            "ft_parseval",
+            "ft_gaussian",
+            "ft_convolution",
+            "hat_bound",
+            "derivative_bound",
+            "na_dichotomy",
+            "kernel_boundary_decay",
+            "contraction_sampling",
+            "norm_bound_sampling",
+            "triviality_consistency",
+            "growth_bound",
+            "lipschitz_estimate",
+        ]
+
+    def test_understated_growth_constant_fails_its_row_alone(self, runner, tmp_path):
+        # k = 0.01 under the sine's true slope 0.1: the growth row fails by
+        # its worst sampled margin, and every other row still passes.
+        cfg = _write(tmp_path, REFERENCE.replace("l = 0.1", "l = 0.1\nk = 0.01"))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify", cfg, "-o", str(out)])
+        assert result.exit_code == EXIT_CHECK_FAILED
+        report = (out / "verify_report.csv").read_text().splitlines()
+        rows = [line.split(",") for line in report[1:]]
+        failed = [(name, float(value)) for name, passed, value, *_ in rows if passed != "true"]
+        assert failed == [("growth_bound", pytest.approx(-0.0847925, abs=1e-7))]
 
     def test_raw_gaussian_negative_control_passes(self, runner, tmp_path):
         # The dichotomy check must recognize the divergence as the expected

@@ -18,11 +18,9 @@ from llap.kernels import (
     make_sequence,
     project_orthogonal,
     sphere_points,
-    verify_derivative_bound,
-    verify_hat_bound,
 )
 from llap import kernels
-from llap.checks import _direct_convolution
+from llap.checks import _derivative_bound, _direct_convolution, _hat_bound
 from conftest import SQRT_2PI, dense_l1_norms, ft, mode_radius, sphere_residual
 
 EXP_HALF = math.exp(-0.5)  # |G^| of the unit Gaussian on the unit sphere
@@ -283,20 +281,25 @@ class TestInverseSymbolGain:
 
 
 class TestTransformBounds:
+    """The verify suite's hat_bound and derivative_bound rows."""
+
     def test_hat_bound_gaussian_equality(self, gauss_kernel):
         # Nonnegative kernel: the sup of |G^| is attained at p = 0 with
         # equality in the L1 bound.
-        check = verify_hat_bound(gauss_kernel)
-        assert check.passed
-        assert check.observed == pytest.approx(check.bound, rel=1e-12)
-        assert check.where == (0.0,)
+        check = _hat_bound(gauss_kernel)
+        bound = gauss_kernel.l1 / SQRT_2PI
+        assert check.name == "hat_bound" and check.passed
+        assert check.value == pytest.approx(bound, rel=1e-12)
+        assert check.detail == (
+            f"max |G^| = {check.value:.6g} vs (2 pi)^(-d/2) ||G||_1 = {bound:.6g}"
+        )
 
     def test_hat_bound_single_signed_equality(self, diff_kernel):
         # With width2/width1 = 2 the wide Gaussian dominates pointwise, the
         # kernel is single-signed, and the bound is attained at p = 0.
-        check = verify_hat_bound(diff_kernel)
+        check = _hat_bound(diff_kernel)
         assert check.passed
-        assert check.observed == pytest.approx(check.bound, rel=1e-12)
+        assert check.value == pytest.approx(diff_kernel.l1 / SQRT_2PI, rel=1e-12)
 
     def test_hat_bound_sign_changing_margin(self, grid1):
         # Narrow widths flip the sign near the origin; cancellation in the
@@ -305,30 +308,32 @@ class TestTransformBounds:
             "difference", {"width1": 0.5, "width2": 0.6, "amplitude": 1.0, "shift": 0.0}, grid1
         )
         assert np.any(K.samples.values > 0) and np.any(K.samples.values < 0)
-        check = verify_hat_bound(K)
+        check = _hat_bound(K)
         assert check.passed
-        assert check.margin > 0.1 * check.bound
+        assert check.value < 0.9 * K.l1 / SQRT_2PI
 
     def test_hat_bound_zero_kernel(self, grid1):
         K = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.0}, grid1)
-        assert verify_hat_bound(K).passed
+        check = _hat_bound(K)
+        assert check.passed and check.value == 0.0
 
     def test_derivative_bound_gaussian(self, gauss_kernel):
         # d/dp exp(-p^2/2) peaks at p = 1 with value exp(-1/2); the bound
         # (2 pi)^(-1/2) ||x G||_1 = 2 / sqrt(2 pi), up to the O(h^2)
         # quadrature error of the kinked weight |x|.
-        check = verify_derivative_bound(gauss_kernel)
-        assert check.passed
-        assert check.bound == pytest.approx(gauss_kernel.weighted_l1 / SQRT_2PI, rel=1e-14)
-        assert check.bound == pytest.approx(2.0 / SQRT_2PI, abs=1e-3)
-        assert check.observed == pytest.approx(EXP_HALF, abs=5e-3)
-        assert check.observed <= EXP_HALF + 1e-10
+        check = _derivative_bound(gauss_kernel, 0)
+        bound = gauss_kernel.weighted_l1 / SQRT_2PI
+        assert check.name == "derivative_bound" and check.passed
+        assert bound == pytest.approx(2.0 / SQRT_2PI, abs=1e-3)
+        assert check.detail == f"max radial |dG^| = {check.value:.6g} vs bound {bound:.6g} + 1e-6"
+        assert check.value == pytest.approx(EXP_HALF, abs=5e-3)
+        assert check.value <= EXP_HALF + 1e-10
 
     def test_derivative_bound_zero_and_bump(self, grid1):
         K0 = make_kernel("gaussian", {"width": 1.0, "amplitude": 0.0}, grid1)
-        assert verify_derivative_bound(K0).passed
+        assert _derivative_bound(K0, 0).passed
         Kb = make_kernel("bump", {"radius": 2.0, "amplitude": 0.7}, grid1)
-        assert verify_derivative_bound(Kb).passed
+        assert _derivative_bound(Kb, 0).passed
 
     @pytest.mark.parametrize("d,n,L", [(1, 1024, 20.0), (2, 64, 10.0), (3, 32, 8.0)])
     def test_bounds_all_families_all_dims(self, d, n, L):
@@ -343,8 +348,8 @@ class TestTransformBounds:
             ),
         ]
         for K in kernels:
-            assert verify_hat_bound(K).passed
-            assert verify_derivative_bound(K).passed
+            assert _hat_bound(K).passed
+            assert _derivative_bound(K, 0).passed
 
 
 class TestSequences:

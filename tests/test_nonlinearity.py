@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from llap.grid import RealField, make_grid
-from llap.nonlinearity import estimate_lipschitz, eval_F, make_nonlinearity, verify_growth
+from llap.checks import _growth_bound
+from llap.nonlinearity import estimate_lipschitz, eval_F, make_nonlinearity
 from conftest import l2_gap
 
 
@@ -64,14 +65,17 @@ class TestEval:
 
 
 class TestGrowth:
-    def test_sine_passes_with_k_equal_l(self, sine_nonlinearity):
-        report = verify_growth(sine_nonlinearity, trials=50000, seed=0)
-        assert report.passed
-        assert report.witness is None
+    """The verify suite's growth_bound row."""
 
-    def test_understated_k_fails_with_witness(self, grid1):
+    def test_sine_passes_with_k_equal_l(self, sine_nonlinearity):
+        check = _growth_bound(sine_nonlinearity, 0)
+        assert check.name == "growth_bound" and check.passed
+        assert check.value >= 0.0
+
+    def test_understated_k_fails_by_the_worst_margin(self, grid1):
         # Declared growth below the true slope; any u below the knee is a
-        # violation and the report carries one.
+        # violation.  The margin 0.1 |u| - 0.5 min(|u|, 3) is smallest at
+        # |u| = 3, where it is -1.2.
         N = make_nonlinearity(
             "clipped_linear",
             lip=0.5,
@@ -79,20 +83,15 @@ class TestGrowth:
             offset=RealField.zeros(grid1),
             knee=3.0,
         )
-        report = verify_growth(N, trials=20000, seed=1)
-        assert not report.passed
-        u, h, f = report.witness
-        assert f > 0.1 * abs(u) + h
+        check = _growth_bound(N, 1)
+        assert not check.passed
+        assert check.value == pytest.approx(-1.2, abs=1e-2)
 
     def test_offset_dominated_at_zero(self, grid1, bump_offset):
         N = make_nonlinearity("saturating_sine", lip=0.1, offset=bump_offset)
         zero = RealField.zeros(grid1)
         assert np.allclose(eval_F(N, zero).values, bump_offset.values)
-        assert verify_growth(N, trials=1000, seed=2).passed
-
-    def test_needs_trials(self, sine_nonlinearity):
-        with pytest.raises(ValueError):
-            verify_growth(sine_nonlinearity, trials=0, seed=0)
+        assert _growth_bound(N, 2).passed
 
 
 class TestLipschitz:

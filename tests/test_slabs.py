@@ -157,7 +157,7 @@ def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
     grid, spec, K, N = _problem(3, 16)
     v = RealField(np.random.default_rng(3).normal(0.0, 0.5, grid.shape), grid)
     op = llap.solver._picard_operator(K, spec)
-    full = llap.solver._Iterate(op, N, v.values)
+    full = llap.solver._Iterate(op, N, np.array(v.values))
     full.step()
     calls = []
     rfft_rows = llap.solver._rfft_rows

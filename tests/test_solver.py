@@ -14,8 +14,8 @@ from llap.kernels import (
     kernel_from_field,
     make_kernel,
     make_sequence,
-    verify_hat_bound,
 )
+from llap.checks import _hat_bound
 from llap.nonlinearity import Nonlinearity, eval_F, make_nonlinearity
 from llap.solver import (
     CertificateError,
@@ -325,6 +325,25 @@ class TestResidual:
         back = ift(diff, grid1)
         assert res.value == pytest.approx(back.l2_norm(), rel=1e-10)
 
+    def test_residual_reads_its_field_in_place(self):
+        # The residual never steps, so it reads u where it lies: its peak is
+        # the step's buffers (two half spectra, one scratch block) and the
+        # operator's reciprocal, under four real fields at d=2, n=256.
+        grid = make_grid(2, 12.0, 256)
+        spec = SymbolSpec(0.0, default_eta(grid, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 1.0, "shift": 0.0}, grid
+        )
+        offset = sample(grid, lambda *xs: 0.3 * np.exp(-sum(x * x for x in xs) / 2.0))
+        N = make_nonlinearity("saturating_sine", lip=0.1, offset=offset)
+        u = RealField(np.random.default_rng(2).normal(0.0, 0.5, grid.shape), grid)
+        before = u.values.copy()
+        first = equation_residual(u, K, N, spec)  # warm up
+        res, peak = traced_peak(lambda: equation_residual(u, K, N, spec))
+        assert peak <= 4.0 * 8 * grid.npoints, peak / (8 * grid.npoints)
+        assert res == first
+        assert np.array_equal(u.values, before)
+
 
 class TestTriviality:
     def test_zero_offset_trivial(self, diff_kernel, zero_offset_nonlinearity, spec1):
@@ -449,7 +468,7 @@ class TestHalfSpectrumHigherDimensions:
         assert diag.grid_gain == pytest.approx(grid_gain, rel=1e-14)
         assert diag.gain == pytest.approx(max(grid_gain, diag.ring_gain), rel=1e-14)
         assert diag.ratio_distance(diag_other) == pytest.approx(distance, rel=1e-14)
-        assert verify_hat_bound(K).observed == pytest.approx(np.max(np.abs(ghat)), rel=1e-14)
+        assert _hat_bound(K).value == pytest.approx(np.max(np.abs(ghat)), rel=1e-14)
         assert certify(K, N, spec, eps_user=0.1).masked_modes == np.count_nonzero(masked)
 
     def test_operator_reads_the_kernel_spectrum(self, problem):

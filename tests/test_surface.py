@@ -36,6 +36,75 @@ TOP_LEVEL = {
 }
 
 
+# Each module's __all__: a public name is added or removed on purpose.
+MODULE_ALL = {
+    "checks": {"CheckResult", "run_property_suite", "ft_selftest"},
+    "config": {"ConfigError", "RunConfig", "parse_config", "load_config"},
+    "fieldio": {
+        "MAGIC",
+        "VERSION",
+        "dump_field",
+        "load_field",
+        "atomic_write_bytes",
+        "atomic_write_text",
+    },
+    "grid": {
+        "GridSpec",
+        "RealField",
+        "SymbolSpec",
+        "make_grid",
+        "sample",
+        "default_eta",
+        "nudft",
+        "boundary_decay",
+    },
+    "kernels": {
+        "Kernel",
+        "KernelDiagnostics",
+        "Schedule",
+        "KernelSequence",
+        "make_kernel",
+        "kernel_from_field",
+        "sphere_points",
+        "project_orthogonal",
+        "inverse_symbol_gain",
+        "make_sequence",
+        "ADMISSIBLE_RTOL",
+        "SPHERE_SAMPLES",
+    },
+    "nonlinearity": {
+        "Nonlinearity",
+        "make_nonlinearity",
+        "eval_F",
+        "estimate_lipschitz",
+        "FAMILIES",
+    },
+    "sequence": {
+        "SequenceRow",
+        "SequenceStudy",
+        "LemmaRow",
+        "LemmaTable",
+        "MemberCertificateError",
+        "run_sequence",
+        "verify_lemmaA2",
+    },
+    "solver": {
+        "ContractionCertificate",
+        "SolveReport",
+        "ResidualReport",
+        "CertificateError",
+        "ConsistencyError",
+        "certify",
+        "apply_picard_map",
+        "picard_solve",
+        "equation_residual",
+        "triviality_indicator",
+        "ORTH_RTOL",
+        "LIP_TRIALS",
+    },
+}
+
+
 def test_top_level_exports_are_what_callers_use():
     public = {
         name
@@ -45,12 +114,26 @@ def test_top_level_exports_are_what_callers_use():
     assert public == TOP_LEVEL
 
 
+def _readme_library() -> tuple[str, str]:
+    """README's Library section and the Python example that opens it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    return library, library.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_runs(capsys):
+    # The example solves under the certificate it printed, not a second one.
+    namespace = {}
+    exec(compile(_readme_library()[1], "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert report.converged and report.certificate is namespace["cert"]
+    assert capsys.readouterr().out == f"{report.iterations} {report.residual}\n"
+
+
 def test_readme_names_the_top_level_exports():
     # README's Library section: the example's imports plus the names of the
     # "holds N names" sentence are the top-level exports, and N counts them.
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    library = readme.split("## Library", 1)[1]
-    example = library.split("```python", 1)[1].split("```", 1)[0]
+    library, example = _readme_library()
     imported = {
         alias.name
         for node in ast.walk(ast.parse(example))
@@ -67,6 +150,16 @@ def test_readme_names_the_top_level_exports():
 def test_every_name_in_all_exists(name):
     module = importlib.import_module(f"llap.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_module_all_is_pinned():
+    found = {}
+    for m in pkgutil.iter_modules(llap.__path__):
+        names = getattr(importlib.import_module(f"llap.{m.name}"), "__all__", None)
+        if names is not None:
+            assert len(set(names)) == len(names), m.name
+            found[m.name] = set(names)
+    assert found == MODULE_ALL
 
 
 def _relative_imports(module: str) -> set[str]:
