@@ -2,14 +2,15 @@
 
 One command per process, driving the run described by a config file (see
 ``llap.config`` for the format).  Exit codes: 0 success, 2 usage or config
-problem (including a grid whose estimated arrays exceed the available memory,
+problem (including a grid or an allocation too large for the available memory,
 and an out-dir that cannot be made), 3 certificate failure, 4 non-convergence,
 5 failed property checks (the ``verify`` suite, the transform self-tests, or
 the kernel-level limit checks of ``sequence``), 6 internal consistency check
 failed (a bound the theory makes unconditional was violated, or a spectral
 intermediate went non-finite); every failure prints a one-line message, never
-a traceback.  The commands raise, and ``_Main.__call__`` alone maps each
-failure type to its exit code.
+a traceback.  A command returns an ``_Outcome`` or raises; ``_Main.__call__``
+alone maps each failure type to its exit code, makes the out-dir, writes,
+prints and exits, so a command that raises leaves no out-dir.
 
 All output files are written atomically (temp file + rename) with LF line
 endings and 17 significant digits, so identical configs and seeds produce
@@ -22,19 +23,18 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fieldio
 from .checks import CheckResult, ft_selftest, run_property_suite
 from .config import RunConfig, load_config
-from .grid import make_grid
+from .grid import RealField, make_grid
 from .kernels import make_sequence
 from .sequence import LemmaRow, MemberCertificateError, SequenceRow, run_sequence
 from .solver import (
     ConsistencyError,
-    ContractionCertificate,
     _peak_bytes,
     certify as compute_certificate,
     picard_solve,
@@ -47,17 +47,22 @@ EXIT_CHECK_FAILED = 5
 EXIT_INCONSISTENT = 6
 
 
+class _Outcome(NamedTuple):
+    """What a command leaves: each file's name, in write order, mapped to its
+    text or to the field to dump; the stdout and stderr lines; the exit code."""
+
+    files: dict[str, str | RealField]
+    stdout: list[str]
+    stderr: list[str]
+    code: int
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _fail(code: int, what: str, e: Exception):
-    print(f"{what}: {e}", file=sys.stderr)
-    sys.exit(code)
 
 
 def _available_bytes() -> int | None:
@@ -86,7 +91,7 @@ def _available_bytes() -> int | None:
 
 
 def _preflight(cfg: RunConfig | None, grid, command: str) -> None:
-    """Refuse, with exit 2, a problem whose arrays cannot fit in memory.
+    """Raise MemoryError (exit 2) for a problem whose arrays cannot fit in memory.
 
     cfg supplies the member count and the projection flag; None stands for
     a command that builds no kernel.
@@ -96,12 +101,10 @@ def _preflight(cfg: RunConfig | None, grid, command: str) -> None:
     need = _peak_bytes(grid.d, grid.n, command, members, project)
     available = _available_bytes()
     if available is not None and need > available:
-        print(
+        raise MemoryError(
             f"memory preflight: d={grid.d}, n={grid.n} needs an estimated "
-            f"{need / 2**30:.1f} GiB of arrays, more than the {available / 2**30:.1f} GiB available",
-            file=sys.stderr,
+            f"{need / 2**30:.1f} GiB of arrays, more than the {available / 2**30:.1f} GiB available"
         )
-        sys.exit(EXIT_CONFIG)
 
 
 def _build_run(cfg: RunConfig, command: str):
@@ -111,36 +114,29 @@ def _build_run(cfg: RunConfig, command: str):
     return grid, spec, cfg.kernel(grid, spec), cfg.nonlinearity(grid)
 
 
-def _outdir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _refuse_unusable_outdir(out_dir: str) -> None:
-    """Raise now, creating nothing, the error _outdir would raise for a non-directory
-    at out_dir (errno 17) or at its nearest existing ancestor (errno 20)."""
+    """Raise now, creating nothing, the error the out-dir's mkdir would raise for a
+    non-directory at out_dir (errno 17) or at its nearest existing ancestor (errno 20)."""
     path = Path(out_dir)
     if not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
-        path.mkdir()  # the mkdir _outdir tries first; here it fails and creates nothing
+        path.mkdir()  # the first mkdir of parents=True; here it fails and creates nothing
 
 
-def _certificate_text(cert: ContractionCertificate) -> str:
-    lines = ["[certificate]"]
-    lines += [f"{f.name} = {_fmt(getattr(cert, f.name))}" for f in dataclasses.fields(cert)]
+def _section(title: str, values: dict) -> str:
+    """A ``[title]`` block of ``key = value`` lines."""
+    return "\n".join([f"[{title}]", *(f"{k} = {_fmt(v)}" for k, v in values.items())]) + "\n"
+
+
+def _csv(header: list[str], rows: list) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    fieldio.atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_rows(path: Path, row_type: type, rows) -> None:
+def _rows(row_type: type, rows) -> str:
     """A table of dataclass rows, one column per field in field order."""
     header = [f.name for f in dataclasses.fields(row_type)]
-    _write_csv(path, header, [dataclasses.astuple(row) for row in rows])
+    return _csv(header, [dataclasses.astuple(row) for row in rows])
 
 
 @dataclasses.dataclass
@@ -148,7 +144,7 @@ class _Command:
     """A subcommand: its name and the callback that runs it on (config, out_dir)."""
 
     name: str
-    callback: Callable[[str | None, str], None]
+    callback: Callable[[str | None, str], _Outcome]
     config_required: bool = True
 
 
@@ -199,53 +195,64 @@ class _Main:
         ns = parser.parse_args(args)
         try:
             _refuse_unusable_outdir(ns.out_dir)
-            self.commands[ns.command].callback(ns.config, ns.out_dir)
+            outcome = self.commands[ns.command].callback(ns.config, ns.out_dir)
+            out = Path(ns.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in outcome.files.items():
+                if isinstance(content, RealField):
+                    fieldio.dump_field(content, out / name)
+                else:
+                    fieldio.atomic_write_text(out / name, content)
         except MemberCertificateError as e:
             where = "the limit kernel" if e.member is None else f"member {e.member}"
-            _fail(EXIT_CERTIFICATE, f"certificate failure at {where}", e)
+            outcome = _Outcome({}, [], [f"certificate failure at {where}: {e}"], EXIT_CERTIFICATE)
         except ConsistencyError as e:
-            _fail(EXIT_INCONSISTENT, "internal consistency check failed", e)
+            outcome = _Outcome({}, [], [f"internal consistency check failed: {e}"], EXIT_INCONSISTENT)
+        except MemoryError as e:
+            outcome = _Outcome({}, [], [str(e)], EXIT_CONFIG)
         except (ValueError, OSError) as e:  # ConfigError is a ValueError
-            _fail(EXIT_CONFIG, "config error", e)
+            outcome = _Outcome({}, [], [f"config error: {e}"], EXIT_CONFIG)
+        for line in outcome.stdout:
+            print(line)
+        for line in outcome.stderr:
+            print(line, file=sys.stderr)
+        if outcome.code:
+            sys.exit(outcome.code)
 
 
 main = _Main()
 
 
 @main.command("certify")
-def certify(config: str, out_dir: str):
+def certify(config: str, out_dir: str) -> _Outcome:
     """Compute the contraction certificate; exit 0 only if it passes."""
     cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "certify")
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
-    out = _outdir(out_dir)
-    fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
-    print(
+    stdout = [
         f"q = {cert.q:.6g}, orthogonality residual = {cert.orth_residual:.3e}, "
         f"divergence indicator = {cert.divergence_indicator:.3e}: "
-        + ("PASS" if cert.passed else "FAIL")
-    )
-    print(f"wrote {out / 'certificate.txt'}")
-    if not cert.passed:
-        sys.exit(EXIT_CERTIFICATE)
+        + ("PASS" if cert.passed else "FAIL"),
+        f"wrote {Path(out_dir) / 'certificate.txt'}",
+    ]
+    files = {"certificate.txt": _section("certificate", dataclasses.asdict(cert))}
+    return _Outcome(files, stdout, [], 0 if cert.passed else EXIT_CERTIFICATE)
 
 
 @main.command("solve")
-def solve(config: str, out_dir: str):
+def solve(config: str, out_dir: str) -> _Outcome:
     """Run the Picard iteration to its fixed point and write the report."""
     cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "solve")
     v0 = cfg.starting_field(grid)
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
-    out = _outdir(out_dir)
-    fieldio.atomic_write_text(out / "certificate.txt", _certificate_text(cert))
+    certificate = _section("certificate", dataclasses.asdict(cert))
     if not cert.passed:
-        print(
+        refused = (
             f"certificate failed (q = {cert.q:.6g}, residual = {cert.orth_residual:.3e}); "
-            "solve refused",
-            file=sys.stderr,
+            "solve refused"
         )
-        sys.exit(EXIT_CERTIFICATE)
+        return _Outcome({"certificate.txt": certificate}, [], [refused], EXIT_CERTIFICATE)
     report = picard_solve(
         kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert
     )
@@ -253,77 +260,76 @@ def solve(config: str, out_dir: str):
     for k in range(report.iterations):
         ratio = report.contraction_ratios[k - 1] if k >= 1 else ""
         rows.append([k + 1, report.update_norms[k], ratio, report.apriori_bounds[k + 1]])
-    _write_csv(out / "iterations.csv", ["k", "update_norm", "ratio", "apriori_bound"], rows)
-    summary = [
-        "[solve]",
-        f"converged = {_fmt(report.converged)}",
-        f"iterations = {report.iterations}",
-        f"predicted_iterations = {report.predicted_iterations}",
-        f"residual = {_fmt(report.residual)}",
-        f"masked_rhs_energy = {_fmt(report.masked_rhs_energy)}",
-        f"solution_l2 = {_fmt(report.final.l2_norm())}",
-        "",
-        _certificate_text(report.certificate),
-    ]
-    fieldio.atomic_write_text(out / "solve_summary.txt", "\n".join(summary))
+    summary = {
+        "converged": report.converged,
+        "iterations": report.iterations,
+        "predicted_iterations": report.predicted_iterations,
+        "residual": report.residual,
+        "masked_rhs_energy": report.masked_rhs_energy,
+        "solution_l2": report.final.l2_norm(),
+    }
+    files = {
+        "certificate.txt": certificate,
+        "iterations.csv": _csv(["k", "update_norm", "ratio", "apriori_bound"], rows),
+        "solve_summary.txt": _section("solve", summary) + "\n" + certificate,
+    }
     if cfg.get("solver", "dump_field", False):
-        fieldio.dump_field(report.final, out / "field.llap")
-    print(
+        files["field.llap"] = report.final
+    out = Path(out_dir)
+    stdout = [
         f"{'converged' if report.converged else 'NOT converged'} in {report.iterations} "
-        f"iterations, residual {report.residual:.3e}"
-    )
-    print(f"wrote {out / 'solve_summary.txt'}, {out / 'iterations.csv'}")
-    if not report.converged:
-        sys.exit(EXIT_NO_CONVERGENCE)
+        f"iterations, residual {report.residual:.3e}",
+        f"wrote {out / 'solve_summary.txt'}, {out / 'iterations.csv'}",
+    ]
+    return _Outcome(files, stdout, [], 0 if report.converged else EXIT_NO_CONVERGENCE)
 
 
 @main.command("sequence")
-def sequence(config: str, out_dir: str):
+def sequence(config: str, out_dir: str) -> _Outcome:
     """Solve along a convergent kernel sequence and verify the limit claims."""
     cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "sequence")
     seq = make_sequence(kernel, cfg.schedule(), spec, taper_width=cfg.taper_width)
     study = run_sequence(seq, nonlin, spec, eps=cfg.eps_user, tol=cfg.tol, max_iter=cfg.max_iter)
     table = study.lemma
-    out = _outdir(out_dir)
-    _write_rows(out / "sequence_rows.csv", SequenceRow, study.rows)
-    _write_rows(out / "lemma_checks.csv", LemmaRow, table.rows)
-    summary = [
-        "[sequence]",
-        f"members = {len(study.rows)}",
-        f"rhs_scale = {_fmt(study.rhs_scale)}",
-        f"limit_gain = {_fmt(table.limit_gain)}",
-        f"limit_iterations = {study.limit_report.iterations}",
-        f"all_bounds_ok = {_fmt(all(r.bound_ok for r in study.rows))}",
-        f"ratio_vanishes = {_fmt(table.ratio_vanishes)}",
-        f"gains_converge = {_fmt(table.gains_converge)}",
-        f"members_admissible = {_fmt(table.members_admissible)}",
-        f"certificate_persists = {_fmt(table.certificate_persists)}",
-        f"lemma_passed = {_fmt(table.passed)}",
-    ]
-    fieldio.atomic_write_text(out / "sequence_summary.txt", "\n".join(summary) + "\n")
-    print(
+    summary = {
+        "members": len(study.rows),
+        "rhs_scale": study.rhs_scale,
+        "limit_gain": table.limit_gain,
+        "limit_iterations": study.limit_report.iterations,
+        "all_bounds_ok": all(r.bound_ok for r in study.rows),
+        "ratio_vanishes": table.ratio_vanishes,
+        "gains_converge": table.gains_converge,
+        "members_admissible": table.members_admissible,
+        "certificate_persists": table.certificate_persists,
+        "lemma_passed": table.passed,
+    }
+    files = {
+        "sequence_rows.csv": _rows(SequenceRow, study.rows),
+        "lemma_checks.csv": _rows(LemmaRow, table.rows),
+        "sequence_summary.txt": _section("sequence", summary),
+    }
+    out = Path(out_dir)
+    stdout = [
         f"{len(study.rows)} members, final solution distance {study.rows[-1].sol_dist:.3e}, "
-        f"limit checks {'PASS' if table.passed else 'FAIL'}"
-    )
-    print(f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}")
-    if not table.passed:
-        sys.exit(EXIT_CHECK_FAILED)
+        f"limit checks {'PASS' if table.passed else 'FAIL'}",
+        f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}",
+    ]
+    return _Outcome(files, stdout, [], 0 if table.passed else EXIT_CHECK_FAILED)
 
 
-def _report_checks(results: list[CheckResult], out: Path, name: str) -> bool:
-    _write_csv(
-        out / name,
+def _checks_outcome(results: list[CheckResult], name: str) -> _Outcome:
+    table = _csv(
         ["check", "passed", "value", "detail"],
         [[r.name, r.passed, r.value, r.detail.replace(",", ";")] for r in results],
     )
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} (value = {r.value:.6g})")
-    return all(r.passed for r in results)
+    stdout = [f"{'PASS' if r.passed else 'FAIL'}  {r.name} (value = {r.value:.6g})" for r in results]
+    code = 0 if all(r.passed for r in results) else EXIT_CHECK_FAILED
+    return _Outcome({name: table}, stdout, [], code)
 
 
 @main.command("verify")
-def verify(config: str, out_dir: str):
+def verify(config: str, out_dir: str) -> _Outcome:
     """Run the full property suite for the configured problem."""
     cfg = load_config(config)
     grid, spec, kernel, nonlin = _build_run(cfg, "verify")
@@ -331,13 +337,11 @@ def verify(config: str, out_dir: str):
     # floating-point warnings would only repeat it on stderr.
     with np.errstate(all="ignore"):
         results = run_property_suite(kernel, nonlin, spec, cfg.seed, cfg.tau)
-    ok = _report_checks(results, _outdir(out_dir), "verify_report.csv")
-    if not ok:
-        sys.exit(EXIT_CHECK_FAILED)
+    return _checks_outcome(results, "verify_report.csv")
 
 
 @main.command("ft-selftest", config_required=False)
-def ft_selftest_cmd(config: str | None, out_dir: str):
+def ft_selftest_cmd(config: str | None, out_dir: str) -> _Outcome:
     """Transform self-tests on the configured grid (default d=1, L=20, n=1024)."""
     if config is not None:
         cfg = load_config(config)
@@ -346,9 +350,7 @@ def ft_selftest_cmd(config: str | None, out_dir: str):
     else:
         grid = make_grid(1, 20.0, 1024)
         seed = 0
-    ok = _report_checks(ft_selftest(grid, seed), _outdir(out_dir), "ft_selftest.csv")
-    if not ok:
-        sys.exit(EXIT_CHECK_FAILED)
+    return _checks_outcome(ft_selftest(grid, seed), "ft_selftest.csv")
 
 
 if __name__ == "__main__":

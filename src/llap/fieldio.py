@@ -35,13 +35,14 @@ __all__ = [
 ]
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path: str | Path, data: bytes | list) -> None:
+    """Write data, or a list of buffers in turn, via a temp file beside path, then rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in data if isinstance(data, list) else [data]:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,8 +57,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def dump_field(f: RealField, path: str | Path) -> None:
     g = f.grid
     header = _HEADER.pack(MAGIC, VERSION, g.d, g.n, g.L)
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    # The samples' own array: no copy where doubles are already little-endian.
+    atomic_write_bytes(path, [header, np.ascontiguousarray(f.values, dtype="<f8")])
 
 
 def load_field(path: str | Path) -> RealField:

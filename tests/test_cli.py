@@ -56,9 +56,7 @@ def _count_passes(monkeypatch):
     A pass a kernel already keeps is served without either.
     """
     passes, calls = [], []
-    compute, batch, nudft = (
-        llap.kernels._diagnostics_pass, llap.kernels._nudft, llap.checks.nudft
-    )
+    compute, batch = llap.kernels._diagnostics_pass, llap.grid._nudft
 
     def counted_pass(kernels, spec):
         passes.extend((G, spec.eta) for G in kernels)
@@ -68,13 +66,9 @@ def _count_passes(monkeypatch):
         calls.append((len(values), len(points)))
         return batch(values, grid, points)
 
-    def counted_nudft(f, points):
-        calls.append((1, len(points)))
-        return nudft(f, points)
-
     monkeypatch.setattr(llap.kernels, "_diagnostics_pass", counted_pass)
     monkeypatch.setattr(llap.kernels, "_nudft", counted_batch)
-    monkeypatch.setattr(llap.checks, "nudft", counted_nudft)
+    monkeypatch.setattr(llap.checks, "_nudft", counted_batch)
     return passes, calls
 
 
@@ -326,6 +320,7 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "out")])
         assert result.exit_code == EXIT_CERTIFICATE
         assert "refused" in result.output
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["certificate.txt"]
 
     def test_nonconvergence_exit_code(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE.replace("max_iter = 200", "max_iter = 1"))
@@ -353,6 +348,8 @@ class TestSolveCommand:
             "internal consistency check failed: "
             "a-priori contraction bound violated at iterate 3"
         )
+        # The certificate passed before the solve failed; nothing is written.
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_tables(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE)
@@ -533,6 +530,14 @@ class TestVerifyCommand:
         assert len({id(G) for G, _ in passes}) == 1
         assert nudft_calls.count((1, 10)) == 3
 
+    def test_derivative_bound_in_one_nudft_call(self, runner, tmp_path, monkeypatch):
+        # 96 radii on the axis and 48 on each of six rays, each at r +- step/2.
+        _, nudft_calls = _count_passes(monkeypatch)
+        result = runner.invoke(main, ["verify", str(CONFIGS / "reference.cfg"),
+                                      "-o", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert nudft_calls.count((1, 2 * (96 + 6 * 48))) == 1
+
     def test_picard_operator_built_at_most_twice(self, runner, tmp_path, monkeypatch):
         calls = []
         build = llap.solver._picard_operator
@@ -661,10 +666,11 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("d,n", [(2, 256), (3, 48)])
     def test_estimate_bounds_a_traced_run(self, d, n):
         # A small run first imports every module, so that only arrays are
-        # traced; the box sizes are used by no other test, so the symbol
-        # cache (grid._half_modes) starts empty.  Each command's estimate
-        # must bound its trace without being loose.
+        # traced; the symbol cache (grid._half_modes) is then emptied, as in
+        # a fresh process, whichever tests ran before.  Each command's
+        # estimate must bound its trace without being loose.
         self._certify_and_solve(d, 32, 10.0)
+        llap.grid._half_modes.cache_clear()
         for command, run in (
             ("solve", lambda: self._certify_and_solve(d, n, 13.0)),
             ("ft-selftest", lambda: llap.checks.ft_selftest(llap.make_grid(d, 14.0, n))),
@@ -685,6 +691,7 @@ class TestMemoryPreflight:
             L = 17.0
             run = lambda n, L: self._verify(d, n, L)  # noqa: E731
         run(*warm)
+        llap.grid._half_modes.cache_clear()
         _, peak = traced_peak(lambda: run(n, L))
         estimate = llap.solver._peak_bytes(d, n, command, members=6)
         assert 0.8 * estimate <= peak <= estimate, peak / estimate
@@ -759,6 +766,25 @@ class TestExitCodeContract:
         assert len(codes) == 5
         assert 0 not in codes
 
+    def test_one_writer_writes_prints_and_exits(self):
+        # A command returns an _Outcome; _Main.__call__ alone turns it into
+        # files, output and an exit, and _Parser.error alone exits beside it.
+        uses = {"sys.exit": set(), "print": set(), "fieldio": set()}
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}".lstrip(".")
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.exit":
+                uses["sys.exit"].add(where)
+            if isinstance(node, ast.Name) and node.id in ("print", "fieldio"):
+                uses[node.id].add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(Path(llap.cli.__file__).read_text()), "")
+        writer, parser = "_Main.__call__", "_Parser.error"
+        assert uses == {"sys.exit": {writer, parser}, "print": {writer, parser}, "fieldio": {writer}}
+
     def test_commands_contain_no_try(self):
         # _Main.__call__ is the one exit table: a command that caught its own
         # failures would decide an exit code in a second place.
@@ -768,6 +794,32 @@ class TestExitCodeContract:
         assert {f.name for f in commands} == names
         for f in commands:
             assert not [n for n in ast.walk(f) if type(n).__name__ in ("Try", "TryStar")], f.name
+
+
+def test_a_command_returns_its_outcome_and_creates_nothing(tmp_path):
+    out = tmp_path / "out"
+    outcome = main.commands["certify"].callback(str(CONFIGS / "reference.cfg"), str(out))
+    assert list(outcome.files) == ["certificate.txt"]
+    assert "passed = true" in outcome.files["certificate.txt"].splitlines()
+    assert outcome.stdout[-1] == f"wrote {out / 'certificate.txt'}"
+    assert (outcome.stderr, outcome.code) == ([], 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_mid_command_in_one_line(runner, tmp_path, monkeypatch):
+    # A MemoryError from an allocation ended in a traceback (exit 1).
+    line = "Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(line)
+
+    monkeypatch.setattr(llap.cli, "picard_solve", exhausted)
+    cfg = _write(tmp_path, REFERENCE)
+    result = runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_CONFIG
+    assert result.stderr.splitlines() == [line]
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_reference_run_is_deterministic(runner, tmp_path):
@@ -833,8 +885,11 @@ def test_every_mutated_config_ends_in_a_documented_exit(name, command, edits):
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_mutated(name, edits))
         result = Runner().invoke(main, [command, str(cfg), "-o", str(Path(tmp) / "out")])
+        left = (Path(tmp) / "out").exists()
     assert result.exit_code in (0, 2, 3, 4, 5, 6)
     assert len(result.stderr.splitlines()) <= 1
+    # A config error or a violated consistency check writes nothing.
+    assert not (left and result.exit_code in (EXIT_CONFIG, EXIT_INCONSISTENT))
 
 
 @pytest.mark.parametrize(
@@ -948,8 +1003,11 @@ def test_every_missing_key_at_an_extreme_ends_in_a_documented_exit(missing, valu
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_inserted(*missing, value))
         result = Runner().invoke(main, [command, str(cfg), "-o", str(Path(tmp) / "out")])
+        left = (Path(tmp) / "out").exists()
     assert result.exit_code in (0, 2, 3, 4, 5, 6)
     assert len(result.stderr.splitlines()) <= 1
+    # A config error or a violated consistency check writes nothing.
+    assert not (left and result.exit_code in (EXIT_CONFIG, EXIT_INCONSISTENT))
 
 
 AMPLITUDE_ABOVE_L = "config error: family amplitude {} exceeds the declared Lipschitz constant l = 0.1"

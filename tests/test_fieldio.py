@@ -32,6 +32,18 @@ def test_load_holds_the_file_and_one_copy(tmp_path):
     assert not back.values.flags.writeable
 
 
+def test_dump_holds_no_copy_of_the_payload(tmp_path):
+    # The header and the samples' own array are written in turn; the
+    # header + tobytes() concatenation held two copies (2.01 real fields).
+    g = make_grid(2, 7.5, 256)
+    f = RealField(np.random.default_rng(0).normal(size=g.shape), g)
+    dump_field(f, tmp_path / "warm.llap")
+    _, peak = traced_peak(lambda: dump_field(f, tmp_path / "field.llap"))
+    real = 8 * g.npoints
+    assert peak < 0.1 * real, peak / real
+    assert (tmp_path / "field.llap").read_bytes()[24:] == f.values.astype("<f8").tobytes()
+
+
 def test_header_layout(tmp_path):
     g = make_grid(1, 2.0, 8)
     f = RealField(np.arange(8, dtype=float), g)
