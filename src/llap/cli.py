@@ -3,7 +3,8 @@
 One command per process, driving the run described by a config file (see
 ``llap.config`` for the format).  Exit codes: 0 success, 2 usage or config
 problem (including a grid or an allocation too large for the available memory,
-and an out-dir that cannot be made), 3 certificate failure, 4 non-convergence,
+and an out-dir that cannot be made), 3 certificate failure, 4 non-convergence
+(of ``solve``, or of any solve of ``sequence``, where it outranks 5 and 6),
 5 failed property checks (the ``verify`` suite, the transform self-tests, or
 the kernel-level limit checks of ``sequence``), 6 internal consistency check
 failed (a bound the theory makes unconditional was violated, or a spectral
@@ -315,6 +316,9 @@ def sequence(config: str, out_dir: str) -> _Outcome:
         f"limit checks {'PASS' if table.passed else 'FAIL'}",
         f"wrote {out / 'sequence_rows.csv'}, {out / 'lemma_checks.csv'}",
     ]
+    if not study.converged:
+        stdout.insert(0, f"NOT converged: a solve reached max_iter = {cfg.max_iter}")
+        return _Outcome(files, stdout, [], EXIT_NO_CONVERGENCE)
     return _Outcome(files, stdout, [], 0 if table.passed else EXIT_CHECK_FAILED)
 
 

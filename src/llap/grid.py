@@ -315,40 +315,23 @@ def _phase(grid: GridSpec) -> np.ndarray:
 _POOL_MIN_POINTS = 2**19
 _pool = None
 
-# numpy sums a contiguous float array pairwise: a stretch longer than this
-# block is split at half its length, rounded down to a multiple of 8, and the
-# sums of the two parts are added.
-_PAIRWISE_BLOCK = 128
+# The Picard step's physical stage runs in row blocks of at most this many
+# bytes of real field where the rows allow (see _Slabs), so that each
+# block's inverse stages, sums, F and forward stages stay in cache and a
+# solve needs one block of scratch per slab instead of a second real field.
+# At d=3, n=96 on two slabs of a 2-core host, the stage took 16.3, 15.4,
+# 15.0 and 14.8 ms a step with blocks of 256 KiB, 512 KiB, 1 MiB and whole
+# slabs; 512 KiB keeps the scratch at an eighth of that field and a d=2,
+# n=256 field at one block.
+_BLOCK_BYTES = 2**19
 
 
 def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _row_bounds(shape: tuple[int, ...], parts: int) -> list[int]:
-    """Axis-0 slab bounds at the split points of numpy's pairwise summation.
-
-    The flat array is halved the way np.sum halves it until there are at
-    least parts pieces, so per-slab sums added pairwise in slab order equal
-    np.sum of the whole array bit for bit.  Where a split point falls
-    inside a row, the previous, coarser split is used.
-    """
-    row = math.prod(shape[1:])
-    bounds = [0, math.prod(shape)]
-    while len(bounds) - 1 < parts:
-        finer = [0]
-        for lo, hi in zip(bounds, bounds[1:]):
-            half = (hi - lo) // 2
-            mid = lo + half - half % 8
-            if hi - lo <= _PAIRWISE_BLOCK or mid % row:
-                return [b // row for b in bounds]
-            finer += [mid, hi]
-        bounds = finer
-    return [b // row for b in bounds]
-
-
 def _pairwise_total(sums: list[float]) -> float:
-    """Add per-slab sums from _row_bounds the way np.sum adds its halves."""
+    """Add 2^k block sums (see _Slabs) pairwise, neighbours first, as np.sum adds its halves."""
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return sums[0]
@@ -357,16 +340,32 @@ def _pairwise_total(sums: list[float]) -> float:
 class _Slabs(NamedTuple):
     """How a transform or a Picard step is split between threads.
 
-    rows slice axis 0 of a field and of its spectrum, for the stages along
-    the other axes; cols index slabs of axis 1 of the spectrum, for the
-    stage along axis 0.  Slabs of axis 1 rather than of the last axis keep
-    each thread's share of a row contiguous, with no cache line written by
-    both.  There are as many cols as rows, and a single slab (the whole
-    array) runs inline on the calling thread.
+    Axis 0 of n rows is cut into 2^k row blocks, block j holding rows
+    floor(n j / 2^k) to floor(n (j + 1) / 2^k), for the least k at which
+    every block holds at most _BLOCK_BYTES of real field, but with 2^k <= n,
+    so that every block has a row; at d = 1 there is one block.  The blocks
+    depend on the shape alone, never on the number of threads.  Each slab is
+    a run of consecutive blocks, one run per worker thread: blocks holds
+    each slab's blocks, and rows slices axis 0 of a field and of its
+    spectrum, one slice per slab, for the transform stages along the other
+    axes and the Picard step's pointwise passes (F, the update and norm
+    sums, the finiteness checks).  The step sums each block on its own and
+    adds the block sums with _pairwise_total in block order, so its sums
+    are the same bits on any number of threads.  Where the blocks fall on
+    the split points of numpy's pairwise summation (d=3, n=96 and d=2,
+    n=1024 at the default block size) they equal np.sum of the whole field;
+    elsewhere they may differ from it in the last ulp.
+
+    cols index slabs of axis 1 of the spectrum, for the transform stage
+    along axis 0 and the residual's terms.  Slabs of axis 1 rather than of
+    the last axis keep each thread's share of a row contiguous, with no
+    cache line written by both.  There are as many cols as rows, and a
+    single slab (the whole array) runs inline on the calling thread.
     """
 
     rows: tuple[slice, ...]
     cols: tuple[tuple, ...]
+    blocks: tuple[tuple[slice, ...], ...]
 
     def map(self, fn: Callable, items) -> list:
         """fn over items, in the worker pool unless there is one slab.
@@ -388,22 +387,21 @@ class _Slabs(NamedTuple):
         return [future.result() for future in futures]
 
 
-_WHOLE = _Slabs((slice(None),), ((Ellipsis,),))
-
-
 def _slabs(shape: tuple[int, ...], spectrum: tuple[int, ...]) -> _Slabs:
     """Slabs for a field of this shape and its spectrum of the given shape."""
-    if len(shape) < 2 or math.prod(shape) < _POOL_MIN_POINTS:
-        return _WHOLE
-    rows = _row_bounds(shape, _worker_count())
-    count = len(rows) - 1
-    if count == 1:
-        return _WHOLE
-    cols = [spectrum[1] * k // count for k in range(count + 1)]
-    return _Slabs(
-        tuple(slice(a, b) for a, b in zip(rows, rows[1:])),
-        tuple((slice(None), slice(a, b)) for a, b in zip(cols, cols[1:])),
-    )
+    n, row = shape[0], 8 * math.prod(shape[1:])
+    count = 1
+    while len(shape) > 1 and 2 * count <= n and -(-n // count) * row > _BLOCK_BYTES:
+        count *= 2
+    blocks = [slice(n * j // count, n * (j + 1) // count) for j in range(count)]
+    pooled = len(shape) > 1 and math.prod(shape) >= _POOL_MIN_POINTS
+    slabs = min(_worker_count(), count) if pooled else 1
+    runs = tuple(tuple(blocks[count * s // slabs : count * (s + 1) // slabs]) for s in range(slabs))
+    rows = tuple(slice(run[0].start, run[-1].stop) for run in runs)
+    if slabs == 1:
+        return _Slabs(rows, ((Ellipsis,),), runs)
+    cols = [spectrum[1] * k // slabs for k in range(slabs + 1)]
+    return _Slabs(rows, tuple((slice(None), slice(a, b)) for a, b in zip(cols, cols[1:])), runs)
 
 
 def _rfft_rows(a: np.ndarray, out: np.ndarray) -> None:

@@ -9,7 +9,7 @@ logarithmic symbol vanishes:
   spec in a run: a NUDFT over the sphere and four rings, made on first use
   and kept on the kernel.  Kernels on one grid can share a pass's NUDFT
   call, which computes the phases once for all of them; ``make_sequence``
-  measures all its projected members so.  The projector's residual check,
+  measures all its projected members so.  The projection's residual check,
   the admissibility check of ``make_sequence``, the certificates, the
   sequence rows and ``verify_lemmaA2`` all read the same record.  Its
   ``KernelDiagnostics`` record holds sup |G^(p) / (ln|p| - shift)| over the
@@ -408,63 +408,27 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
     return atoms(angular, _spherical_bessel_j((0, 4, 6, 8, 10), distinct), (0, 1, 2, 3, 3, 4))
 
 
-@dataclass(frozen=True)
-class _Projector:
-    """project_orthogonal for one (grid, spec, taper_width), prebuilt.
+def _project(
+    fields: list, l1s: list[float], spec: SymbolSpec, taper_width: float
+) -> list[Kernel | None]:
+    """The kernels of fields (samples on one grid) with their sphere values removed, in order.
 
-    Holds the atoms, their transforms at the sphere points stacked as the
-    real system [Re A; Im A], and that system's pseudo-inverse, so that
-    projecting kernels costs one NUDFT of their samples, one small matrix
-    product each and one diagnostics pass of the projected kernels, whose
-    sphere residuals are the re-measured check and which the kernels keep
-    for their later readers.
+    Builds the atoms, their transforms at the sphere points stacked as the
+    real system [Re A; Im A] and that system's pseudo-inverse once, so that
+    projecting several fields costs one NUDFT of their samples, one small
+    matrix product each and one diagnostics pass of the projected kernels,
+    whose sphere residuals are the re-measured check and which the kernels
+    keep for their later readers.  The atoms go when this returns.
+
+    l1s holds each field's L1 norm.  A field with a zero norm or zero
+    sphere values is not projected: None stands in its place, and the field
+    stays in fields.  Every other entry of fields is set to None as soon as
+    its kernel is made, so each unprojected field can go before the next
+    projected one comes.  Each re-measured residual must come out below
+    max(1e-10 l1, 1e-13 max(1, l1)); the first kernel in order that misses
+    it is refused.
     """
-
-    grid: GridSpec
-    spec: SymbolSpec
-    points: np.ndarray
-    atoms: np.ndarray  # (atoms, *grid.shape)
-    pinv: np.ndarray  # pseudo-inverse of the (2 * points, atoms) sphere system
-
-    def project(self, fields: list, l1s: list[float]) -> list[Kernel | None]:
-        """The kernels of fields with their sphere values removed, in order.
-
-        l1s holds each field's L1 norm.  A field with a zero norm or zero
-        sphere values is not projected: None stands in its place, and the
-        field stays in fields.  Every other entry of fields is set to None
-        as soon as its kernel is made, so each unprojected field can go
-        before the next projected one comes.  Each re-measured residual
-        must come out below max(1e-10 l1, 1e-13 max(1, l1)); the first
-        kernel in order that misses it is refused.
-        """
-        targets = _nudft([f.values for f in fields], self.grid, self.points)
-        kernels = []
-        for i, (target, l1) in enumerate(zip(targets, l1s)):
-            if not l1 > 0 or float(np.max(np.abs(target))) == 0.0:
-                kernels.append(None)
-                continue
-            coeffs = self.pinv @ np.concatenate([target.real, target.imag])
-            vals = np.tensordot(coeffs, self.atoms, axes=1)
-            np.subtract(fields[i].values, vals, out=vals)
-            fields[i] = None
-            kernels.append(kernel_from_field(RealField(vals, self.grid)))
-        projected = [K for K in kernels if K is not None]
-        if projected:
-            _diagnostics_pass(projected, self.spec)
-        for K, l1 in zip(kernels, l1s):
-            if K is None:
-                continue
-            achieved = inverse_symbol_gain(K, self.spec).orth_residual
-            limit = max(1e-10 * l1, 1e-13 * max(1.0, l1))
-            if achieved > limit:
-                raise ValueError(
-                    f"projection left residual {achieved:.3e} above target {limit:.3e}; "
-                    "the grid is too coarse to represent the annular correction"
-                )
-        return kernels
-
-
-def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Projector:
+    grid = fields[0].grid
     if not math.isfinite(taper_width):
         raise ValueError(f"taper_width must be finite, got {taper_width}")
     if taper_width < spec.eta:
@@ -481,19 +445,37 @@ def _projector(grid: GridSpec, spec: SymbolSpec, taper_width: float) -> _Project
             f"taper too narrow for the grid: only {affected} modes within "
             f"{nominal:.6g} of the sphere radius {radius:.6g}"
         )
-    pts = sphere_points(grid.d, radius)
+    points = sphere_points(grid.d, radius)
     atoms = _atom_fields(grid, radius, sigma)
-    A = _nudft(list(atoms), grid, pts).T
+    A = _nudft(list(atoms), grid, points).T
     system = np.vstack([A.real, A.imag])
     # The singular-value cutoff np.linalg.lstsq applies with rcond=None.
-    rcond = np.finfo(float).eps * max(system.shape)
-    return _Projector(
-        grid=grid,
-        spec=spec,
-        points=pts,
-        atoms=atoms,
-        pinv=np.linalg.pinv(system, rcond=rcond),
-    )
+    pinv = np.linalg.pinv(system, rcond=np.finfo(float).eps * max(system.shape))
+    targets = _nudft([f.values for f in fields], grid, points)
+    kernels = []
+    for i, (target, l1) in enumerate(zip(targets, l1s)):
+        if not l1 > 0 or float(np.max(np.abs(target))) == 0.0:
+            kernels.append(None)
+            continue
+        coeffs = pinv @ np.concatenate([target.real, target.imag])
+        vals = np.tensordot(coeffs, atoms, axes=1)
+        np.subtract(fields[i].values, vals, out=vals)
+        fields[i] = None
+        kernels.append(kernel_from_field(RealField(vals, grid)))
+    projected = [K for K in kernels if K is not None]
+    if projected:
+        _diagnostics_pass(projected, spec)
+    for K, l1 in zip(kernels, l1s):
+        if K is None:
+            continue
+        achieved = inverse_symbol_gain(K, spec).orth_residual
+        limit = max(1e-10 * l1, 1e-13 * max(1.0, l1))
+        if achieved > limit:
+            raise ValueError(
+                f"projection left residual {achieved:.3e} above target {limit:.3e}; "
+                "the grid is too coarse to represent the annular correction"
+            )
+    return kernels
 
 
 def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kernel:
@@ -509,7 +491,7 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kerne
     1e-10 * ||G||_1; coarse grids in d = 3 can pin the floor above that,
     in which case the projection refuses and a finer grid is needed.
     """
-    (projected,) = _projector(G.grid, spec, taper_width).project([G.samples], [G.l1])
+    (projected,) = _project([G.samples], [G.l1], spec, taper_width)
     return G if projected is None else projected
 
 
@@ -669,14 +651,14 @@ def make_sequence(
     The limit kernel must already satisfy the solvability conditions
     (orthogonality residual at most 1e-8 relative); every member is passed
     through project_orthogonal so the per-member conditions hold as well.
-    The projector, atoms and sphere system included, is built once and
-    applied to every member as a batch: the members' samples are built
-    first, one NUDFT gives all their sphere values, they are projected in
-    order, and one diagnostics pass measures every projected member.  With
-    the limit's pass and the atoms' sphere system that makes four NUDFT
-    calls, however many members there are.  The admissibility check and the
-    projector's re-measured residuals read each kernel's diagnostics pass,
-    which the kernels keep for run_sequence and verify_lemmaA2.
+    The members' samples are built first and projected as one batch, with
+    one set of atoms and one sphere system (_project): one NUDFT gives all
+    their sphere values, they are projected in order, and one diagnostics
+    pass measures every projected member.  With the limit's pass and the
+    atoms' sphere system that makes four NUDFT calls, however many members
+    there are.  The admissibility check and the projection's re-measured
+    residuals read each kernel's diagnostics pass, which the kernels keep
+    for run_sequence and verify_lemmaA2.
     """
     if not _admissible(G, spec):
         residual = inverse_symbol_gain(G, spec).orth_residual
@@ -685,12 +667,8 @@ def make_sequence(
             f"exceeds {ADMISSIBLE_RTOL:.1e} * max(1, ||G||_1)"
         )
     grid = G.grid
-    project = _projector(grid, spec, taper_width)
     fields = [_member_samples(G, schedule, m) for m in range(1, schedule.members + 1)]
-    l1s = [_integrable_norms(f)[0] for f in fields]
-    projected = project.project(fields, l1s)
-    # The atoms go before the distances' differences come.
-    del project
+    projected = _project(fields, [_integrable_norms(f)[0] for f in fields], spec, taper_width)
     members = tuple(
         kernel_from_field(f) if K is None else K for K, f in zip(projected, fields)
     )

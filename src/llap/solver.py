@@ -17,13 +17,14 @@ half spectrum of real FFTs, from the kernel's hat and grid._half_modes.
 The Picard step is computed in one place, _Iterate.step, which picard_solve,
 the map and the residual all use: one irfftn, one rfftn and every pointwise
 pass of an iteration, fused into slabs that run on worker threads when the
-grid is large (grid._slabs) and give the same bits however they are split.
-Between steps a solve carries q = (2 pi)^(d/2) G^ w^, the right side of the
-linear problem, and the operator holds the real reciprocal of the symbol
-rather than the complex multiplier.  The physical stage of a step runs one
-cache-sized row block at a time, so a solve lives in three buffers, one
-real field and two half spectra, plus one scratch block per slab, and hands
-its last iterate to the report without a copy.
+grid is large and give the same bits however many threads there are (see
+grid._Slabs).  Between steps a solve carries q = (2 pi)^(d/2) G^ w^, the
+right side of the linear problem, and the operator holds the real reciprocal
+of the symbol rather than the complex multiplier.  The physical stage of a
+step runs one of the shape's cache-sized row blocks at a time, so a solve
+lives in three buffers, one real field and two half spectra, plus one
+scratch block per slab, and hands its last iterate to the report without a
+copy.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .grid import (
     _pairwise_total,
     _rfft_rows,
     _rfftn,
-    _Slabs,
-    _row_bounds,
     _slabs,
 )
 from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
@@ -241,43 +240,14 @@ class _PicardOperator:
         return it.residual(uhat)
 
 
-# Stage 2 of a Picard step runs in row blocks of at most about this many
-# bytes of real field (at least one row), so that each block's inverse
-# stages, sums, F and forward stages stay in cache and a solve needs one
-# block of scratch per slab instead of a second real field.  At d=3, n=96
-# on two slabs of a 2-core host, the stage took 16.3, 15.4, 15.0 and 14.8 ms
-# a step with blocks of 256 KiB, 512 KiB, 1 MiB and whole slabs; 512 KiB
-# keeps the scratch at an eighth of that field and a d=2, n=256 field at
-# one block.
-_BLOCK_BYTES = 2**19
-
-
-def _row_blocks(shape: tuple[int, ...], slabs: _Slabs) -> list[list[slice]]:
-    """The row blocks of each slab of slabs.rows, at _row_bounds's split points.
-
-    The blocks of all slabs together are the pieces of one _row_bounds
-    split, so their sums added by _pairwise_total equal np.sum of the whole
-    field.  At d = 1 the row stage is the whole transform: one block.
-    """
-    if len(shape) == 1:
-        return [[slice(0, shape[0])]]
-    bounds = _row_bounds(shape, max(len(slabs.rows), -(-8 * math.prod(shape) // _BLOCK_BYTES)))
-    blocks = []
-    for rows in slabs.rows:
-        lo, hi, _ = rows.indices(shape[0])
-        blocks.append([slice(a, b) for a, b in zip(bounds, bounds[1:]) if lo <= a < hi])
-    return blocks
-
-
 def _scratch_rows(blocks: list[slice]) -> int:
     return max(b.stop - b.start for b in blocks)
 
 
 def _scratch_bytes(shape: tuple[int, ...]) -> int:
     """Bytes of the scratch blocks a step on a field of this shape holds, one per slab."""
-    spectrum = shape[:-1] + (shape[-1] // 2 + 1,)
-    blocks = _row_blocks(shape, _slabs(shape, spectrum))
-    return 8 * math.prod(shape[1:]) * sum(_scratch_rows(b) for b in blocks)
+    slabs = _slabs(shape, shape[:-1] + (shape[-1] // 2 + 1,))
+    return 8 * math.prod(shape[1:]) * sum(_scratch_rows(b) for b in slabs.blocks)
 
 
 class _Iterate:
@@ -312,9 +282,8 @@ class _Iterate:
         self.v = v
         self.q = np.empty(op.rhs.shape, dtype=complex)
         self.work = np.empty_like(self.q)
-        blocks = _row_blocks(grid.shape, self.slabs)
-        scratch = [np.empty((_scratch_rows(b),) + grid.shape[1:]) for b in blocks]
-        self.rows = list(zip(blocks, scratch))
+        scratch = [np.empty((_scratch_rows(b),) + grid.shape[1:]) for b in self.slabs.blocks]
+        self.rows = list(zip(self.slabs.blocks, scratch))
         self.cols = list(zip(self.slabs.cols, scratch))
         loaded = self.slabs.map(lambda slab: self._load_rows(*slab), self.rows)
         if not all(loaded):
@@ -325,10 +294,10 @@ class _Iterate:
         """Advance v by one Picard step.
 
         Returns the sums of squares of the update and of the new iterate,
-        each equal to np.sum over the whole field, and the new iterate's
-        equation residual.  With last, the step stops once v holds the new
-        iterate, skipping F, the forward transform and the residual, and
-        returns None.
+        each the row blocks' sums added pairwise (see grid._Slabs), and the
+        new iterate's equation residual.  With last, the step stops once v
+        holds the new iterate, skipping F, the forward transform and the
+        residual, and returns None.
         """
         slabs = self.slabs
         if not all(slabs.map(self._spectral_cols, slabs.cols)):
@@ -473,14 +442,14 @@ def _peak_bytes(d: int, n: int, command: str, members: int = 0, project: bool = 
     with numpy's transients).  verify adds seven real fields to certify and
     solve: the property suite's random pairs, their images and differences
     beside a map application's buffers.  sequence adds, per member kernel,
-    its samples and hat, and the projector's atoms (2, 4 or 6 real fields at
+    its samples and hat, and the projection's atoms (2, 4 or 6 real fields at
     d = 1, 2, 3), which make_sequence always builds; the atoms also count
     for any command whose kernel is projected.  Traced with tracemalloc, a
     certify-and-solve run peaks at 9.45 real fields at d = 2 (n = 256, one
     block, a whole field of scratch) and 8.97 at d = 3 (n = 48, two blocks)
     against 11.0 and 10.7 here, ft_selftest at 4.60 and 4.62 against 5.02
     and 5.13, verify at 15.4 and 15.0 against 18.0 and 17.7, and a
-    six-member sequence at 23.3 and 23.2 against 27.1 and 29.0.  The
+    six-member sequence at 23.3 and 23.9 against 27.1 and 29.0.  The
     interpreter and modules come on top.
     """
     real = 8 * n**d

@@ -395,6 +395,38 @@ class TestSequenceCommand:
         assert "lemma_passed = false" in (out / "sequence_summary.txt").read_text()
         assert (out / "lemma_checks.csv").exists()
 
+    @pytest.mark.parametrize("max_iter", [1, 10])
+    @pytest.mark.parametrize("fault", [None, "moved", "lemma"])
+    def test_nonconvergence_exit_code(self, runner, tmp_path, monkeypatch, max_iter, fault):
+        # The limit needs 17 iterations.  Short of that no solve reaches its
+        # fixed point, so the bound and monotonicity checks, which compare
+        # fixed points, are not made: a moved member solution (exit 6 when
+        # converged) and failed limit checks (exit 5) both give way to exit 4.
+        if fault == "moved":
+            solves_of_run_sequence(monkeypatch, member=3, move=lambda um, u: um + 1.0)
+        if fault == "lemma":
+            real = llap.cli.run_sequence
+
+            def failing(*args, **kwargs):
+                study = real(*args, **kwargs)
+                lemma = dataclasses.replace(study.lemma, gains_converge=False)
+                return dataclasses.replace(study, lemma=lemma)
+
+            monkeypatch.setattr(llap.cli, "run_sequence", failing)
+        cfg = _write(tmp_path, REFERENCE.replace("max_iter = 200", f"max_iter = {max_iter}"))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sequence", cfg, "-o", str(out)])
+        assert result.exit_code == EXIT_NO_CONVERGENCE
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[0] == (
+            f"NOT converged: a solve reached max_iter = {max_iter}"
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "lemma_checks.csv", "sequence_rows.csv", "sequence_summary.txt"
+        ]
+        summary = (out / "sequence_summary.txt").read_text()
+        assert f"limit_iterations = {max_iter}\n" in summary
+
     def test_one_diagnostics_pass_per_kernel(self, runner, tmp_path, monkeypatch):
         # Six members plus the limit: each kernel's one pass serves the
         # admissibility check (limit) or the projector's residual check
@@ -603,11 +635,11 @@ class TestMemoryPreflight:
         assert llap.solver._peak_bytes(2, 512, "sequence", members=2, project=True) == (
             llap.solver._peak_bytes(2, 512, "sequence", members=2)
         )
-        # A field of at most one block (d = 2, n = 256) or a grid whose
-        # blocks cannot be cut at the pairwise split points (n = 90) keeps a
-        # whole field of scratch; d = 3, n = 96 on two slabs keeps an eighth.
+        # A field of at most one block (d = 2, n = 256) keeps a whole field
+        # of scratch; on two slabs, d = 3, n = 90 keeps two 6-row blocks of
+        # its sixteen and d = 3, n = 96 two 6-row blocks, an eighth.
         assert llap.solver._scratch_bytes((256, 256)) == 8 * 256**2
-        assert llap.solver._scratch_bytes((90, 90, 90)) == 8 * 90**3
+        assert llap.solver._scratch_bytes((90, 90, 90)) == 2 * 6 * 8 * 90**2 == 777_600
         assert llap.solver._scratch_bytes((96, 96, 96)) == 8 * 96**3 // 8
 
     def test_readme_quotes_the_estimate(self, monkeypatch):

@@ -1,8 +1,10 @@
 """Slab-parallel transforms and Picard step: equal to the serial path bit for bit.
 
-The pool is forced on by lowering the private size threshold to 0 and
-fixing the worker count at 2, so these tests split small grids into two
-slabs on any machine.
+Axis 0 is cut into 2^k row blocks fixed by the shape (grid._Slabs), and
+each worker thread takes a run of them.  The pool is forced on by lowering
+the private size threshold to 0, the block size to 4 KiB and fixing the
+worker count at 2, so these tests split small grids into several blocks and
+two slabs on any machine.
 """
 
 import math
@@ -59,9 +61,10 @@ seed = 0
 """
 
 
-def _force_pool(monkeypatch):
+def _force_pool(monkeypatch, workers=2):
     monkeypatch.setattr(grid_mod, "_POOL_MIN_POINTS", 0)
-    monkeypatch.setattr(grid_mod, "_worker_count", lambda: 2)
+    monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", 2**12)
+    monkeypatch.setattr(grid_mod, "_worker_count", lambda: workers)
 
 
 @pytest.fixture
@@ -98,25 +101,84 @@ def test_transforms_match_numpy(pool_on, d, half, seed):
     assert np.array_equal(grid_mod._irfftn(spectrum, np.empty(a.shape)), expected)
 
 
-@pytest.mark.parametrize("parts", [2, 4])
-def test_slab_sums_add_up_to_numpy_sum(parts):
-    x = np.random.default_rng(parts).normal(size=(16, 16, 16))
-    bounds = grid_mod._row_bounds(x.shape, parts)
-    assert len(bounds) == parts + 1
-    sums = [float(np.sum(x[a:b])) for a, b in zip(bounds, bounds[1:])]
+def _blocks(slabs):
+    return [b for run in slabs.blocks for b in run]
+
+
+def _on_pairwise_splits(shape, blocks):
+    """Whether np.sum's pairwise halving of the flat array splits it at these row blocks.
+
+    numpy halves a stretch longer than 128 at half its length, rounded down
+    to a multiple of 8, and adds the sums of the two parts.
+    """
+    row, bounds = math.prod(shape[1:]), [0, math.prod(shape)]
+    while len(bounds) < len(blocks) + 1:
+        finer = [0]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo <= 128:
+                return False
+            half = (hi - lo) // 2
+            finer += [lo + half - half % 8, hi]
+        bounds = finer
+    return bounds == [b.start * row for b in blocks] + [math.prod(shape)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 8), (14, 14), (90, 90, 90), (96, 96, 96), (98, 98, 98), (300, 300, 300),
+     (726, 726), (1024, 1024), (1024,), (2**17,)],
+    ids=lambda shape: f"{len(shape)}-{shape[0]}",
+)
+def test_row_blocks_are_fixed_by_the_shape(monkeypatch, shape):
+    # The blocks tile axis 0 in order, 2^k of them, each at most
+    # _BLOCK_BYTES of real field unless 2^k has reached n (at d = 1, one
+    # block), with k the least that fits; they are the same for any worker
+    # count, and each slab is a run of them, one per worker on a pooled
+    # grid (98^3 on two workers: 2 slabs, where the old rule kept one).
+    spectrum = shape[:-1] + (shape[-1] // 2 + 1,)
+    row, n = 8 * math.prod(shape[1:]), shape[0]
+    pooled = len(shape) > 1 and math.prod(shape) >= grid_mod._POOL_MIN_POINTS
+    layouts = []
+    for workers in range(1, 9):
+        monkeypatch.setattr(grid_mod, "_worker_count", lambda: workers)
+        slabs = grid_mod._slabs(shape, spectrum)
+        blocks = _blocks(slabs)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n and all(b.stop > b.start for b in blocks)
+        assert list(slabs.rows) == [slice(run[0].start, run[-1].stop) for run in slabs.blocks]
+        assert len(slabs.cols) == len(slabs.rows) == (min(workers, len(blocks)) if pooled else 1)
+        layouts.append(blocks)
+    count = len(blocks)
+    assert all(layout == blocks for layout in layouts)
+    assert count & (count - 1) == 0
+    fits = lambda c: -(-n // c) * row <= grid_mod._BLOCK_BYTES  # noqa: E731
+    if len(shape) == 1:
+        assert count == 1
+    else:
+        assert fits(count) or 2 * count > n
+        assert count == 1 or not fits(count // 2)
+
+
+@pytest.mark.parametrize(
+    "shape, block",
+    [((96, 96, 96), 2**19), ((48, 48, 48), 2**19), ((256, 256), 2**19),
+     ((1024, 1024), 2**19), ((16, 16, 16), 2**12)],
+    ids=["3-96", "3-48", "2-256", "2-1024", "3-16-forced"],
+)
+def test_block_sums_add_up_to_numpy_sum(monkeypatch, shape, block):
+    # The benchmark's grids and the forced-pool test grid: their blocks
+    # fall on numpy's pairwise split points, so the step's sums are np.sum.
+    monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", block)
+    blocks = _blocks(grid_mod._slabs(shape, shape))
+    assert _on_pairwise_splits(shape, blocks)
+    x = np.random.default_rng(len(blocks)).normal(size=shape)
+    sums = [float(np.sum(x[b])) for b in blocks]
     assert grid_mod._pairwise_total(sums) == float(np.sum(x))
 
 
 def test_slab_sums_are_added_pairwise():
     # (1 + 1e16) + (-1e16 + 1) rounds to 0; added left to right it is 1.
     assert grid_mod._pairwise_total([1.0, 1e16, -1e16, 1.0]) == 0.0
-
-
-def test_slabs_fall_back_to_one_off_the_pairwise_splits():
-    # 10 x 10 = 100 points is one pairwise block; 98^3 splits inside a row.
-    assert grid_mod._row_bounds((10, 10), 2) == [0, 10]
-    assert grid_mod._row_bounds((98, 98, 98), 2) == [0, 98]
-    assert grid_mod._row_bounds((96, 96, 96), 2) == [0, 48, 96]
 
 
 def test_small_grids_run_inline():
@@ -126,6 +188,8 @@ def test_small_grids_run_inline():
 
 @pytest.mark.parametrize("d, n", [(3, 16), (2, 32)])
 def test_solve_identical_with_pool_on_and_off(monkeypatch, d, n):
+    # Off, the field is one block; on, the forced 4 KiB blocks of both grids
+    # fall on numpy's pairwise split points, so their sums are the same bits.
     grid, spec, K, N = _problem(d, n)
     cert = certify(K, N, spec, eps_user=0.1)
     assert cert.passed
@@ -149,7 +213,7 @@ def test_solve_identical_with_pool_on_and_off(monkeypatch, d, n):
 
 @pytest.mark.parametrize("pool", [False, True])
 def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
-    # A map application transforms F(v) forward, once per row slab, and the
+    # A map application transforms F(v) forward, once per row block, and the
     # new iterate back; F of the new iterate, its transform and the residual
     # are left out, and the iterate is the one a full step computes.
     if pool:
@@ -168,7 +232,8 @@ def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
 
     monkeypatch.setattr(llap.solver, "_rfft_rows", counted)
     mapped = op.apply(N, v)
-    assert len(calls) == len(grid_mod._slabs(grid.shape, op.rhs.shape).rows) == (2 if pool else 1)
+    blocks = _blocks(grid_mod._slabs(grid.shape, op.rhs.shape))
+    assert len(calls) == len(blocks) == (8 if pool else 1)
     assert np.array_equal(mapped.values, full.v)
 
 
@@ -191,29 +256,30 @@ def _solve_map_residual(grid, spec, K, N, v0, cert):
 @given(
     d=st.sampled_from([2, 3]),
     n=st.sampled_from([14, 16, 18, 20, 22, 24]),
-    workers=st.integers(1, 3),
-    block=st.sampled_from([1, 2**9, 2**12]),
+    workers=st.integers(1, 4),
+    block=st.sampled_from([2**9, 2**12, 2**40]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_row_blocks_change_no_bit(monkeypatch, d, n, workers, block, seed):
-    # Row blocks of at most block bytes against one block per slab, on one
-    # to four slabs.  At n = 2 (mod 4) the pairwise split points fall inside
-    # rows, and _row_bounds keeps each slab whole.
-    monkeypatch.setattr(grid_mod, "_POOL_MIN_POINTS", 0)
-    monkeypatch.setattr(grid_mod, "_worker_count", lambda: workers)
+def test_worker_count_changes_no_bit(monkeypatch, d, n, workers, block, seed):
+    # Row blocks of at most block bytes, on one worker and on one to four.
+    # At n = 2 (mod 4) and on most block sizes the blocks do not fall on
+    # numpy's pairwise split points; the bits still do not depend on the
+    # workers.
     grid, spec, K, N = _problem(d, n)
     cert = certify(K, N, spec, eps_user=0.1)
     v0 = RealField(np.random.default_rng(seed).normal(0.0, 0.5, grid.shape), grid)
+    _force_pool(monkeypatch, workers=1)
+    monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", block)
+    blocks = _blocks(grid_mod._slabs(grid.shape, K.hat.shape))
+    one = _solve_map_residual(grid, spec, K, N, v0, cert)
+    monkeypatch.setattr(grid_mod, "_worker_count", lambda: workers)
     slabs = grid_mod._slabs(grid.shape, K.hat.shape)
-    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**40)
-    assert all(len(b) == 1 for b in llap.solver._row_blocks(grid.shape, slabs))
-    whole = _solve_map_residual(grid, spec, K, N, v0, cert)
-    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", block)
-    blocked = _solve_map_residual(grid, spec, K, N, v0, cert)
-    assert blocked == whole
-    # The first update is np.sum over the whole field, whatever the blocks.
-    step = np.frombuffer(blocked[5]).reshape(grid.shape) - v0.values
-    assert blocked[1][0] == math.sqrt(grid.h**grid.d * float(np.sum(step * step)))
+    assert _blocks(slabs) == blocks and len(slabs.rows) == min(workers, len(blocks))
+    assert _solve_map_residual(grid, spec, K, N, v0, cert) == one
+    if _on_pairwise_splits(grid.shape, blocks):
+        # The first update is then np.sum over the whole field.
+        step = np.frombuffer(one[5]).reshape(grid.shape) - v0.values
+        assert one[1][0] == math.sqrt(grid.h**grid.d * float(np.sum(step * step)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -221,9 +287,9 @@ def test_nonfinite_u_in_a_later_block_outranks_nonfinite_F_in_an_earlier_one(mon
     # One slab of two row blocks: the first step's F is non-finite in
     # block 0, and its new iterate is made non-finite in block 1.  As with
     # the whole field at once, the iterate's message wins.
-    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**9)
+    monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", 2**10)
     grid, spec, K, N = _problem(2, 16)
-    assert [len(b) for b in llap.solver._row_blocks(grid.shape, grid_mod._WHOLE)] == [2]
+    assert [len(b) for b in grid_mod._slabs(grid.shape, K.hat.shape).blocks] == [2]
     cert = certify(K, N, spec, eps_user=0.1)
     bad = _linear(N, lambda u: np.where(u != 0.0, np.nan, 0.0))
     irfft_rows, calls = llap.solver._irfft_rows, []
@@ -247,7 +313,7 @@ def test_solve_holds_one_real_field_and_a_block_per_slab(monkeypatch):
     # work and the reciprocal, a solve holds two rows of scratch and numpy's
     # ufunc and FFT buffers, which stay under 1 MiB.
     _force_pool(monkeypatch)
-    monkeypatch.setattr(llap.solver, "_BLOCK_BYTES", 2**15)
+    monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", 2**15)
     grid, spec, K, N = _problem(3, 64)
     cert = certify(K, N, spec, eps_user=0.1)
     v0 = RealField(np.random.default_rng(5).normal(0.0, 0.5, grid.shape), grid)
@@ -258,6 +324,22 @@ def test_solve_holds_one_real_field_and_a_block_per_slab(monkeypatch):
     assert peak <= real + 2.5 * half + 2 * 8 * 64**2 + 2**20, peak / real
 
 
+def test_solve_off_the_pairwise_splits_holds_a_block_per_slab(monkeypatch):
+    # d = 3, n = 90 on two workers: numpy's pairwise split points fall
+    # inside rows, yet the solve runs on two slabs of 5- and 6-row blocks
+    # and holds two 6-row blocks of scratch, not a second real field.
+    monkeypatch.setattr(grid_mod, "_worker_count", lambda: 2)
+    grid, spec, K, N = _problem(3, 90)
+    cert = certify(K, N, spec, eps_user=0.1)
+    v0 = RealField(np.random.default_rng(5).normal(0.0, 0.5, grid.shape), grid)
+    picard_solve(K, N, spec, v0=v0, certificate=cert)  # warm up
+    _, peak = traced_peak(lambda: picard_solve(K, N, spec, v0=v0, certificate=cert))
+    real, half, block = 8 * 90**3, 16 * 90**2 * 46, 8 * 6 * 90**2
+    assert len(grid_mod._slabs(grid.shape, K.hat.shape).rows) == 2
+    assert llap.solver._scratch_bytes(grid.shape) == 2 * block
+    assert peak <= real + 2.5 * half + 2 * block + 2**20, peak / real
+
+
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # Four slabs on four threads, switching every microsecond: a slab written
     # by two threads or sums combined out of order would change the bits.
@@ -265,8 +347,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     cert = certify(K, N, spec, eps_user=0.1)
     v0 = RealField(np.random.default_rng(7).normal(0.0, 0.5, grid.shape), grid)
     serial = picard_solve(K, N, spec, v0=v0, tol=1e-12, certificate=cert)
-    monkeypatch.setattr(grid_mod, "_POOL_MIN_POINTS", 0)
-    monkeypatch.setattr(grid_mod, "_worker_count", lambda: 4)
+    _force_pool(monkeypatch, workers=4)
     monkeypatch.setattr(grid_mod, "_pool", None)
     assert len(grid_mod._slabs(grid.shape, grid.shape).rows) == 4
     interval = sys.getswitchinterval()
