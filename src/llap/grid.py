@@ -357,7 +357,7 @@ class _Slabs(NamedTuple):
     elsewhere they may differ from it in the last ulp.
 
     cols index slabs of axis 1 of the spectrum, for the transform stage
-    along axis 0 and the residual's terms.  Slabs of axis 1 rather than of
+    along axis 0 and the residual's sums.  Slabs of axis 1 rather than of
     the last axis keep each thread's share of a row contiguous, with no
     cache line written by both.  There are as many cols as rows, and a
     single slab (the whole array) runs inline on the calling thread.

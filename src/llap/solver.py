@@ -14,23 +14,22 @@ refused, not attempted.
 
 The map, the equation residual and the triviality indicator work on the
 half spectrum of real FFTs, from the kernel's hat and grid._half_modes.
-The Picard step is computed in one place, _Iterate.step, which picard_solve,
-the map and the residual all use: one irfftn, one rfftn and every pointwise
-pass of an iteration, fused into slabs that run on worker threads when the
-grid is large and give the same bits however many threads there are (see
-grid._Slabs).  Between steps a solve carries q = (2 pi)^(d/2) G^ w^, the
-right side of the linear problem, and the operator holds the real reciprocal
-of the symbol rather than the complex multiplier.  The physical stage of a
-step runs one of the shape's cache-sized row blocks at a time, so a solve
-lives in three buffers, one real field and two half spectra, plus one
-scratch block per slab, and hands its last iterate to the report without a
-copy.
+The Picard step is computed in one place, _Iterate.step: one irfftn, one
+rfftn and every pointwise pass of an iteration, fused into three passes
+over slabs that run on worker threads when the grid is large and give the
+same bits however many threads there are (see grid._Slabs).  Between steps
+a solve carries q = (2 pi)^(d/2) G^ w^, the right side of the linear
+problem; the operator holds the real reciprocal of the symbol, and the step
+never reads the symbol itself.  A solve lives in three buffers, one real
+field and two half spectra, plus one cache-sized scratch block of rows per
+slab, and hands its last iterate to the report without a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -117,9 +116,10 @@ class ContractionCertificate:
 class ResidualReport:
     """L2 residual over active modes plus the masked right-side energy.
 
-    The masked energy is the part of the right side that the annulus
-    regularization discards; it is irreducible by iteration and reported
-    separately from solver error.
+    value sums weights |(ln|p| - shift) u^ - (2 pi)^(d/2) G^ w^|^2 over the
+    active half-spectrum modes (see _Iterate.residual).  The masked energy
+    is the part of the right side that the annulus regularization discards;
+    it is irreducible by iteration and reported separately from solver error.
     """
 
     value: float
@@ -136,7 +136,8 @@ class SolveReport:
     triangle inequality tail_sums[k] >= ||u_k - final||_2, and the solve checks
     tail_sums[k] <= apriori_bounds[k] + 10 tol.  Only the final iterate is kept,
     so memory does not grow with the number of iterations; each iteration
-    costs two real FFTs.  residual and masked_rhs_energy describe final.
+    costs two real FFTs.  residual and masked_rhs_energy describe final and
+    equal equation_residual(final) to roundoff (see _Iterate.step).
     """
 
     iterations: int
@@ -234,10 +235,11 @@ class _PicardOperator:
     def equation_residual(self, N: Nonlinearity, u: RealField) -> ResidualReport:
         """Residual of u, from u^ and q = rhs (F(u))^ (see equation_residual)."""
         it = _Iterate(self, N, u.values)
-        uhat = _rfftn(u.values, out=it.work)
-        np.multiply(self.modes.symbol, uhat, out=uhat)
-        it.slabs.map(lambda cols: it.residual_terms(*cols, uhat, it.q), it.cols)
-        return it.residual(uhat)
+        symbol, uhat, q = self.modes.symbol, _rfftn(u.values, out=it.work), it.q
+        value = it.residual(
+            lambda c: np.subtract(np.multiply(symbol[c], uhat[c], out=uhat[c]), q[c], out=uhat[c])
+        )
+        return ResidualReport(value, it.masked_energy())
 
 
 def _scratch_rows(blocks: list[slice]) -> int:
@@ -262,15 +264,15 @@ class _Iterate:
                a step overwrites (one that never steps only reads it); within
                a step, each row block takes the next iterate from the inverse
                transform
-      q        between steps, (2 pi)^(d/2) G^ w^ with w = F(v), the right side
-               of the linear problem; within a step, (ln|p| - shift) u^, then
-               the residual's difference, and the residual's weighted
-               squares (terms) in its real parts
+      q        between steps, q_k = (2 pi)^(d/2) G^ w^ with w = F(v), the
+               right side of the linear problem; a step reads it in stage 1
+               and overwrites it in stage 3 with the residual's difference
+               q_k - q_{k+1}, zero on the masked modes
       work     within a step, u^ = recip q and the inverse transform's work
                space, F's scratch, then the forward transform of F(u) and
-               (2 pi)^(d/2) G^ times it, the next step's q
+               (2 pi)^(d/2) G^ times it, q_{k+1}, which becomes q
       scratch  one block of rows per slab: the old iterate, the update's and
-               the new iterate's squares, then F(u); in stage 3, |difference|
+               the new iterate's squares, then F(u)
     """
 
     def __init__(self, op: _PicardOperator, N: Nonlinearity, v: np.ndarray):
@@ -284,47 +286,47 @@ class _Iterate:
         self.work = np.empty_like(self.q)
         scratch = [np.empty((_scratch_rows(b),) + grid.shape[1:]) for b in self.slabs.blocks]
         self.rows = list(zip(self.slabs.blocks, scratch))
-        self.cols = list(zip(self.slabs.cols, scratch))
         loaded = self.slabs.map(lambda slab: self._load_rows(*slab), self.rows)
         if not all(loaded):
             raise ValueError(_NONFINITE_F)
         self.slabs.map(lambda c: self._forward_cols(c, self.q), self.slabs.cols)
 
-    def step(self, last: bool = False) -> tuple[float, float, ResidualReport] | None:
-        """Advance v by one Picard step.
+    def step(self, last: bool = False) -> tuple[float, float, float] | None:
+        """Advance v by one Picard step, in three passes over the slabs.
 
         Returns the sums of squares of the update and of the new iterate,
         each the row blocks' sums added pairwise (see grid._Slabs), and the
-        new iterate's equation residual.  With last, the step stops once v
-        holds the new iterate, skipping F, the forward transform and the
-        residual, and returns None.
+        new iterate's residual, the norm of q_k - q_{k+1} on the active modes
+        (see residual): there symbol * recip = 1, so q_k is (ln|p| - shift) u^
+        up to roundoff.  With last, the step stops once v holds the new
+        iterate and returns None.  A non-finite iterate, seen in its norm sums,
+        raises ConsistencyError if recip * q was non-finite, else ValueError.
         """
-        slabs = self.slabs
-        if not all(slabs.map(self._spectral_cols, slabs.cols)):
-            raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
+        slabs, recip, q = self.slabs, self.op.recip, self.q
+        slabs.map(self._spectral_cols, slabs.cols)
         rows = slabs.map(lambda slab: self._physical_rows(*slab, last), self.rows)
         if not all(r[2] for r in rows):
-            raise ValueError("field contains non-finite entries")
+            uhat = slabs.map(
+                lambda c: _all_finite(np.multiply(recip[c], q[c], out=self.work[c])), slabs.cols
+            )
+            if all(uhat):
+                raise ValueError("field contains non-finite entries")
+            raise ConsistencyError("non-finite spectral intermediate; certificate is unsound")
         if last:
             return None
         if not all(r[3] for r in rows):
             raise ValueError(_NONFINITE_F)
-        slabs.map(lambda cols: self._residual_cols(*cols), self.cols)
-        res = self.residual(self.q)
+        res = self.residual(self._next_rhs_cols)
         self.q, self.work = self.work, self.q
         update = _pairwise_total([s for r in rows for s in r[0]])
         return update, _pairwise_total([s for r in rows for s in r[1]]), res
 
-    # Stage 1, on an axis-1 slab: u^ = recip * q into work, (ln|p| - shift) u^
-    # into q, then the axis-0 stage of the inverse transform in work.
-    def _spectral_cols(self, c: tuple) -> bool:
+    # Stage 1, on an axis-1 slab: u^ = recip * q into work, then the axis-0
+    # stage of the inverse transform.
+    def _spectral_cols(self, c: tuple) -> None:
         uhat = np.multiply(self.op.recip[c], self.q[c], out=self.work[c])
-        if not _all_finite(uhat):
-            return False
-        np.multiply(self.op.modes.symbol[c], uhat, out=self.q[c])
         if uhat.ndim > 1:
             np.fft.ifft(uhat, axis=0, out=uhat)
-        return True
 
     # Stage 2, on an axis-0 slab, one row block at a time: the rest of the
     # inverse transform into v, the update's and u's sums of squares, then
@@ -342,14 +344,15 @@ class _Iterate:
             u, s = self.v[rows], scratch[: rows.stop - rows.start]
             np.copyto(s, u)
             _irfft_rows(self.work[rows], u)
-            if not _all_finite(u):
-                return updates, norms, False, True
             # (v - u)^2 has the bits of (u - v)^2.
             np.subtract(s, u, out=s)
             np.multiply(s, s, out=s)
             updates.append(float(np.sum(s)))
             np.multiply(u, u, out=s)
             norms.append(float(np.sum(s)))
+            # Non-finite u makes the sum non-finite; so does an overflow.
+            if not math.isfinite(norms[-1]) and not np.isfinite(u).all():
+                return updates, norms, False, True
             if not last:
                 finite_F = self._forward_rows(rows, s, self.work) and finite_F
         return updates, norms, True, finite_F
@@ -378,44 +381,39 @@ class _Iterate:
         np.multiply(self.op.rhs[c], spectrum[c], out=spectrum[c])
 
     # Stage 3, on an axis-1 slab: the right side of the next step into work,
-    # then the residual's terms.
-    def _residual_cols(self, c: tuple, scratch: np.ndarray) -> None:
+    # then the residual's difference into q.
+    def _next_rhs_cols(self, c: tuple) -> np.ndarray:
         self._forward_cols(c, self.work)
-        self.residual_terms(c, scratch, self.q, self.work)
+        return np.subtract(self.q[c], self.work[c], out=self.q[c])
 
-    def residual_terms(
-        self, c: tuple, scratch: np.ndarray, lhs: np.ndarray, rhs: np.ndarray
-    ) -> None:
-        """Weighted |lhs - rhs|^2 into the real parts of lhs, on an axis-1 slab.
+    def residual(self, difference: Callable[[tuple], np.ndarray]) -> float:
+        """sqrt(scale * sum of weights |diff|^2 over the active modes), in one pass over the slabs.
 
-        lhs = (ln|p| - shift) u^ and rhs = (2 pi)^(d/2) G^ w^; the difference
-        overwrites lhs.  The moduli go through scratch, the slab's scratch
-        block, as many rows at a time as fit, so that no operation reads and
-        writes overlapping memory and numpy copies nothing.
+        difference(c) gives slab c of diff.  Its masked modes are zeroed, and
+        each float of the plane that axis 0 leaves is summed down axis 0 on
+        its own, so the bits do not depend on where the slabs cut axis 1 (at
+        d = 2, the half axis); the weights apply on the whole plane.
         """
-        diff = np.subtract(lhs[c], rhs[c], out=lhs[c])
-        terms = lhs.view(float)[..., ::2][c]
-        weights = self.op.modes.weights[c]
-        step = scratch.size // diff[0].size
-        for a in range(0, len(diff), step):
-            part = diff[a : a + step]
-            sq = np.abs(part, out=scratch.reshape(-1)[: part.size].reshape(part.shape))
-            np.multiply(sq, sq, out=sq)
-            np.multiply(sq, weights[a : a + step], out=terms[a : a + step])
+        modes = self.op.modes
+        weights = modes.weights[0] if modes.weights.ndim > 1 else modes.weights
+        squares = np.empty(weights.shape + (2,))
 
-    def residual(self, lhs: np.ndarray) -> ResidualReport:
-        """The residual from the terms in the real parts of lhs (see residual_terms)."""
-        # np.sum with where= adds the sums of its unmasked stretches one after
-        # another, so slab sums could not reproduce it; the active and masked
-        # sums each run whole, one per thread.
-        op = self.op
-        terms = lhs.view(float)[..., ::2]
-        active, masked = self.slabs.map(
-            lambda where: float(np.sum(terms, where=where)), (op.modes.active, op.modes.inactive)
-        )
-        return ResidualReport(
-            value=math.sqrt(op.scale * active), masked_rhs_energy=math.sqrt(op.scale * masked)
-        )
+        def sum_squares(c: tuple) -> None:
+            diff = difference(c)
+            np.copyto(diff, 0.0, where=modes.inactive[c])
+            out = squares[c[1:]].reshape(-1)
+            rows = diff.view(float).reshape(-1, out.size)
+            np.einsum("im,im->m", rows, rows, out=out)
+
+        self.slabs.map(sum_squares, self.slabs.cols)
+        moduli = squares[..., 0] + squares[..., 1]
+        return math.sqrt(self.op.scale * float(np.sum(moduli * weights)))
+
+    def masked_energy(self) -> float:
+        """The right side's energy on the masked modes, from q."""
+        modes = self.op.modes
+        rhs, weights = self.q[modes.inactive], modes.weights[modes.inactive]
+        return math.sqrt(self.op.scale * float(np.sum(weights * (rhs.real**2 + rhs.imag**2))))
 
 
 _NONFINITE_F = "nonlinearity produced non-finite values"
@@ -487,7 +485,8 @@ def equation_residual(u: RealField, G: Kernel, N: Nonlinearity, spec: SymbolSpec
     Over the active modes (unmasked, non-DC) the residual is the L2 norm of
     (ln|p| - shift) u^ - (2 pi)^(d/2) G^ (F(u, .))^, identical by unitarity
     to the physical-space norm of its inverse transform.  The right-side
-    energy on the masked modes is reported separately.
+    energy on the masked modes is reported separately.  Both are the sums
+    picard_solve reports (see _Iterate.residual), with the left side from u^.
     """
     if u.grid != G.grid:
         raise ValueError("field and kernel live on different grids")
@@ -563,11 +562,11 @@ def picard_solve(
     stop_threshold = tol
     weight = grid.h**grid.d
     for _ in range(max_iter):
-        update_sq, norm_sq, res = it.step()
+        update_sq, norm_sq, residual = it.step()
         upd = math.sqrt(weight * update_sq)
         updates.append(upd)
         stop_threshold = tol * max(1.0, math.sqrt(weight * norm_sq))
-        if upd <= stop_threshold or res.value <= tol:
+        if upd <= stop_threshold or residual <= tol:
             converged = True
             break
 
@@ -594,8 +593,8 @@ def picard_solve(
         update_norms=tuple(updates),
         contraction_ratios=ratios,
         final=RealField._adopt(it.v, grid),
-        residual=res.value,
-        masked_rhs_energy=res.masked_rhs_energy,
+        residual=residual,
+        masked_rhs_energy=it.masked_energy(),
         certificate=cert,
         converged=converged,
         apriori_bounds=bounds,

@@ -20,7 +20,7 @@ from llap.grid import (
 )
 import llap.sequence
 from llap.kernels import make_kernel, sphere_points
-from llap.nonlinearity import make_nonlinearity
+from llap.nonlinearity import eval_F, make_nonlinearity
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -171,6 +171,20 @@ def full_multiplier(K, spec) -> np.ndarray:
     """The Picard multiplier (2 pi)^(d/2) G^ / (ln|p| - shift) on the full grid, from ft."""
     recip, _ = reciprocal(K.grid, spec)
     return TWO_PI ** (K.grid.d / 2.0) * ft(K.samples) * recip
+
+
+def full_spectrum_residual(u: RealField, K, N, spec) -> tuple[float, float]:
+    """(residual, masked right-side energy) of u from ft on every grid mode."""
+    grid = u.grid
+    t = symbol(grid, spec.shift)
+    active = np.isfinite(t) & (np.abs(t) >= spec.eta)
+    rhs = TWO_PI ** (grid.d / 2.0) * ft(K.samples) * ft(eval_F(N, u))
+    diff = t[active] * ft(u)[active] - rhs[active]
+    w = grid.mode_spacing**grid.d
+    return (
+        math.sqrt(w * np.sum(np.abs(diff) ** 2)),
+        math.sqrt(w * np.sum(np.abs(rhs[~active]) ** 2)),
+    )
 
 
 def l2_gap(a: RealField, b: RealField) -> float:

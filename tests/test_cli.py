@@ -351,6 +351,30 @@ class TestSolveCommand:
         # The certificate passed before the solve failed; nothing is written.
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("factor, code", [(0.9, EXIT_INCONSISTENT), (0.95, 0)])
+    def test_apriori_bound_fails_with_q_too_small(
+        self, runner, tmp_path, monkeypatch, factor, code
+    ):
+        # The real bound, not a stand-in: on reference.cfg the tail sums reach
+        # 0.966 of their bounds, so a certificate claiming 0.9 q fails at
+        # iterate 0 and one claiming 0.95 q passes.
+        certify = llap.cli.compute_certificate
+
+        def scaled(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            return dataclasses.replace(cert, q=factor * cert.q)
+
+        monkeypatch.setattr(llap.cli, "compute_certificate", scaled)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["solve", str(CONFIGS / "reference.cfg"), "-o", str(out)])
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.output.strip().splitlines()[-1] == (
+                "internal consistency check failed: a-priori contraction bound violated "
+                "at iterate 0: tail sum 9.477e-01 > 9.469e-01"
+            )
+            assert not out.exists()
+
     def test_deterministic_tables(self, runner, tmp_path):
         cfg = _write(tmp_path, REFERENCE)
         runner.invoke(main, ["solve", cfg, "-o", str(tmp_path / "a")])

@@ -7,6 +7,7 @@ worker count at 2, so these tests split small grids into several blocks and
 two slabs on any machine.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -26,7 +27,7 @@ from llap.kernels import make_kernel
 from llap.nonlinearity import Nonlinearity, make_nonlinearity
 from llap.solver import ConsistencyError, apply_picard_map, certify, equation_residual, picard_solve
 from llap.cli import EXIT_CHECK_FAILED, EXIT_INCONSISTENT, main
-from conftest import traced_peak
+from conftest import full_spectrum_residual, traced_peak
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -237,6 +238,66 @@ def test_apply_stops_at_the_new_iterate(monkeypatch, pool):
     assert np.array_equal(mapped.values, full.v)
 
 
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("d, n", [(1, 1024), (2, 32), (3, 16)])
+def test_step_residual_before_convergence(monkeypatch, d, n, max_iter):
+    # Far from the fixed point the residual is large, so a wrong weight or
+    # scale in the step's residual, which comes from the change in q, is not
+    # lost in roundoff.  At d = 2 and 3 the pool is forced on, so the slabs
+    # cut axis 1, at d = 2 the half axis itself.
+    if d > 1:
+        _force_pool(monkeypatch)
+    grid, spec, K, N = _problem(d, n)
+    cert = certify(K, N, spec, eps_user=0.1)
+    v0 = RealField(np.random.default_rng(max_iter).normal(0.0, 0.5, grid.shape), grid)
+    report = picard_solve(K, N, spec, v0=v0, max_iter=max_iter, certificate=cert)
+    assert report.iterations == max_iter and not report.converged
+    res = equation_residual(report.final, K, N, spec)
+    assert report.residual == pytest.approx(res.value, rel=1e-12)
+    assert report.masked_rhs_energy == pytest.approx(res.masked_rhs_energy, rel=1e-12)
+    full = full_spectrum_residual(report.final, K, N, spec)
+    assert (res.value, res.masked_rhs_energy) == pytest.approx(full, rel=1e-12)
+
+
+def test_a_step_makes_three_pool_passes(monkeypatch):
+    # Stage 1 (u^ and the axis-0 inverse stage), stage 2 (the row blocks)
+    # and stage 3 (the next right side and the residual's sums).
+    _force_pool(monkeypatch)
+    grid, spec, K, N = _problem(3, 16)
+    v = RealField(np.random.default_rng(3).normal(0.0, 0.5, grid.shape), grid)
+    it = llap.solver._Iterate(llap.solver._picard_operator(K, spec), N, np.array(v.values))
+    it.step()
+    passes = []
+    pool_map = grid_mod._Slabs.map
+
+    def counted(self, fn, items):
+        passes.append(len(self.rows))
+        return pool_map(self, fn, items)
+
+    monkeypatch.setattr(grid_mod._Slabs, "map", counted)
+    it.step()
+    assert passes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_the_step_never_reads_the_symbol(monkeypatch, pool):
+    # On an operator whose symbol is all NaN, steps give the same iterates,
+    # sums, residuals and right sides as on the real one.
+    if pool:
+        _force_pool(monkeypatch)
+    grid, spec, K, N = _problem(3, 16)
+    op = llap.solver._picard_operator(K, spec)
+    nan = np.full_like(op.modes.symbol, np.nan)
+    blind = dataclasses.replace(op, modes=op.modes._replace(symbol=nan))
+    v = RealField(np.random.default_rng(4).normal(0.0, 0.5, grid.shape), grid)
+    runs = []
+    for operator in (op, blind):
+        it = llap.solver._Iterate(operator, N, np.array(v.values))
+        steps = [it.step() for _ in range(3)]
+        runs.append((steps, it.masked_energy(), it.v.tobytes(), it.q.tobytes()))
+    assert runs[1] == runs[0]
+
+
 def _solve_map_residual(grid, spec, K, N, v0, cert):
     report = picard_solve(K, N, spec, v0=v0, tol=1e-12, certificate=cert)
     return (
@@ -366,8 +427,9 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_spectral_intermediate_in_worker(pool_on):
-    # Finite F values whose sums overflow: the transform holds inf, and the
-    # worker's check of u^ = recip * G^ w^ reports it.
+    # Finite F values whose sums overflow: the transform holds inf, so the
+    # new iterate is non-finite, and the workers' test of u^ = recip * G^ w^,
+    # which q still holds, names the spectrum.
     grid, spec, K, N = _problem(3, 16)
     cert = certify(K, N, spec, eps_user=0.1)
     huge = _linear(N, lambda u: np.full_like(u, 1e308))

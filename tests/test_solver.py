@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -17,8 +18,10 @@ from llap.kernels import (
 )
 from llap.checks import _hat_bound
 from llap.nonlinearity import Nonlinearity, eval_F, make_nonlinearity
+from llap.config import load_config
 from llap.solver import (
     CertificateError,
+    ConsistencyError,
     _picard_operator,
     apply_picard_map,
     certify,
@@ -31,14 +34,13 @@ from conftest import (
     SQRT_2PI,
     ft,
     full_multiplier,
+    full_spectrum_residual,
     ift,
     l2_gap,
     reciprocal,
     symbol,
     traced_peak,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def linear_nonlinearity(grid, lip, offset):
@@ -265,6 +267,41 @@ class TestPicardSolve:
             picard_solve(diff_kernel, sine_nonlinearity, spec1, max_iter=0)
 
 
+class TestAprioriBoundCanFail:
+    """The a-priori contraction bound catches a q that is too small.
+
+    On configs/reference.cfg its tail sums reach 0.966 of their bounds, so
+    the bound must fail with q scaled by 0.9 and hold with 0.95.
+    """
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def reference():
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
+        grid = cfg.grid()
+        spec = cfg.symbol_spec(grid)
+        K, N = cfg.kernel(grid, spec), cfg.nonlinearity(grid)
+        cert = certify(K, N, spec, cfg.eps_user, seed=cfg.seed)
+        return K, N, spec, cfg.starting_field(grid), cfg.tol, cert
+
+    def _solve(self, reference, factor):
+        K, N, spec, v0, tol, cert = reference
+        cert = dataclasses.replace(cert, q=factor * cert.q)
+        return picard_solve(K, N, spec, v0=v0, tol=tol, certificate=cert)
+
+    def test_tails_come_close_to_the_bound(self, reference):
+        report = self._solve(reference, 1.0)
+        peak = max(t / b for t, b in zip(report.tail_sums, report.apriori_bounds))
+        assert 0.95 < peak < 1.0
+
+    def test_raises_with_q_scaled_by_0_9(self, reference):
+        with pytest.raises(ConsistencyError, match="at iterate 0: tail sum 9.477e-01 > 9.469e-01"):
+            self._solve(reference, 0.9)
+
+    def test_holds_with_q_scaled_by_0_95(self, reference):
+        assert self._solve(reference, 0.95).converged
+
+
 class TestContractionSampling:
     def test_hundred_random_pairs(self, diff_kernel, sine_nonlinearity, spec1, grid1):
         cert = certify(diff_kernel, sine_nonlinearity, spec1, eps_user=0.1)
@@ -433,16 +470,9 @@ class TestHalfSpectrumHigherDimensions:
     def test_residual_matches_full_spectrum(self, problem):
         grid, spec, K, N = problem
         u = RealField(np.random.default_rng(2).normal(0.0, 0.3, grid.shape), grid)
-        t = symbol(grid, spec.shift)
-        active = np.isfinite(t) & (np.abs(t) >= spec.eta)
-        rhs = TWO_PI ** (grid.d / 2.0) * ft(K.samples) * ft(eval_F(N, u))
-        diff = t[active] * ft(u)[active] - rhs[active]
-        w = grid.mode_spacing**grid.d
         res = equation_residual(u, K, N, spec)
-        assert res.value == pytest.approx(math.sqrt(w * np.sum(np.abs(diff) ** 2)), rel=1e-12)
-        assert res.masked_rhs_energy == pytest.approx(
-            math.sqrt(w * np.sum(np.abs(rhs[~active]) ** 2)), rel=1e-12
-        )
+        expected = full_spectrum_residual(u, K, N, spec)
+        assert (res.value, res.masked_rhs_energy) == pytest.approx(expected, rel=1e-12)
 
     def test_triviality_counts_full_modes(self, problem):
         grid, spec, K, N = problem
