@@ -192,8 +192,8 @@ def _dichotomy_check(K, spec: SymbolSpec) -> CheckResult:
     diagnostics = [inverse_symbol_gain(K, SymbolSpec(spec.shift, eta)) for eta in etas]
     residual = diagnostics[0].orth_residual
     gains = [diag.gain for diag in diagnostics]
-    if _admissible(K, SymbolSpec(spec.shift, eta0)):
-        if max(gains) <= 1e-30:
+    if _admissible(K, SymbolSpec(spec.shift, eta0))[0]:
+        if max(gains) == 0.0:
             return CheckResult("na_dichotomy", True, 0.0, "zero kernel, gain identically 0")
         spread = (max(gains) - min(gains)) / max(gains)
         return CheckResult(

@@ -37,6 +37,7 @@ from .sequence import LemmaRow, MemberCertificateError, SequenceRow, run_sequenc
 from .solver import (
     ConsistencyError,
     _peak_bytes,
+    _refusal,
     certify as compute_certificate,
     picard_solve,
 )
@@ -249,10 +250,7 @@ def solve(config: str, out_dir: str) -> _Outcome:
     cert = compute_certificate(kernel, nonlin, spec, cfg.eps_user, seed=cfg.seed)
     certificate = _section("certificate", dataclasses.asdict(cert))
     if not cert.passed:
-        refused = (
-            f"certificate failed (q = {cert.q:.6g}, residual = {cert.orth_residual:.3e}); "
-            "solve refused"
-        )
+        refused = f"certificate failed ({_refusal(cert, kernel, spec)}); solve refused"
         return _Outcome({"certificate.txt": certificate}, [], [refused], EXIT_CERTIFICATE)
     report = picard_solve(
         kernel, nonlin, spec, v0=v0, tol=cfg.tol, max_iter=cfg.max_iter, certificate=cert

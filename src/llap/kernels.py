@@ -17,14 +17,18 @@ logarithmic symbol vanishes:
   annulus, and the orthogonality residual: the maximum of |G^| sampled on
   the sphere by direct nonuniform quadrature.  Admissible kernels have
   residual ~0, and only for those is the inverse-symbol gain stable under
-  refinement of the masked annulus.  That residual divided by eta
-  accompanies the gain as a divergence indicator: on a fixed grid the sup is
-  always finite, and only that indicator distinguishes a genuinely bounded
-  ratio from a 1/eta divergence.
+  refinement of the masked annulus.  One rule, ``_admissible``, decides
+  admissibility for every reader: residual <= ADMISSIBLE_RTOL * ||G||_1,
+  relative alone, so no verdict depends on the kernel's scale.  The residual
+  divided by eta accompanies the gain as a divergence indicator: on a fixed
+  grid the sup is always finite, and only that indicator distinguishes a
+  genuinely bounded ratio from a 1/eta divergence.
 * ``project_orthogonal`` repairs an inadmissible kernel by subtracting
   analytic atoms whose transforms concentrate in an annulus of half-width
   taper_width * exp(shift) / 2 around the sphere, chosen so the sampled
-  sphere values cancel exactly.  The construction is idempotent to roundoff.
+  sphere values cancel exactly.  The construction is idempotent to roundoff,
+  and the projected kernel must come out at 1e-4 of the rule's limit, a
+  residual at most 1e-10 ||G||_1.
 * ``make_sequence`` builds kernel families converging in L1 and weighted L1
   to an admissible limit, re-projecting every member so the per-member
   solvability conditions hold.
@@ -66,9 +70,9 @@ __all__ = [
     "SPHERE_SAMPLES",
 ]
 
-# Relative orthogonality-residual threshold below which a kernel is treated
-# as satisfying the solvability conditions.
-ADMISSIBLE_RTOL = 1e-8
+# The sphere-residual rule: a kernel satisfies the solvability conditions when
+# its orthogonality residual is at most ADMISSIBLE_RTOL * ||G||_1 (_admissible).
+ADMISSIBLE_RTOL = 1e-6
 
 # Points per sampled sphere or ring for d >= 2 (d = 1 has two).
 SPHERE_SAMPLES = 128
@@ -144,13 +148,7 @@ def _kernel_norms(f: RealField) -> tuple[float, float]:
 
 
 def kernel_from_field(samples: RealField) -> Kernel:
-    """The kernel with these samples; refused if its norms overflow."""
-    l1, weighted_l1 = _integrable_norms(samples)
-    return Kernel(samples=samples, l1=l1, weighted_l1=weighted_l1, hat=_half_ft(samples))
-
-
-def _integrable_norms(samples: RealField) -> tuple[float, float]:
-    """_kernel_norms of kernel samples, refused if they or the L2 norm overflow."""
+    """The kernel with these samples; refused if its L1, weighted L1 or L2 norm overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         l1, weighted_l1 = _kernel_norms(samples)
         l2 = samples.l2_norm()
@@ -165,7 +163,7 @@ def _integrable_norms(samples: RealField) -> tuple[float, float]:
             f"kernel norms overflow (||G||_2 = {l2:.3g}, ||G||_1 = {l1:.3g}); "
             "G must be square integrable"
         )
-    return l1, weighted_l1
+    return Kernel(samples=samples, l1=l1, weighted_l1=weighted_l1, hat=_half_ft(samples))
 
 
 def difference_coefficient(width1: float, width2: float, shift: float) -> float:
@@ -408,9 +406,7 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
     return atoms(angular, _spherical_bessel_j((0, 4, 6, 8, 10), distinct), (0, 1, 2, 3, 3, 4))
 
 
-def _project(
-    fields: list, l1s: list[float], spec: SymbolSpec, taper_width: float
-) -> list[Kernel | None]:
+def _project(fields: list, spec: SymbolSpec, taper_width: float) -> list[Kernel | None]:
     """The kernels of fields (samples on one grid) with their sphere values removed, in order.
 
     Builds the atoms, their transforms at the sphere points stacked as the
@@ -420,13 +416,12 @@ def _project(
     whose sphere residuals are the re-measured check and which the kernels
     keep for their later readers.  The atoms go when this returns.
 
-    l1s holds each field's L1 norm.  A field with a zero norm or zero
-    sphere values is not projected: None stands in its place, and the field
-    stays in fields.  Every other entry of fields is set to None as soon as
-    its kernel is made, so each unprojected field can go before the next
-    projected one comes.  Each re-measured residual must come out below
-    max(1e-10 l1, 1e-13 max(1, l1)); the first kernel in order that misses
-    it is refused.
+    A field with zero sphere values is not projected: None stands in its
+    place, and the field stays in fields.  Every other entry of fields is
+    set to None as soon as its kernel is made, so each unprojected field can
+    go before the next projected one comes.  Each projected kernel must meet
+    1e-4 of the sphere-residual rule (_admissible), a residual at most 1e-10
+    times its L1 norm; the first kernel in order that misses it is refused.
     """
     grid = fields[0].grid
     if not math.isfinite(taper_width):
@@ -453,8 +448,8 @@ def _project(
     pinv = np.linalg.pinv(system, rcond=np.finfo(float).eps * max(system.shape))
     targets = _nudft([f.values for f in fields], grid, points)
     kernels = []
-    for i, (target, l1) in enumerate(zip(targets, l1s)):
-        if not l1 > 0 or float(np.max(np.abs(target))) == 0.0:
+    for i, target in enumerate(targets):
+        if float(np.max(np.abs(target))) == 0.0:
             kernels.append(None)
             continue
         coeffs = pinv @ np.concatenate([target.real, target.imag])
@@ -465,15 +460,12 @@ def _project(
     projected = [K for K in kernels if K is not None]
     if projected:
         _diagnostics_pass(projected, spec)
-    for K, l1 in zip(kernels, l1s):
-        if K is None:
-            continue
-        achieved = inverse_symbol_gain(K, spec).orth_residual
-        limit = max(1e-10 * l1, 1e-13 * max(1.0, l1))
-        if achieved > limit:
+    for K in projected:
+        ok, limit = _admissible(K, spec, 1e-4)
+        if not ok:
             raise ValueError(
-                f"projection left residual {achieved:.3e} above target {limit:.3e}; "
-                "the grid is too coarse to represent the annular correction"
+                f"projection left residual {inverse_symbol_gain(K, spec).orth_residual:.3e} above "
+                f"target {limit:.3e}; the grid is too coarse to represent the annular correction"
             )
     return kernels
 
@@ -487,11 +479,12 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kerne
     values cancel.  A second application sees a right side orthogonal to
     the atom span, so the projection is idempotent to roundoff.
 
-    The achieved residual is re-measured and must come out below
-    1e-10 * ||G||_1; coarse grids in d = 3 can pin the floor above that,
-    in which case the projection refuses and a finer grid is needed.
+    The achieved residual is re-measured and must come out below 1e-10
+    times the projected kernel's L1 norm, 1e-4 of the sphere-residual rule
+    (_admissible); coarse grids in d = 3 can pin the floor above that, in
+    which case the projection refuses and a finer grid is needed.
     """
-    (projected,) = _project([G.samples], [G.l1], spec, taper_width)
+    (projected,) = _project([G.samples], spec, taper_width)
     return G if projected is None else projected
 
 
@@ -572,9 +565,12 @@ def inverse_symbol_gain(G: Kernel, spec: SymbolSpec) -> KernelDiagnostics:
     return G._diagnostics[spec]
 
 
-def _admissible(G: Kernel, spec: SymbolSpec) -> bool:
-    """Whether G's sphere residual is at most ADMISSIBLE_RTOL * max(1, ||G||_1)."""
-    return inverse_symbol_gain(G, spec).orth_residual <= ADMISSIBLE_RTOL * max(1.0, G.l1)
+def _admissible(G: Kernel, spec: SymbolSpec, share: float = 1.0) -> tuple[bool, float]:
+    """The sphere-residual rule, read by every check of it: whether G's
+    orthogonality residual is at most share * ADMISSIBLE_RTOL * ||G||_1 (a
+    limit relative alone, so no verdict depends on G's scale), and that limit."""
+    limit = share * ADMISSIBLE_RTOL * G.l1
+    return inverse_symbol_gain(G, spec).orth_residual <= limit, limit
 
 
 def _diagnostics_pass(kernels: list[Kernel], spec: SymbolSpec) -> None:
@@ -648,9 +644,9 @@ def make_sequence(
 ) -> KernelSequence:
     """Kernels G_m -> G in L1 and weighted L1, each re-projected.
 
-    The limit kernel must already satisfy the solvability conditions
-    (orthogonality residual at most 1e-8 relative); every member is passed
-    through project_orthogonal so the per-member conditions hold as well.
+    The limit kernel must already satisfy the solvability conditions, the
+    sphere-residual rule (_admissible); every member is passed through
+    project_orthogonal so the per-member conditions hold as well.
     The members' samples are built first and projected as one batch, with
     one set of atoms and one sphere system (_project): one NUDFT gives all
     their sphere values, they are projected in order, and one diagnostics
@@ -660,15 +656,16 @@ def make_sequence(
     residuals read each kernel's diagnostics pass, which the kernels keep
     for run_sequence and verify_lemmaA2.
     """
-    if not _admissible(G, spec):
+    admissible, limit = _admissible(G, spec)
+    if not admissible:
         residual = inverse_symbol_gain(G, spec).orth_residual
         raise ValueError(
             f"limit kernel is inadmissible: orthogonality residual {residual:.3e} "
-            f"exceeds {ADMISSIBLE_RTOL:.1e} * max(1, ||G||_1)"
+            f"exceeds {limit:.3e} = {ADMISSIBLE_RTOL:.0e} * ||G||_1"
         )
     grid = G.grid
     fields = [_member_samples(G, schedule, m) for m in range(1, schedule.members + 1)]
-    projected = _project(fields, [_integrable_norms(f)[0] for f in fields], spec, taper_width)
+    projected = _project(fields, spec, taper_width)
     members = tuple(
         kernel_from_field(f) if K is None else K for K, f in zip(projected, fields)
     )

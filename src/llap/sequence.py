@@ -36,6 +36,7 @@ from .solver import (
     ConsistencyError,
     SolveReport,
     _certificate,
+    _refusal,
     picard_solve,
 )
 
@@ -139,8 +140,7 @@ def run_sequence(
         if not cert.passed:
             where = f"member {m}" if m else "limit kernel"
             raise MemberCertificateError(
-                f"{where} fails the uniform certificate (q = {cert.q:.6g}, "
-                f"residual = {cert.orth_residual:.3e})",
+                f"{where} fails the uniform certificate ({_refusal(cert, kernel, spec)})",
                 member=m or None,
             )
         certs.append(cert)
@@ -227,7 +227,7 @@ def verify_lemmaA2(seq: KernelSequence, spec: SymbolSpec, lip: float, eps: float
                 gain=diag.gain,
                 orth_residual=diag.orth_residual,
                 divergence_indicator=diag.divergence_indicator,
-                admissible=_admissible(member, spec),
+                admissible=_admissible(member, spec)[0],
                 cert_ok=bool(pref * diag.gain * lip <= 1.0 - eps),
             )
         )

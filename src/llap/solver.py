@@ -46,7 +46,7 @@ from .grid import (
     _rfftn,
     _slabs,
 )
-from .kernels import Kernel, KernelDiagnostics, inverse_symbol_gain
+from .kernels import Kernel, KernelDiagnostics, _admissible, inverse_symbol_gain
 from .nonlinearity import Nonlinearity, _eval_F_into, estimate_lipschitz, eval_F
 
 __all__ = [
@@ -60,12 +60,8 @@ __all__ = [
     "picard_solve",
     "equation_residual",
     "triviality_indicator",
-    "ORTH_RTOL",
     "LIP_TRIALS",
 ]
-
-# Relative orthogonality-residual threshold for a passing certificate.
-ORTH_RTOL = 1e-6
 
 # Samples behind a certificate's advisory Lipschitz estimate, lip_sampled.
 LIP_TRIALS = 4096
@@ -91,9 +87,10 @@ class ContractionCertificate:
     q uses the ring-refined gain and is the reported contraction factor;
     q_grid uses the exact finite maximum over unmasked grid modes and is the
     factor the discrete map provably satisfies.  passed requires both
-    q <= 1 - eps_user and an orthogonality residual below the threshold;
-    the divergence indicator (residual / eta) flags gains that are only
-    finite because the grid is.
+    q <= 1 - eps_user and the sphere-residual rule (kernels._admissible):
+    an orthogonality residual at most orth_threshold, ADMISSIBLE_RTOL times
+    ||G||_1.  The divergence indicator (residual / eta) flags gains that
+    are only finite because the grid is.
     """
 
     gain: float
@@ -189,7 +186,7 @@ def _certificate(
 ) -> ContractionCertificate:
     """The certificate of G from its one diagnostics pass (see certify)."""
     pref = TWO_PI ** (G.grid.d / 2.0)
-    threshold = ORTH_RTOL * G.l1
+    admissible, threshold = _admissible(G, spec)
     q = pref * diag.gain * N.lip
     return ContractionCertificate(
         gain=diag.gain,
@@ -205,8 +202,19 @@ def _certificate(
         eps_user=eps_user,
         shift=spec.shift,
         eta=spec.eta,
-        passed=bool(q <= 1.0 - eps_user and diag.orth_residual <= threshold),
+        passed=bool(q <= 1.0 - eps_user and admissible),
     )
+
+
+def _refusal(cert: ContractionCertificate, G: Kernel, spec: SymbolSpec) -> str:
+    """The conditions G's failing certificate misses, each with its limit."""
+    failed = []
+    if not cert.q <= 1.0 - cert.eps_user:
+        failed.append(f"q = {cert.q:.6g} > 1 - eps_user = {1.0 - cert.eps_user:.6g}")
+    if not _admissible(G, spec)[0]:
+        residual = f"{cert.orth_residual:.3e} > orth_threshold {cert.orth_threshold:.3e}"
+        failed.append(f"orthogonality residual {residual}")
+    return " and ".join(failed)
 
 
 @dataclass(frozen=True)
@@ -546,11 +554,7 @@ def picard_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     cert = certificate if certificate is not None else certify(G, N, spec, eps_user)
     if not cert.passed:
-        raise CertificateError(
-            f"contraction certificate failed (q = {cert.q:.6g}, "
-            f"orthogonality residual = {cert.orth_residual:.3e}, "
-            f"divergence indicator = {cert.divergence_indicator:.3e}); solve refused"
-        )
+        raise CertificateError(f"certificate failed ({_refusal(cert, G, spec)}); solve refused")
     grid = G.grid
     if v0 is not None and v0.grid != grid:
         raise ValueError("starting field lives on a different grid")

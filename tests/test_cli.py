@@ -508,7 +508,7 @@ class TestSequenceCommand:
         assert result.exit_code == EXIT_CERTIFICATE
         assert re.fullmatch(
             r"certificate failure at member 1: member 1 fails the uniform "
-            r"certificate \(q = 0\.900255, residual = \d\.\d{3}e-\d\d\)\n",
+            r"certificate \(q = 0\.900255 > 1 - eps_user = 0\.9\)\n",
             result.stderr,
         )
         assert solved == []
@@ -523,7 +523,7 @@ class TestSequenceCommand:
         assert result.returncode == EXIT_CERTIFICATE
         assert re.fullmatch(
             r"certificate failure at the limit kernel: limit kernel fails the uniform "
-            r"certificate \(q = 2\.65651, residual = \d\.\d{3}e-\d\d\)\n",
+            r"certificate \(q = 2\.65651 > 1 - eps_user = 0\.9\)\n",
             result.stderr,
         )
 
@@ -879,18 +879,19 @@ def test_memory_error_mid_command_in_one_line(runner, tmp_path, monkeypatch):
 
 
 def test_reference_run_is_deterministic(runner, tmp_path):
-    # Two runs of every command on the shipped reference config give
-    # byte-identical out-dirs, the binary field dump included.
-    cfg = str(CONFIGS / "reference.cfg")
-    for out in ("a", "b"):
-        for command in ("certify", "solve", "sequence", "verify"):
-            result = runner.invoke(main, [command, cfg, "-o", str(tmp_path / out)])
-            assert result.exit_code == 0, result.output
-    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
-    assert Path("field.llap") in files
-    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
-    for name in files:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # Two runs of every command on each shipped reference config, d = 1 and
+    # d = 2, give byte-identical out-dirs, the binary field dump included.
+    for name in ("reference", "reference_2d"):
+        cfg, a, b = str(CONFIGS / f"{name}.cfg"), tmp_path / name / "a", tmp_path / name / "b"
+        for out in (a, b):
+            for command in ("certify", "solve", "sequence", "verify"):
+                result = runner.invoke(main, [command, cfg, "-o", str(out)])
+                assert result.exit_code == 0, (name, result.output)
+        files = sorted(p.relative_to(a) for p in a.rglob("*"))
+        assert Path("field.llap") in files
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*"))
+        for file in files:
+            assert (a / file).read_bytes() == (b / file).read_bytes(), (name, file)
 
 
 def test_projected_2d_sequence_is_deterministic(runner, tmp_path):

@@ -99,7 +99,6 @@ MODULE_ALL = {
         "picard_solve",
         "equation_residual",
         "triviality_indicator",
-        "ORTH_RTOL",
         "LIP_TRIALS",
     },
 }
