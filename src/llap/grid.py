@@ -37,6 +37,13 @@ Fields are transformed on the half spectrum by ``_rfftn`` and ``_irfftn``;
 and the Picard step run in slabs on a pool of worker threads, with numpy's
 own 1-D transforms in numpy's axis order, so a transform equals numpy's
 n-D real transform bit for bit, however many threads there are.
+
+At off-grid frequencies ``nudft`` computes the same quadrature exactly, as
+a separable sum in real arithmetic.  Its cosines, sines and contractions
+depend on |p| alone, so they are computed once per distinct |p| key and
+shared by points that are mirror images of each other; the signs enter
+only where the real contractions are combined, so every point's value is
+the one a call with that point alone gives.
 """
 
 from __future__ import annotations
@@ -511,16 +518,28 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
         (2 pi)^(-d/2) h^d sum_j f(x_j) exp(-i p.x_j),
 
     an exact quadrature, not an interpolation.  The phase separates over
-    axes, so the sum is a chunked separable contraction in real arithmetic.
-    For a chunk of c points, the axis-0 cosines and negated sines (2c x n)
-    multiply the samples viewed as an (n, n^(d-1)) matrix in one matrix
-    product, whose rows are the real and imaginary parts; every further
-    axis is contracted point by point with its own cosines and sines in one
-    batched matrix product.  A chunk holds at most min(n/2, n^(d-1)) points,
-    so neither a phase block nor the product (2c x n^(d-1)) exceeds the
-    bytes of one real n^d field; in one dimension that means one point at a
-    time.  Phases, products and contractions are written into buffers made
-    once per call, so a call never holds two chunks' temporaries.
+    axes, exp(-i p.x) = prod_j [cos(|p_j| x_j) - i s_j sin(|p_j| x_j)] with
+    s_j the sign of p_j, so the sum is a separable contraction in real
+    arithmetic whose real factors depend on |p| alone, and points that
+    differ only in signs (mirror images) share them:
+
+    * the axis-0 cosines and negated sines are computed once per distinct
+      |p_0|, and one matrix product with the samples viewed as an
+      (n, n^(d-1)) matrix gives their real and imaginary rows;
+    * each further axis j is contracted, with its cosines and sines, once
+      per distinct prefix (|p_0|, ..., |p_j|) (and, before the last axis,
+      per relative sign s_0 s_j), in one batched matrix product;
+    * the signs enter only where these real contractions are combined,
+      axis by axis in the order (cos - i sin)(re + i im), so a point's
+      value is the one a call with that point alone gives, bit for bit, and
+      F(-p) = conj F(p) exactly for real samples.
+
+    The points are taken in order of |p| in chunks of at most min(n/2,
+    n^(d-1)) distinct (|p|, relative sign) keys, so that neither a phase
+    block nor a product (2c x n^(d-1)) exceeds the bytes of one real n^d
+    field; in one dimension that means one value of |p| at a time.
+    Phases, products and contractions are written into buffers made once
+    per call, so a call never holds two chunks' temporaries.
 
     The work runs in _nudft, which takes several fields on one grid: each
     chunk's phases are computed once and then contracted with every field
@@ -532,51 +551,166 @@ def nudft(f: RealField, points: np.ndarray) -> np.ndarray:
     return _nudft([f.values], f.grid, points)[0]
 
 
+def _key_order(pts: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points in order of their keys (|p_0|, |p_1|, s_0 s_1, ..., |p_{d-1}|),
+    and the sorted positions at which each chunk of `chunk` distinct keys starts,
+    followed by the point count."""
+    d = pts.shape[1]
+    keys = []
+    for j in range(d):
+        keys.append(np.abs(pts[:, j]))
+        if 0 < j < d - 1:
+            keys.append(np.signbit(pts[:, j]) != np.signbit(pts[:, 0]))
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    return order, np.append(np.flatnonzero(new)[::chunk], len(order))
+
+
+def _run_ids(starts: np.ndarray) -> np.ndarray:
+    """The run each entry belongs to, numbered from 0, given where runs start.
+
+    Summed as integers: np.cumsum's bool path leaves small blocks behind
+    that tracemalloc counts on every call.
+    """
+    return np.add.accumulate(starts, dtype=np.intp) - 1
+
+
+class _Chunk:
+    """One chunk of key-sorted points: its phases, written into phase_buf, and
+    where each axis's contractions go.
+
+    Axis 0 has one row pair (cosines, negated sines) per distinct |p_0|.  On
+    axis j >= 1 a parent is a distinct key (|p_0|, ..., |p_{j-1}|, relative
+    signs) and a child a distinct (parent, |p_j|).  Each parent's first
+    child takes the parent's index, so the first children of all parents
+    contract against the parents' rows in one batched product; a parent's
+    further children follow, in one product per parent.  Before the last
+    axis the children's contractions are combined into one row pair per
+    distinct (child, s_0 s_j), the next axis's parents; on the last axis
+    they are combined per point.
+    """
+
+    def __init__(self, p: np.ndarray, x: np.ndarray, phase_buf: np.ndarray):
+        a = np.abs(p)
+        neg = np.signbit(p)
+        new = np.empty(len(p), dtype=bool)  # where a parent's points start
+        new[0] = True
+        np.not_equal(a[1:, 0], a[:-1, 0], out=new[1:])
+        parent = _run_ids(new)
+        count = int(parent[-1]) + 1
+        self.trig = trig = phase_buf[0, : 2 * count]
+        np.multiply.outer(a[new, 0], x, out=trig[count:])
+        np.cos(trig[count:], out=trig[:count])
+        np.sin(trig[count:], out=trig[count:])
+        np.negative(trig[count:], out=trig[count:])
+        self.s0 = np.where(neg[:, 0], -1.0, 1.0)
+        self.rows = parent
+        self.axes = []
+        for j in range(1, p.shape[1]):
+            starts = new.copy()
+            starts[1:] |= a[1:, j] != a[:-1, j]
+            owner = parent[starts]
+            first = new[starts]
+            # A parent's further children go after all first children, in order.
+            at = owner.copy()
+            at[~first] = np.arange(count, len(owner))
+            pos = at[_run_ids(starts)]
+            extra = owner[~first]
+            cuts = [0, *(np.flatnonzero(extra[1:] != extra[:-1]) + 1), len(extra)]
+            extras = [
+                (int(extra[i]), count + i, count + k) for i, k in zip(cuts, cuts[1:]) if k > i
+            ]
+            phase = phase_buf[j, : 2 * len(owner)].reshape(-1, 2, len(x))
+            u = np.empty(len(owner))
+            u[at] = a[starts, j]
+            np.multiply.outer(u, x, out=phase[:, 1])
+            np.cos(phase[:, 1], out=phase[:, 0])
+            np.sin(phase[:, 1], out=phase[:, 1])
+            flip = neg[:, j] != neg[:, 0]
+            if j == p.shape[1] - 1:
+                self.axes.append((phase, count, extras, pos, np.where(flip, -1.0, 1.0)))
+                self.s_last = np.where(neg[:, j], -1.0, 1.0)
+                break
+            new = starts
+            new[1:] |= flip[1:] != flip[:-1]
+            parent = _run_ids(new)
+            sign = np.where(flip[new], -1.0, 1.0)[:, None]
+            self.axes.append((phase, count, extras, pos[new], sign))
+            count = len(sign)
+
+    def contract(self, samples: np.ndarray, dest: np.ndarray, prod_buf, parts_buf) -> None:
+        """sum_x samples(x) exp(-i p.x) at the chunk's points, written into dest.
+
+        samples is the field viewed as an (n, n^(d-1)) matrix.
+        """
+        n, rest = samples.shape
+        count = len(self.trig) // 2
+        acc = prod_buf[: 2 * count * rest].reshape(2 * count, rest)
+        np.matmul(self.trig, samples, out=acc)
+        if not self.axes:
+            dest.real = acc[self.rows, 0]
+            np.multiply(self.s0, acc[count + self.rows, 0], out=dest.imag)
+            return
+        rows = acc.reshape(2, count, n, rest // n)
+        for phase, count, extras, at, sign in self.axes:
+            # (cos - i sin)(re + i im) summed over this axis, per child.
+            k = rows.shape[-1]
+            parts = parts_buf[: 4 * len(phase) * k].reshape(2, len(phase), 2, k)
+            np.matmul(phase[:count], rows, out=parts[:, :count])
+            for owner, lo, hi in extras:
+                np.matmul(phase[lo:hi], rows[:, owner : owner + 1], out=parts[:, lo:hi])
+            if sign.ndim == 1:  # the last axis: combine per point
+                np.add(parts[0, at, 0, 0], sign * parts[1, at, 1, 0], out=dest.real)
+                np.subtract(
+                    self.s0 * parts[1, at, 0, 0], self.s_last * parts[0, at, 1, 0], out=dest.imag
+                )
+                return
+            # The products have been read; their buffer takes the combined rows.
+            combined = prod_buf[: 2 * len(at) * k].reshape(2, len(at), k)
+            np.add(parts[0, at, 0], sign * parts[1, at, 1], out=combined[0])
+            np.subtract(parts[1, at, 0], sign * parts[0, at, 1], out=combined[1])
+            rows = combined.reshape(2, len(at), n, k // n)
+
+
 def _nudft(values: list[np.ndarray], grid: GridSpec, points: np.ndarray) -> np.ndarray:
     """nudft of k sample arrays of the grid's shape at the same points, as (k, m) complex."""
     g = grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != g.d:
         raise ValueError(f"points must have shape (m, {g.d}), got {pts.shape}")
+    out = np.empty((len(values), pts.shape[0]), dtype=complex)
+    if out.size == 0:
+        return out
     x = g.axis_coords()
     pref = g.h**g.d / TWO_PI ** (g.d / 2.0)
     rest = g.n ** (g.d - 1)
-    out = np.empty((len(values), pts.shape[0]), dtype=complex)
     chunk = min(g.n // 2, rest)
-    trig_buf = np.empty((2 * chunk, g.n))
-    phase_buf = np.empty((g.d - 1, chunk, 2, g.n))
+    order, bounds = _key_order(pts, chunk)
+    # Values are written in key order and put back in the points' order at
+    # the end.  Until its chunk is reached, a sorted position's slot in the
+    # first row holds the index of its point, so no per-point array lives
+    # beside the buffers.
+    out.real[0] = order
+    del order
+    phase_buf = np.empty((g.d, 2 * chunk, g.n))
     prod_buf = np.empty(2 * chunk * rest)
     parts_buf = np.empty(4 * chunk * (rest // g.n))
-    for start in range(0, pts.shape[0], chunk):
-        p = pts[start : start + chunk]
-        c = p.shape[0]
-        trig = trig_buf[: 2 * c]
-        np.multiply.outer(p[:, 0], x, out=trig[c:])
-        np.cos(trig[c:], out=trig[:c])
-        np.sin(trig[c:], out=trig[c:])
-        np.negative(trig[c:], out=trig[c:])
-        # One (c, 2, n) block of cosines and sines per further axis.
-        phases = phase_buf[:, :c]
-        for axis, phase in enumerate(phases, start=1):
-            np.multiply.outer(p[:, axis], x, out=phase[:, 1])
-            np.cos(phase[:, 1], out=phase[:, 0])
-            np.sin(phase[:, 1], out=phase[:, 1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = _Chunk(pts[out.real[0, lo:hi].astype(np.intp)], x, phase_buf)
         for samples, row in zip(values, out):
-            # Rows [:c] hold the real parts, rows [c:] the imaginary parts.
-            acc = prod_buf[: 2 * c * rest].reshape(2 * c, rest)
-            np.matmul(trig, samples.reshape(g.n, rest), out=acc)
-            for phase in phases:
-                # (cos - i sin)(re + i im) summed over this axis, per point.
-                k = acc.shape[1] // g.n
-                parts = parts_buf[: 4 * c * k].reshape(2, c, 2, k)
-                np.matmul(phase, acc.reshape(2, c, g.n, k), out=parts)
-                # The product has been read; its buffer takes the contraction.
-                acc = prod_buf[: 2 * c * k].reshape(2 * c, k)
-                np.add(parts[0, :, 0], parts[1, :, 1], out=acc[:c])
-                np.subtract(parts[1, :, 0], parts[0, :, 1], out=acc[c:])
-            np.multiply(acc[:c, 0], pref, out=row.real[start : start + c])
-            np.multiply(acc[c:, 0], pref, out=row.imag[start : start + c])
-    return out
+            dest = row[lo:hi]
+            part.contract(samples.reshape(g.n, rest), dest, prod_buf, parts_buf)
+            np.multiply(dest.real, pref, out=dest.real)
+            np.multiply(dest.imag, pref, out=dest.imag)
+        del part
+    del phase_buf, prod_buf, parts_buf
+    result = np.empty_like(out)
+    result[:, _key_order(pts, chunk)[0]] = out
+    return result
 
 
 def boundary_decay(f: RealField) -> float:

@@ -139,18 +139,23 @@ class KernelSequence:
     distances: tuple[tuple[float, float], ...]
 
 
-def _kernel_norms(f: RealField) -> tuple[float, float]:
-    """Quadrature L1 and |x|-weighted L1 norms of a field."""
+def _kernel_norms(f: RealField, r: np.ndarray) -> tuple[float, float]:
+    """Quadrature L1 and |x|-weighted L1 norms of a field, r being |x| on its grid."""
     g = f.grid
     w = g.h**g.d
     a = np.abs(f.values)
-    return w * float(np.sum(a)), w * float(np.sum(g.radius_mesh() * a))
+    return w * float(np.sum(a)), w * float(np.sum(r * a))
 
 
 def kernel_from_field(samples: RealField) -> Kernel:
     """The kernel with these samples; refused if its L1, weighted L1 or L2 norm overflows."""
+    return _kernel(samples, samples.grid.radius_mesh())
+
+
+def _kernel(samples: RealField, r: np.ndarray) -> Kernel:
+    """kernel_from_field, with r = |x| on the samples' grid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        l1, weighted_l1 = _kernel_norms(samples)
+        l1, weighted_l1 = _kernel_norms(samples, r)
         l2 = samples.l2_norm()
     if not (math.isfinite(l1) and math.isfinite(weighted_l1)):
         raise ValueError(
@@ -242,14 +247,21 @@ def _unit_gaussian(r: np.ndarray, width: float, d: int) -> np.ndarray:
 def sphere_points(d: int, radius: float) -> np.ndarray:
     """SPHERE_SAMPLES evaluation points on the sphere of the given radius.
 
-    d = 1: the two points +-radius.  d = 2: uniform angles.  d = 3: a
-    Fibonacci lattice, near-uniform coverage for any count.
+    d = 1: the two points +-radius.  d = 2: the uniform angles 2 pi k /
+    SPHERE_SAMPLES in order of k, the first quadrant's (r sin(pi/2 - t),
+    r sin t) and the other three by exact quarter turns, so the set is
+    closed under negating either coordinate and its points share a quarter
+    of the distinct |p_0| and |p_1| (33 each), which nudft computes once.
+    d = 3: a Fibonacci lattice, near-uniform coverage for any count.
     """
     if d == 1:
         return np.array([[radius], [-radius]])
     if d == 2:
-        theta = TWO_PI * np.arange(SPHERE_SAMPLES) / SPHERE_SAMPLES
-        return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        q = SPHERE_SAMPLES // 4
+        s = radius * np.sin(TWO_PI * np.arange(q + 1) / SPHERE_SAMPLES)
+        first = np.stack([s[q:0:-1], s[:q]], axis=1)
+        turn = first[:, ::-1] * [-1.0, 1.0]
+        return np.concatenate([first, turn, -first, -turn])
     i = np.arange(SPHERE_SAMPLES)
     z = 1.0 - (2.0 * i + 1.0) / SPHERE_SAMPLES
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
@@ -304,19 +316,28 @@ def _bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
 
     J_k(z) = (1/pi) int_0^pi cos(k t - z sin t) dt (DLMF 10.9.2).  The
     integrand is even and 2 pi-periodic in t, so the midpoint rule on
-    m = ceil(max(z, k)) + 40 nodes converges exponentially; expanding the
-    cosine makes every order one real matrix product.
+    m = ceil(max(z, k)) + 40 nodes converges exponentially.  Its nodes t and
+    pi - t share sin t, so the rule is folded about pi/2: even orders
+    integrate cos(z sin t) cos(k t) and odd ones sin(z sin t) sin(k t) over
+    the nodes below pi/2 with doubled weights (the node at pi/2, for odd m,
+    once), and each parity is one real matrix product.
     """
     k = np.asarray(orders, dtype=float)
     m = math.ceil(max(float(z.max()), k.max())) + 40
-    t = (np.arange(m) + 0.5) * (math.pi / m)
+    t = (np.arange((m + 1) // 2) + 0.5) * (math.pi / m)
+    w = np.full(len(t), 2.0 / m)
+    if m % 2:
+        w[-1] = 1.0 / m  # the node at pi/2 is its own mirror
+    odd = k % 2 == 1
+    kt = np.multiply.outer(t, k)
+    weights = np.where(odd, np.sin(kt), np.cos(kt)) * w[:, None]
     sin_t = np.sin(t)
-    cos_kt = np.cos(np.multiply.outer(t, k)) / m
-    sin_kt = np.sin(np.multiply.outer(t, k)) / m
     out = np.empty((len(z), len(k)))
-    for rows in _quadrature_rows(len(z), m):
-        ph = np.multiply.outer(z[rows], sin_t)
-        out[rows] = np.cos(ph) @ cos_kt + np.sin(ph) @ sin_kt
+    for rows in _quadrature_rows(len(z), len(t)):
+        zs = np.multiply.outer(z[rows], sin_t)
+        for cols, trig in ((~odd, np.cos), (odd, np.sin)):
+            if cols.any():
+                out[rows, cols] = trig(zs) @ weights[:, cols]
     return out
 
 
@@ -349,7 +370,7 @@ def _spherical_bessel_j(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
+def _atom_fields(grid: GridSpec, radius: float, sigma: float, r: np.ndarray) -> np.ndarray:
     """Analytic atoms whose transforms concentrate near |p| = radius, stacked.
 
     The Gaussian envelope exp(-sigma^2 |x|^2 / 2) sets the spectral bump
@@ -358,25 +379,27 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
     radial atom plus atoms modulated by the angular harmonics the Cartesian
     grid itself excites (fourfold harmonics for d = 2, cubic invariants for
     d = 3), each paired with the matching Bessel radial profile: J_k from
-    Bessel's integral by the midpoint rule on ceil(max(z, k)) + 40 nodes
-    (d = 2), j_l from the Legendre integral by Gauss-Legendre quadrature on
-    ceil(z/2) + l + 40 nodes (d = 3), z running up to the largest radius
-    times |x|.
+    Bessel's integral by the midpoint rule on ceil(max(z, k)) + 40 nodes,
+    folded about pi/2 (d = 2), j_l from the Legendre integral by
+    Gauss-Legendre quadrature on ceil(z/2) + l + 40 nodes (d = 3), z running
+    up to the largest radius times |x|.  r is |x| on the grid.
     """
-    r = grid.radius_mesh()
-    with np.errstate(over="ignore"):  # a wide taper's envelope underflows to 0
-        env = np.exp(-(sigma * r) ** 2 / 2.0)
     if grid.d == 1:
-        x = grid.coord_meshes()[0]
+        with np.errstate(over="ignore"):  # a wide taper's envelope underflows to 0
+            env = np.exp(-(sigma * r) ** 2 / 2.0)
+        x = grid.axis_coords()
         return np.stack([env * np.cos(radius * x), env * np.sin(radius * x)])
     # The grid's symmetries repeat every radius many times: evaluate the
-    # profiles once per distinct radius.
-    distinct, where = np.unique(radius * r, return_inverse=True)
+    # envelope and the profiles once per distinct radius.
+    distinct, where = np.unique(r, return_inverse=True)
+    with np.errstate(over="ignore"):
+        env = np.exp(-(sigma * distinct) ** 2 / 2.0)
+    distinct *= radius
 
     def atoms(angular: np.ndarray, profiles: np.ndarray, columns) -> np.ndarray:
         """Multiply angular factor i by env and profile column columns[i], in place."""
         for atom, column in zip(angular, columns):
-            atom *= env * profiles[:, column][where].reshape(grid.shape)
+            atom *= (env * profiles[:, column])[where].reshape(grid.shape)
         return angular
 
     if grid.d == 2:
@@ -406,15 +429,18 @@ def _atom_fields(grid: GridSpec, radius: float, sigma: float) -> np.ndarray:
     return atoms(angular, _spherical_bessel_j((0, 4, 6, 8, 10), distinct), (0, 1, 2, 3, 3, 4))
 
 
-def _project(fields: list, spec: SymbolSpec, taper_width: float) -> list[Kernel | None]:
-    """The kernels of fields (samples on one grid) with their sphere values removed, in order.
+def _project(
+    fields: list, spec: SymbolSpec, taper_width: float, r: np.ndarray
+) -> list[Kernel | None]:
+    """The kernels of fields (samples on one grid, where r is |x|) with their
+    sphere values removed, in order.
 
     Builds the atoms, their transforms at the sphere points stacked as the
     real system [Re A; Im A] and that system's pseudo-inverse once, so that
     projecting several fields costs one NUDFT of their samples, one small
     matrix product each and one diagnostics pass of the projected kernels,
     whose sphere residuals are the re-measured check and which the kernels
-    keep for their later readers.  The atoms go when this returns.
+    keep for their later readers.  The atoms go before that pass.
 
     A field with zero sphere values is not projected: None stands in its
     place, and the field stays in fields.  Every other entry of fields is
@@ -441,7 +467,7 @@ def _project(fields: list, spec: SymbolSpec, taper_width: float) -> list[Kernel 
             f"{nominal:.6g} of the sphere radius {radius:.6g}"
         )
     points = sphere_points(grid.d, radius)
-    atoms = _atom_fields(grid, radius, sigma)
+    atoms = _atom_fields(grid, radius, sigma, r)
     A = _nudft(list(atoms), grid, points).T
     system = np.vstack([A.real, A.imag])
     # The singular-value cutoff np.linalg.lstsq applies with rcond=None.
@@ -456,7 +482,8 @@ def _project(fields: list, spec: SymbolSpec, taper_width: float) -> list[Kernel 
         vals = np.tensordot(coeffs, atoms, axes=1)
         np.subtract(fields[i].values, vals, out=vals)
         fields[i] = None
-        kernels.append(kernel_from_field(RealField(vals, grid)))
+        kernels.append(_kernel(RealField(vals, grid), r))
+    del atoms
     projected = [K for K in kernels if K is not None]
     if projected:
         _diagnostics_pass(projected, spec)
@@ -484,7 +511,7 @@ def project_orthogonal(G: Kernel, spec: SymbolSpec, taper_width: float) -> Kerne
     (_admissible); coarse grids in d = 3 can pin the floor above that, in
     which case the projection refuses and a finer grid is needed.
     """
-    (projected,) = _project([G.samples], spec, taper_width)
+    (projected,) = _project([G.samples], spec, taper_width, G.grid.radius_mesh())
     return G if projected is None else projected
 
 
@@ -607,12 +634,15 @@ def _diagnostics_pass(kernels: list[Kernel], spec: SymbolSpec) -> None:
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     # C-infinity monotone ramp, 0 for t <= 0 and 1 for t >= 1; the smooth
-    # cutoff keeps the truncated kernel's aliasing anisotropy small.
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
-        hi = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
-    return lo / (lo + hi)
+    # cutoff keeps the truncated kernel's aliasing anisotropy small.  Only
+    # the points on the ramp take the exponentials.
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    ramp = (t > 0.0) & (t < 1.0)
+    s = t[ramp]
+    lo = np.exp(-1.0 / s)
+    hi = np.exp(-1.0 / (1.0 - s))
+    out[ramp] = lo / (lo + hi)
+    return out
 
 
 def _truncation_cutoff(r: np.ndarray, R: float, width: float) -> np.ndarray:
@@ -654,7 +684,11 @@ def make_sequence(
     atoms' sphere system that makes four NUDFT calls, however many members
     there are.  The admissibility check and the projection's re-measured
     residuals read each kernel's diagnostics pass, which the kernels keep
-    for run_sequence and verify_lemmaA2.
+    for run_sequence and verify_lemmaA2.  |x| is computed once for the
+    batch: the atoms' envelope and Bessel profiles are evaluated once per
+    distinct radius of it, and the members' norms and their distances to
+    the limit read it; each member's smooth cutoff takes its exponentials
+    only on its ramp.  The atoms go before the members' diagnostics pass.
     """
     admissible, limit = _admissible(G, spec)
     if not admissible:
@@ -665,11 +699,10 @@ def make_sequence(
         )
     grid = G.grid
     fields = [_member_samples(G, schedule, m) for m in range(1, schedule.members + 1)]
-    projected = _project(fields, spec, taper_width)
-    members = tuple(
-        kernel_from_field(f) if K is None else K for K, f in zip(projected, fields)
-    )
+    r = grid.radius_mesh()
+    projected = _project(fields, spec, taper_width, r)
+    members = tuple(_kernel(f, r) if K is None else K for K, f in zip(projected, fields))
     distances = tuple(
-        _kernel_norms(RealField(K.samples.values - G.samples.values, grid)) for K in members
+        _kernel_norms(RealField(K.samples.values - G.samples.values, grid), r) for K in members
     )
     return KernelSequence(members=members, limit=G, distances=distances)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -226,6 +227,14 @@ def _nudft_problems(draw):
     off_grid = rng.uniform(-grid.nyquist_radius, grid.nyquist_radius, size=(m, d))
     on_grid = grid.mode_spacing * rng.integers(-n // 2, n // 2, size=(m, d))
     pts = np.where(rng.random((m, 1)) < 0.5, on_grid, off_grid)
+    if draw(st.booleans()):
+        # Sign-closed: each point with its 2^d coordinate sign flips, some
+        # coordinates exactly 0 and some points twice, in shuffled order.
+        pts = pts[: max(1, m // 2**d)]
+        pts[rng.random(pts.shape) < 0.25] = 0.0
+        flips = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+        pts = (flips[:, None, :] * pts).reshape(-1, d)
+        pts = rng.permutation(np.concatenate([pts, pts[: rng.integers(0, len(pts) + 1)]]))
     return RealField(rng.normal(size=grid.shape), grid), pts
 
 
@@ -242,6 +251,17 @@ class TestNudftProperties:
         scale = g.h**g.d / (2.0 * math.pi) ** (g.d / 2.0) * float(np.sum(np.abs(f.values)))
         assert vals.shape == (pts.shape[0],)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nudft_problems())
+    def test_each_point_alone_and_mirrored(self, problem):
+        # Points that share phases still get the value of a call of their
+        # own, bit for bit, and F(-p) = conj F(p) exactly for real samples.
+        f, pts = problem
+        vals = nudft(f, pts)
+        for p, value in zip(pts, vals):
+            assert np.array_equal(nudft(f, p[None]), [value])
+        assert np.array_equal(nudft(f, -pts), np.conj(vals))
 
     @settings(max_examples=60, deadline=None)
     @given(_nudft_problems(), st.integers(min_value=1, max_value=3))

@@ -19,9 +19,10 @@ from llap.kernels import (
     project_orthogonal,
     sphere_points,
 )
+import llap.grid
 from llap import kernels
 from llap.checks import _derivative_bound, _direct_convolution, _hat_bound
-from conftest import SQRT_2PI, dense_l1_norms, ft, mode_radius, sphere_residual
+from conftest import SQRT_2PI, dense_l1_norms, ft, mode_radius, sphere_residual, traced_peak
 
 EXP_HALF = math.exp(-0.5)  # |G^| of the unit Gaussian on the unit sphere
 
@@ -111,6 +112,29 @@ class TestHatOnSphere:
             assert pts.shape == (kernels.SPHERE_SAMPLES, d)
             assert np.allclose(np.linalg.norm(pts, axis=1), 2.5, rtol=1e-12)
 
+    @pytest.mark.parametrize("r", [2.5, 0.37, math.exp(0.05), 2.0**-30, 1e3])
+    def test_d2_points_are_mirror_exact(self, r):
+        # The uniform angles in order, to 1e-15 r, as a set closed under
+        # negating either coordinate exactly: 33 distinct |p_0| and |p_1|.
+        pts = sphere_points(2, r)
+        theta = 2.0 * math.pi * np.arange(kernels.SPHERE_SAMPLES) / kernels.SPHERE_SAMPLES
+        uniform = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert np.max(np.abs(pts - uniform)) <= 1e-15 * r
+        points = {tuple(p) for p in pts}
+        for flip in ([-1.0, 1.0], [1.0, -1.0]):
+            assert {tuple(p) for p in pts * flip} == points
+        assert [len(np.unique(np.abs(pts[:, j]))) for j in (0, 1)] == [33, 33]
+
+    def test_d1_and_d3_points_unchanged(self):
+        r = 1.7
+        assert sphere_points(1, r).tolist() == [[r], [-r]]
+        i = np.arange(kernels.SPHERE_SAMPLES)
+        z = 1.0 - (2.0 * i + 1.0) / kernels.SPHERE_SAMPLES
+        phi = i * math.pi * (3.0 - math.sqrt(5.0))
+        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        lattice = r * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+        assert np.array_equal(sphere_points(3, r), lattice)
+
 
 class TestProjection:
     def test_gaussian_residual_drops(self, gauss_kernel, grid1):
@@ -197,6 +221,16 @@ class TestBesselProfiles:
         j = kernels._spherical_bessel_j((0, 4, 6, 8, 10), z)
         for i, ell in enumerate((0, 4, 6, 8, 10)):
             assert np.max(np.abs(j[:, i] - special.spherical_jn(ell, z))) <= 1e-14
+
+    @pytest.mark.parametrize("top", [60.0, 60.5])
+    def test_odd_orders_beside_even(self, special, top):
+        # The folded rule splits the orders by parity; m = 100 and 101 nodes
+        # (the odd count has a node at pi/2 of its own).
+        z = np.linspace(0.0, top, 601)
+        orders = (0, 1, 3, 4, 5, 7, 8, 12)
+        J = kernels._bessel_j(orders, z)
+        for i, k in enumerate(orders):
+            assert np.max(np.abs(J[:, i] - special.jv(k, z))) <= 1e-14
 
     def test_odd_spherical_orders(self, special):
         # The sine branch of the Legendre integral; the atoms use even orders.
@@ -501,6 +535,20 @@ class TestSequences:
         seq = make_sequence(K, sched, spec, taper_width=0.5)
         assert calls == [(1, 640), (4, 128), (6, 128), (6, 640)]
         assert len(seq.members) == 6
+
+    def test_build_memory_is_pinned(self):
+        # The sequence-2d benchmark problem (d = 2, n = 256, six truncated
+        # members), traced from just before make_sequence with the symbol
+        # cache empty, peaks at 9.9 MiB; the pin leaves 0.8 MiB of room.
+        g = make_grid(2, 20.0, 256)
+        spec = SymbolSpec(0.0, default_eta(g, 0.0))
+        K = make_kernel(
+            "difference", {"width1": 1.0, "width2": 2.0, "amplitude": 0.6, "shift": 0.0}, g
+        )
+        sched = Schedule(kind="truncate", members=6, r_start=6.0, r_stop=14.0, cutoff_width=2.0)
+        llap.grid._half_modes.cache_clear()
+        _, peak = traced_peak(lambda: make_sequence(K, sched, spec, taper_width=0.5))
+        assert peak <= 10.7 * 2**20
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):

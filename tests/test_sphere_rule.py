@@ -3,7 +3,8 @@
 The kernels below are reference.cfg's kernel plus delta times a unit-mass
 Gaussian of width 2, whose transform does not vanish on the sphere: at
 delta = 1e-6 the residual is 1.55e-8 ||G||_1, inside the rule; at
-delta = 1e-4 it is 1.55e-6 ||G||_1, outside it.
+delta = 1e-4 it is 1.55e-6 ||G||_1, outside it.  The triviality row of
+verify is scale-free in the same way.
 """
 
 import ast
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import llap
 import llap.kernels
-from llap.checks import _dichotomy_check
+from llap.checks import _dichotomy_check, _triviality_check
 from llap.cli import EXIT_CERTIFICATE, EXIT_CHECK_FAILED, EXIT_CONFIG, main
 from llap.config import load_config
 from llap.fieldio import dump_field
@@ -29,7 +30,7 @@ from llap.kernels import (
     make_sequence,
     project_orthogonal,
 )
-from llap.solver import CertificateError, certify, picard_solve
+from llap.solver import CertificateError, _picard_operator, certify, picard_solve
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 DIFFERENCE = "family = difference\nwidth1 = 1.0\nwidth2 = 2.0\namplitude = 1.0"
@@ -197,3 +198,17 @@ def test_no_verdict_moves_with_the_kernel_scale(reference, unscaled, truncated_3
         assert _verdicts(K, reference) == verdicts
     field, spec = truncated_3d
     assert not _projected(RealField(field.values * 2.0**k, field.grid), spec)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(k=st.integers(-100, 100))
+@example(k=-100)
+@example(k=100)
+def test_triviality_row_moves_not_with_the_kernel_scale(reference, k):
+    # The first Picard step from zero is judged against its bound
+    # ||G||_1 ||F(0)||_2 / eta, not an absolute 1e-12; reference.cfg's
+    # kernel passes the row at every scale 2^k.
+    grid, spec, K, N, cfg = reference
+    scaled = kernel_from_field(RealField(K.samples.values * 2.0**k, grid))
+    rows = [_triviality_check(G, N, spec, cfg.tau, _picard_operator(G, spec)) for G in (K, scaled)]
+    assert rows[0].passed and rows[1] == rows[0]
